@@ -17,7 +17,14 @@ from .numtheory import (
     mod_inverse,
     odd_primes,
 )
-from .oracle import brute_gauss_sum, naive_dft, naive_idft, shifted_dft_identity
+from .oracle import (
+    brute_gauss_sum,
+    dft_reference,
+    idft_reference,
+    naive_dft,
+    naive_idft,
+    shifted_dft_identity,
+)
 from .pattern import (
     OBVERSE,
     REVERSE,
@@ -31,16 +38,7 @@ from .pattern import (
     read_slope,
 )
 from .sequences import LmfhParams, ZcParams, frequency_track, lmfh_symbol, zc_time
-from .transform import (
-    DFT,
-    IDFT,
-    OpCounters,
-    TransformPlan,
-    dft_reference,
-    execute,
-    idft_reference,
-    plan,
-)
+from .transform import DFT, IDFT, OpCounters, TransformPlan, execute, plan
 
 __version__ = "0.1.0"
 

@@ -18,9 +18,8 @@ import time
 import numpy as np
 
 from . import __version__, oracle, pattern, transform
-from .numtheory import is_prime
 from .sequences import ZcParams, zc_time
-from .verify import VerifyConfig, run_all
+from .verify import VerifyConfig, result_line, run_all
 
 # 17 significant decimal digits round-trip any binary64 value exactly, so
 # files can stand in for in-memory arrays in cross-checks.
@@ -52,13 +51,11 @@ def _sequence_text(args, samples: np.ndarray) -> str:
 
 
 def _zc_params(parser: argparse.ArgumentParser, args) -> ZcParams:
-    if not is_prime(args.p) or args.p < 3 or args.p % 2 == 0:
-        parser.error(f"--p must be an odd prime, got {args.p}")
-    if not 1 <= args.u <= args.p - 1:
-        parser.error(f"--u must be in [1, p-1], got {args.u}")
-    if not 0 <= args.ts <= args.p - 1:
-        parser.error(f"--ts must be in [0, p-1], got {args.ts}")
-    return ZcParams(p=args.p, u=args.u, ts=args.ts)
+    """ZcParams from --p/--u/--ts; an invalid value is a usage error (exit 2)."""
+    try:
+        return ZcParams(p=args.p, u=args.u, ts=args.ts)
+    except ValueError as exc:
+        parser.error(f"invalid --p/--u/--ts: {exc}")
 
 
 def cmd_gen(parser, args) -> int:
@@ -74,9 +71,9 @@ def cmd_transform(parser, args) -> int:
         out = transform.execute(transform.plan(params, direction))
     elif args.method == "reference":
         if direction == transform.DFT:
-            out = transform.dft_reference(params)
+            out = oracle.dft_reference(params)
         else:
-            out = transform.idft_reference(params)
+            out = oracle.idft_reference(params)
     else:
         x = zc_time(params)
         out = oracle.naive_dft(x) if direction == transform.DFT else oracle.naive_idft(x)
@@ -118,10 +115,8 @@ def cmd_verify(parser, args) -> int:
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
         failures += not r.passed
-        detail = f"  [{r.detail}]" if r.detail else ""
-        print(f"[{status}] {r.name:<{width}}  max error {r.max_error:.3e}{detail}")
+        print(result_line(r, width))
     print(f"{len(results) - failures}/{len(results)} property families passed")
     return 1 if failures else 0
 
@@ -148,7 +143,7 @@ def cmd_bench(parser, args) -> int:
         "u": params.u,
         "reps": args.reps,
         "fast_ns": _median_ns(lambda: transform.execute(pl), args.reps),
-        "reference_ns": _median_ns(lambda: transform.dft_reference(params), args.reps),
+        "reference_ns": _median_ns(lambda: oracle.dft_reference(params), args.reps),
         "naive_ns": _median_ns(lambda: oracle.naive_dft(x), args.reps),
         "additions": counters.additions,
         "modulo_reductions": counters.modulo_reductions,
@@ -202,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the full invariant suite")
     sp.add_argument("--pmax", type=int, default=199, help="largest prime in the grids")
     sp.add_argument(
-        "--include-839", action="store_true", help="add p=839 with 32 sampled roots"
+        "--include-839",
+        action="store_true",
+        help="add p=839 (32 sampled roots) to the transform families",
     )
     sp.add_argument(
         "--inject-fault",

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import legendre, require_odd_prime
+from .numtheory import legendre
+from .sequences import ZcParams
 
 
 @dataclass(frozen=True)
@@ -35,21 +36,17 @@ class GaussSumResult:
     value: complex
 
 
-def _check_root(p: int, u: int) -> None:
-    require_odd_prime(p)
-    if not 1 <= u <= p - 1:
-        raise ValueError(f"root must satisfy 1 <= u <= p-1, got u={u}")
-
-
 def quasi_phase_offset4(p: int, u: int) -> int:
     """4*QPo = ((3 - 2*l_2u - (p mod 4))*p + u*(p+1)**3) / 2, an exact integer.
 
     (p+1)**3 is divisible by 8 and the leading coefficient is even for every
     odd prime, so the division by 2 is exact; this is asserted rather than
     assumed. Python integers are arbitrary precision, so u*(p+1)**3 needs no
-    widening tricks even at p near 2**31.
+    widening tricks even at p near 2**31. (p, u) are validated, and numpy
+    integers converted to Python ints, by ZcParams.
     """
-    _check_root(p, u)
+    params = ZcParams(p=p, u=u)
+    p, u = params.p, params.u
     ell = legendre(2 * u, p)
     num = (3 - 2 * ell - (p % 4)) * p + u * (p + 1) ** 3
     if num % 2 != 0:
@@ -62,9 +59,10 @@ def gauss_sum_closed(p: int, u: int) -> GaussSumResult:
 
     The phase integer u*inv2**3 is reduced mod p before conversion, so the
     only floating-point steps are one sqrt and one complex exponential of a
-    small angle.
+    small angle. (p, u) are validated as in ZcParams.
     """
-    _check_root(p, u)
+    params = ZcParams(p=p, u=u)
+    p, u = params.p, params.u
     ell = legendre(2 * u, p)
     eta = 1.0 if p % 4 == 1 else -1.0j
     inv2 = (p + 1) // 2

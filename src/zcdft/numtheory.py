@@ -6,6 +6,7 @@ modulus the library accepts (odd primes below 2**31).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 PRIME_CAP = 1 << 31
@@ -31,12 +32,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_odd_prime(p: int) -> None:
-    """Raise ValueError unless p is an odd prime in [3, 2**31)."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise ValueError(f"modulus must be an integer, got {p!r}")
+def as_int(x, name: str) -> int:
+    """x as a Python int, accepting numpy integers; ValueError for bool or non-integers."""
+    if isinstance(x, bool):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
+def require_odd_prime(p: int) -> int:
+    """p as a Python int; raise ValueError unless it is an odd prime in [3, 2**31)."""
+    p = as_int(p, "modulus")
     if p < 3 or p >= PRIME_CAP or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime in [3, 2**31), got {p}")
+    return p
 
 
 def mod_inverse(a: int, p: int) -> int:
@@ -90,7 +101,7 @@ class LookupTables:
 
 def build_tables(p: int) -> LookupTables:
     """Build the inverse / Legendre-of-2u tables for all roots u in [1, p-1]."""
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     inverses = tuple(mod_inverse(u, p) for u in range(1, p))
     legendre2u = tuple(legendre(2 * u, p) for u in range(1, p))
     return LookupTables(p=p, inverses=inverses, legendre2u=legendre2u)

@@ -1,8 +1,11 @@
 """Brute-force ground truth used to validate every fast path.
 
 These are test-only reference implementations: quadratic-time transforms
-with compensated summation, direct summation of the Gauss constant, and the
-index-remapping identity for the DFT of a cyclically shifted sequence.
+with compensated summation, direct summation of the Gauss constant, the
+index-remapping identity for the DFT of a cyclically shifted sequence, and
+the classical termwise identities (dft_reference / idft_reference) for
+differential testing against both the fast path and the quadratic-time
+transforms.
 Accuracy beats speed here on purpose; the oracle must be at least as
 accurate as the device under test.
 """
@@ -13,6 +16,7 @@ import math
 
 import numpy as np
 
+from .gauss import gauss_sum_closed
 from .numtheory import mod_inverse
 from .sequences import ZcParams, zc_time
 
@@ -74,3 +78,40 @@ def shifted_dft_identity(params: ZcParams) -> np.ndarray:
     idx = (iu * np.arange(p) + ts) % p
     f0 = brute_gauss_sum(ZcParams(p=p, u=u, ts=0))
     return np.conj(base[idx]) * base[ts % p] * f0
+
+
+def _linear_ramp(p: int, shift: int) -> np.ndarray:
+    """exp(+i*2*pi*shift*k/p) with the index product reduced exactly mod p."""
+    k = np.arange(p)
+    return np.exp(2j * np.pi * ((shift * k) % p) / p)
+
+
+def dft_reference(params: ZcParams) -> np.ndarray:
+    """Termwise classical identity for the DFT of a shifted ZC sequence.
+
+    F(k) = Z_{-iu}(k) * exp(i*2*pi*((p+1)/2*(1-iu) + ts)*k/p) * F(0), with
+    F(0) from the closed-form Gauss sum. O(p) with one complex multiply per
+    sample; no accumulation.
+    """
+    p, u, ts = params.p, params.u, params.ts
+    iu = mod_inverse(u, p)
+    shift = (((p + 1) // 2) * (1 - iu) + ts) % p
+    dual = zc_time(ZcParams(p=p, u=(p - iu) % p, ts=0))
+    return dual * _linear_ramp(p, shift) * gauss_sum_closed(p, u).value
+
+
+def idft_reference(params: ZcParams, normalize: bool = False) -> np.ndarray:
+    """Termwise classical identity for the unnormalized IDFT.
+
+    F(k) = conj(Z_{iu}(k)) * exp(i*2*pi*((p-1)/2*(iu+1) - ts)*k/p) * F(0).
+    The IDFT differs from the DFT by a frequency shift of 1 mod p (plus the
+    sign of the ts term). normalize divides by p.
+    """
+    p, u, ts = params.p, params.u, params.ts
+    iu = mod_inverse(u, p)
+    shift = (((p - 1) // 2) * (iu + 1) - ts) % p
+    dual = np.conj(zc_time(ZcParams(p=p, u=iu, ts=0)))
+    out = dual * _linear_ramp(p, shift) * gauss_sum_closed(p, u).value
+    if normalize:
+        out = out / p
+    return out

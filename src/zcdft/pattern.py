@@ -65,7 +65,7 @@ def make_pattern(p: int, slope: int, fs: int = 0, ts: int = 0) -> LmfhPattern:
     which is how the cyclic shift enters the figures; under flip_dft it comes
     out as a +ts cyclic frequency shift, matching the transform identities.
     """
-    require_odd_prime(p)
+    p = require_odd_prime(p)
     if slope % p == 0:
         raise ValueError("slope must be nonzero modulo p")
     pts = ((t, centered(slope * (t - ts) + fs, p)) for t in range(p))

@@ -12,15 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import centered, require_odd_prime
+from .numtheory import as_int, centered, require_odd_prime
 
 
 @dataclass(frozen=True)
 class ZcParams:
     """A ZC problem instance: prime length p, root u, cyclic shift ts.
 
-    Validated at construction: p is an odd prime, 1 <= u <= p-1 (which makes
-    gcd(u, p) = 1 automatic) and 0 <= ts <= p-1.
+    Validated at construction, the one place the library checks these bounds:
+    p is an odd prime below 2**31, 1 <= u <= p-1 (which makes gcd(u, p) = 1
+    automatic) and 0 <= ts <= p-1. Numpy integers are accepted and stored as
+    Python ints.
     """
 
     p: int
@@ -28,11 +30,16 @@ class ZcParams:
     ts: int = 0
 
     def __post_init__(self) -> None:
-        require_odd_prime(self.p)
-        if not 1 <= self.u <= self.p - 1:
-            raise ValueError(f"root must satisfy 1 <= u <= p-1, got u={self.u}")
-        if not 0 <= self.ts <= self.p - 1:
-            raise ValueError(f"cyclic shift must satisfy 0 <= ts <= p-1, got ts={self.ts}")
+        p = require_odd_prime(self.p)
+        u = as_int(self.u, "root")
+        ts = as_int(self.ts, "cyclic shift")
+        if not 1 <= u <= p - 1:
+            raise ValueError(f"root must satisfy 1 <= u <= p-1, got u={u}")
+        if not 0 <= ts <= p - 1:
+            raise ValueError(f"cyclic shift must satisfy 0 <= ts <= p-1, got ts={ts}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "ts", ts)
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,13 @@ class LmfhParams:
     po: float = 0.0
 
     def __post_init__(self) -> None:
-        require_odd_prime(self.p)
-        if self.s % self.p == 0:
+        p = require_odd_prime(self.p)
+        s = as_int(self.s, "slope")
+        if s % p == 0:
             raise ValueError("slope must be nonzero modulo p")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "fs", as_int(self.fs, "frequency shift"))
 
 
 def zc_time(params: ZcParams) -> np.ndarray:

@@ -12,10 +12,6 @@ quarter-integer values, so instead of seeding the phase accumulator with it,
 sqrt(p)*exp(i*2*pi*QPo/p) is folded into one precomputed complex constant
 multiplied into every output. Algebraically identical, and it keeps the
 twiddle table at size p.
-
-dft_reference / idft_reference implement the classical termwise identities
-(conjugate-free form) and exist for differential testing against both the
-fast path and the quadratic-time oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import const_from_qpo, gauss_sum_closed, quasi_phase_offset4
+from .gauss import const_from_qpo, quasi_phase_offset4
 from .numtheory import legendre, mod_inverse
-from .sequences import ZcParams, zc_time
+from .sequences import ZcParams
 
 DFT = "dft"
 IDFT = "idft"
@@ -121,43 +117,6 @@ def execute(
             phases[k] = phase
         counters.exp_evaluations += p
     out = pl.const_factor * pl.twiddles[np.asarray(phases, dtype=np.intp)]
-    if normalize:
-        out = out / p
-    return out
-
-
-def _linear_ramp(p: int, shift: int) -> np.ndarray:
-    """exp(+i*2*pi*shift*k/p) with the index product reduced exactly mod p."""
-    k = np.arange(p)
-    return np.exp(2j * np.pi * ((shift * k) % p) / p)
-
-
-def dft_reference(params: ZcParams) -> np.ndarray:
-    """Termwise classical identity for the DFT of a shifted ZC sequence.
-
-    F(k) = Z_{-iu}(k) * exp(i*2*pi*((p+1)/2*(1-iu) + ts)*k/p) * F(0), with
-    F(0) from the closed-form Gauss sum. O(p) with one complex multiply per
-    sample; no accumulation.
-    """
-    p, u, ts = params.p, params.u, params.ts
-    iu = mod_inverse(u, p)
-    shift = (((p + 1) // 2) * (1 - iu) + ts) % p
-    dual = zc_time(ZcParams(p=p, u=(p - iu) % p, ts=0))
-    return dual * _linear_ramp(p, shift) * gauss_sum_closed(p, u).value
-
-
-def idft_reference(params: ZcParams, normalize: bool = False) -> np.ndarray:
-    """Termwise classical identity for the unnormalized IDFT.
-
-    F(k) = conj(Z_{iu}(k)) * exp(i*2*pi*((p-1)/2*(iu+1) - ts)*k/p) * F(0).
-    The IDFT differs from the DFT by a frequency shift of 1 mod p (plus the
-    sign of the ts term). normalize divides by p.
-    """
-    p, u, ts = params.p, params.u, params.ts
-    iu = mod_inverse(u, p)
-    shift = (((p - 1) // 2) * (iu + 1) - ts) % p
-    dual = np.conj(zc_time(ZcParams(p=p, u=iu, ts=0)))
-    out = dual * _linear_ramp(p, shift) * gauss_sum_closed(p, u).value
     if normalize:
         out = out / p
     return out

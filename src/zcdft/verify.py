@@ -1,5 +1,10 @@
 """Self-verification: every library invariant checked against brute force.
 
+ALL_CHECKS is the single statement of the library's invariants. pytest
+(tests/test_acceptance.py) and `zcdft verify --pmax 199 --include-839` run
+the same registry on the same grid, VerifyConfig(pmax=199, include_839=True),
+and print the same [PASS]/[FAIL] line per family through result_line.
+
 Each check covers one property family over a grid of primes controlled by
 pmax. Checks are pure and independent; run_all executes them in order and
 reports the maximum observed error per family. A deliberate fault can be
@@ -9,6 +14,7 @@ injected into the fast DFT comparison to prove the harness is not vacuous.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,6 +53,21 @@ class VerifyConfig:
             step = (p - 1) // 32
             roots = sorted({1 + j * step for j in range(32)})
             yield p, roots, [0, 1, (p - 1) // 2]
+
+    def spot_primes(self, *primes: int) -> list[int]:
+        """The given primes up to pmax, then 839 when include_839 is set."""
+        return [p for p in primes if p <= self.pmax] + ([839] if self.include_839 else [])
+
+
+# Wall-time bound on each fast-vs-naive family over the full grid.
+FAST_VS_NAIVE_SECONDS = 120.0
+
+
+def result_line(r: CheckResult, width: int = 0) -> str:
+    """The report line of one family: status, name, worst error, detail."""
+    status = "PASS" if r.passed else "FAIL"
+    detail = f"  [{r.detail}]" if r.detail else ""
+    return f"[{status}] {r.name:<{width}}  max error {r.max_error:.3e}{detail}"
 
 
 def _tol(p: int) -> float:
@@ -146,7 +167,7 @@ def check_gauss_closed_vs_brute(cfg: VerifyConfig) -> CheckResult:
             brute = oracle.brute_gauss_sum(ZcParams(p=p, u=u))
             worst = max(worst, abs(g.value - brute) / tol)
             branches.add((p % 4, legendre(2 * u, p)))
-    passed = worst <= 1.0 and len(branches) == 4
+    passed = worst <= 1.0 and branches == {(1, 1), (1, -1), (3, 1), (3, -1)}
     return CheckResult(
         "gauss-closed-vs-brute",
         passed,
@@ -169,6 +190,7 @@ def check_gauss_phase_form(cfg: VerifyConfig) -> CheckResult:
 
 def _fast_vs_naive(cfg: VerifyConfig, direction: str) -> CheckResult:
     name = f"fast-{direction}-vs-naive"
+    start = time.perf_counter()
     worst_rel = 0.0
     fault_pending = cfg.inject_fault and direction == transform.DFT
     for p, roots, shifts in cfg.transform_cases():
@@ -185,7 +207,13 @@ def _fast_vs_naive(cfg: VerifyConfig, direction: str) -> CheckResult:
                 ref = oracle.naive_dft(x) if direction == transform.DFT else oracle.naive_idft(x)
                 err = np.abs(fast - ref).max()
                 worst_rel = max(worst_rel, err / tol)
-    return CheckResult(name, worst_rel <= 1.0, worst_rel, "error / (1e-9*sqrt(p))")
+    seconds = time.perf_counter() - start
+    return CheckResult(
+        name,
+        worst_rel <= 1.0 and seconds < FAST_VS_NAIVE_SECONDS,
+        worst_rel,
+        f"error / (1e-9*sqrt(p)); {seconds:.1f} s of {FAST_VS_NAIVE_SECONDS:.0f} s",
+    )
 
 
 def check_fast_dft_vs_naive(cfg: VerifyConfig) -> CheckResult:
@@ -205,11 +233,11 @@ def check_reference_path_agreement(cfg: VerifyConfig) -> CheckResult:
                 params = ZcParams(p=p, u=u, ts=ts)
                 d = np.abs(
                     transform.execute(transform.plan(params, transform.DFT))
-                    - transform.dft_reference(params)
+                    - oracle.dft_reference(params)
                 ).max()
                 i = np.abs(
                     transform.execute(transform.plan(params, transform.IDFT))
-                    - transform.idft_reference(params)
+                    - oracle.idft_reference(params)
                 ).max()
                 worst = max(worst, d / tol, i / tol)
     return CheckResult("reference-path-agreement", worst <= 1.0, worst, "error / (1e-10*sqrt(p))")
@@ -228,6 +256,7 @@ def check_shifted_dft_identity(cfg: VerifyConfig) -> CheckResult:
                 worst = max(
                     worst,
                     np.abs(via_identity - direct).max() / tol,
+                    np.abs(fast - direct).max() / tol,
                     np.abs(via_identity - fast).max() / tol,
                 )
     return CheckResult("shifted-dft-identity", worst <= 1.0, worst, "error / (1e-9*sqrt(p))")
@@ -235,8 +264,8 @@ def check_shifted_dft_identity(cfg: VerifyConfig) -> CheckResult:
 
 def check_transform_round_trip(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
-    for p in cfg.primes(61):
-        for u in sorted({1, 2, p - 2, p - 1}):
+    for p in cfg.primes(61) + cfg.spot_primes(139):
+        for u in sorted({1, 2, 25 % p or 1, p - 2, p - 1}):
             params = ZcParams(p=p, u=u)
             spectrum = transform.execute(transform.plan(params, transform.DFT))
             back = oracle.naive_idft(spectrum)
@@ -254,18 +283,20 @@ def check_spectrum_magnitude(cfg: VerifyConfig) -> CheckResult:
 
 
 def check_operation_counts(cfg: VerifyConfig) -> CheckResult:
-    for p in [13] + ([199] if cfg.pmax >= 199 else []) + ([839] if cfg.include_839 else []):
-        for direction in (transform.DFT, transform.IDFT):
-            counters = transform.OpCounters()
-            transform.execute(transform.plan(ZcParams(p=p, u=2), direction), counters)
-            expect = (2 * (p - 1), 2 * (p - 1), p)
-            got = (counters.additions, counters.modulo_reductions, counters.exp_evaluations)
-            if got != expect:
-                return CheckResult("operation-counts", False, 1.0, f"p={p}: {got} != {expect}")
+    for p in [13] + cfg.spot_primes(199):
+        for u in sorted({2, min(25, p - 1)}):
+            for direction in (transform.DFT, transform.IDFT):
+                counters = transform.OpCounters()
+                transform.execute(transform.plan(ZcParams(p=p, u=u), direction), counters)
+                expect = (2 * (p - 1), 2 * (p - 1), p)
+                got = (counters.additions, counters.modulo_reductions, counters.exp_evaluations)
+                if got != expect:
+                    detail = f"p={p} u={u} {direction}: {got} != {expect}"
+                    return CheckResult("operation-counts", False, 1.0, detail)
     return CheckResult("operation-counts", True, 0.0)
 
 
-def check_shift_gap(cfg: VerifyConfig) -> CheckResult:
+def check_dft_idft_shift_gap(cfg: VerifyConfig) -> CheckResult:
     for p in cfg.primes(199):
         half = (p + 1) // 2
         for u in range(1, p):
@@ -289,7 +320,7 @@ def check_shift_gap(cfg: VerifyConfig) -> CheckResult:
     return CheckResult("dft-idft-shift-gap", True, 0.0)
 
 
-def check_pattern_flips(cfg: VerifyConfig) -> CheckResult:
+def check_pattern_flip_involution(cfg: VerifyConfig) -> CheckResult:
     for p in cfg.primes(61):
         for u in range(1, p):
             pat = pattern.make_pattern(p, -u)
@@ -322,20 +353,24 @@ def check_pattern_slope_inversion(cfg: VerifyConfig) -> CheckResult:
 def check_pattern_shift_extraction(cfg: VerifyConfig) -> CheckResult:
     for p in cfg.primes(61):
         for u in range(1, p):
+            iu = mod_inverse(u, p)
             for ts in (0, 1, (p - 1) // 2):
                 pat = pattern.make_pattern(p, -u, 0, ts)
-                for direction, flip in (
-                    (transform.DFT, pattern.flip_dft),
-                    (transform.IDFT, pattern.flip_idft),
+                # The classical shifts ((p+1)/2)(1-iu) and ((p-1)/2)(iu+1),
+                # moved by +ts and -ts; plan shifts are their negations mod p.
+                for direction, flip, classical in (
+                    (transform.DFT, pattern.flip_dft, ((p + 1) // 2) * (1 - iu) + ts),
+                    (transform.IDFT, pattern.flip_idft, ((p - 1) // 2) * (iu + 1) - ts),
                 ):
                     extracted = pattern.read_shift(flip(pat))
                     planned = transform.plan(ZcParams(p=p, u=u, ts=ts), direction).fs
-                    if (planned + extracted) % p != 0:
+                    if extracted != classical % p or (planned + extracted) % p != 0:
                         return CheckResult(
                             "pattern-shift-extraction",
                             False,
                             1.0,
-                            f"p={p} u={u} ts={ts} {direction}: {extracted} vs plan {planned}",
+                            f"p={p} u={u} ts={ts} {direction}: {extracted} vs classical "
+                            f"{classical % p}, plan {planned}",
                         )
                 base = pattern.read_shift(pattern.flip_dft(pattern.make_pattern(p, -u)))
                 with_ts = pattern.read_shift(pattern.flip_dft(pat))
@@ -377,8 +412,8 @@ ALL_CHECKS: list[Callable[[VerifyConfig], CheckResult]] = [
     check_transform_round_trip,
     check_spectrum_magnitude,
     check_operation_counts,
-    check_shift_gap,
-    check_pattern_flips,
+    check_dft_idft_shift_gap,
+    check_pattern_flip_involution,
     check_pattern_slope_inversion,
     check_pattern_shift_extraction,
     check_oracle_adjointness,

@@ -1,5 +1,10 @@
-"""Acceptance suite: one test per shipping criterion, each printing a
-pass/fail line (visible with pytest -s or in failure output).
+"""Acceptance suite: every invariant family of zcdft.verify, plus the speed margin.
+
+The invariants are stated once, in zcdft.verify.ALL_CHECKS. This module and
+`zcdft verify --pmax 199 --include-839` run that registry on the same grid
+and print the same [PASS]/[FAIL] line per family (visible with pytest -s or
+in failure output). The speed margin over the naive DFT is a timing, not an
+invariant, so it stays a test of its own.
 
 Run as: pytest tests/test_acceptance.py -v -s
 """
@@ -7,19 +12,14 @@ Run as: pytest tests/test_acceptance.py -v -s
 import statistics
 import time
 
-import numpy as np
+import pytest
 
-from zcdft.numtheory import legendre, mod_inverse, odd_primes
-from zcdft.oracle import (
-    brute_gauss_sum,
-    naive_dft,
-    naive_idft,
-    shifted_dft_identity,
-)
-from zcdft.gauss import gauss_sum_closed
-from zcdft.pattern import flip_dft, flip_idft, make_pattern, read_shift, read_slope
+from zcdft.oracle import naive_dft
 from zcdft.sequences import ZcParams, zc_time
-from zcdft.transform import DFT, IDFT, OpCounters, execute, plan
+from zcdft.transform import DFT, execute, plan
+from zcdft.verify import ALL_CHECKS, VerifyConfig, result_line
+
+ACCEPTANCE_GRID = VerifyConfig(pmax=199, include_839=True)
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -27,140 +27,14 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
-def _oracle_grid(direction: str) -> tuple[float, float]:
-    """Worst error/tolerance ratio over the full prime grid, plus runtime."""
-    start = time.perf_counter()
-    worst = 0.0
-    oracle_fn = naive_dft if direction == DFT else naive_idft
-    for p in odd_primes(199, start=5):
-        tol = 1e-9 * np.sqrt(p)
-        for u in range(1, p):
-            for ts in sorted({0, 1, (p - 1) // 2}):
-                params = ZcParams(p=p, u=u, ts=ts)
-                fast = execute(plan(params, direction))
-                err = np.abs(fast - oracle_fn(zc_time(params))).max()
-                worst = max(worst, err / tol)
-    return worst, time.perf_counter() - start
-
-
-def test_criterion_1_fast_dft_matches_oracle():
-    worst, elapsed = _oracle_grid(DFT)
-    report(
-        "criterion 1 fast-vs-oracle DFT",
-        worst <= 1.0 and elapsed < 120.0,
-        f"44 primes, all roots, ts in {{0,1,(p-1)/2}}: worst err/tol {worst:.3e}, {elapsed:.1f}s",
-    )
-
-
-def test_criterion_2_fast_idft_matches_oracle():
-    worst, elapsed = _oracle_grid(IDFT)
-    report(
-        "criterion 2 fast-vs-oracle IDFT",
-        worst <= 1.0 and elapsed < 120.0,
-        f"44 primes, all roots, ts in {{0,1,(p-1)/2}}: worst err/tol {worst:.3e}, {elapsed:.1f}s",
-    )
-
-
-def test_criterion_3_gauss_sum_closed_form():
-    worst = 0.0
-    branches = set()
-    for p in odd_primes(199):
-        tol = 1e-9 * np.sqrt(p)
-        for u in range(1, p):
-            closed = gauss_sum_closed(p, u)
-            brute = brute_gauss_sum(ZcParams(p=p, u=u))
-            worst = max(worst, abs(closed.value - brute) / tol)
-            branches.add((p % 4, legendre(2 * u, p)))
-    covered = branches == {(1, 1), (1, -1), (3, 1), (3, -1)}
-    report(
-        "criterion 3 Gauss sum closed form",
-        worst <= 1.0 and covered,
-        f"all p<=199, all roots: worst err/tol {worst:.3e}, branches {sorted(branches)}",
-    )
-
-
-def test_criterion_4_operation_counts():
-    failures = []
-    for p in (13, 199, 839):
-        for direction in (DFT, IDFT):
-            counters = OpCounters()
-            execute(plan(ZcParams(p=p, u=min(25, p - 1)), direction), counters)
-            got = (counters.additions, counters.modulo_reductions, counters.exp_evaluations)
-            expect = (2 * (p - 1), 2 * (p - 1), p)
-            if got != expect:
-                failures.append(f"p={p} {direction}: {got} != {expect}")
-    report(
-        "criterion 4 operation counts",
-        not failures,
-        failures[0] if failures else "2(p-1)/2(p-1)/p exact at p in {13, 199, 839}",
-    )
-
-
-def test_criterion_5_dft_idft_shift_relation():
-    bad = []
-    for p in odd_primes(199):
-        for u in range(1, p):
-            iu = mod_inverse(u, p)
-            classical_dft = ((p + 1) // 2) * (1 - iu) % p
-            classical_idft = ((p - 1) // 2) * (iu + 1) % p
-            if (classical_dft - classical_idft) % p != 1:
-                bad.append(f"gap p={p} u={u}")
-    for u in range(1, 13):
-        pat = make_pattern(13, -u)
-        extracted_dft = read_shift(flip_dft(pat))
-        extracted_idft = read_shift(flip_idft(pat))
-        iu = mod_inverse(u, 13)
-        if extracted_dft != ((13 + 1) // 2) * (1 - iu) % 13:
-            bad.append(f"pattern dft shift u={u}")
-        if extracted_idft != ((13 - 1) // 2) * (iu + 1) % 13:
-            bad.append(f"pattern idft shift u={u}")
-        # plan shifts carry the accumulation loop's sign: negated mod p
-        if (extracted_dft + plan(ZcParams(p=13, u=u), DFT).fs) % 13 != 0:
-            bad.append(f"plan dft shift u={u}")
-        if (extracted_idft + plan(ZcParams(p=13, u=u), IDFT).fs) % 13 != 0:
-            bad.append(f"plan idft shift u={u}")
-    report(
-        "criterion 5 DFT/IDFT shift relation",
-        not bad,
-        bad[0] if bad else "shift gap = 1 mod p for all p<=199; pattern shifts match plans at p=13",
-    )
-
-
-def test_criterion_6_cyclic_shift_identity():
-    worst = 0.0
-    for p in odd_primes(61):
-        tol = 1e-9 * np.sqrt(p)
-        for u in range(1, p):
-            for ts in sorted({0, 1, 2, (p - 1) // 2}):
-                params = ZcParams(p=p, u=u, ts=ts)
-                via_identity = shifted_dft_identity(params)
-                direct = naive_dft(zc_time(params))
-                fast = execute(plan(params, DFT))
-                worst = max(
-                    worst,
-                    np.abs(via_identity - direct).max() / tol,
-                    np.abs(fast - direct).max() / tol,
-                    np.abs(via_identity - fast).max() / tol,
-                )
-    report(
-        "criterion 6 cyclic-shift identity",
-        worst <= 1.0,
-        f"identity = direct = fast for all p<=61: worst err/tol {worst:.3e}",
-    )
-
-
-def test_criterion_7_inverse_via_flip():
-    bad = []
-    for p in odd_primes(61):
-        for u in range(1, p):
-            got = read_slope(flip_dft(make_pattern(p, -u)))
-            if got != (-mod_inverse(u, p)) % p:
-                bad.append(f"p={p} u={u}: {got}")
-    report(
-        "criterion 7 inverse via flip",
-        not bad,
-        bad[0] if bad else "read_slope(flip_dft(pattern(p,-u))) = -u^-1 mod p for all p<=61",
-    )
+@pytest.mark.parametrize(
+    "check", ALL_CHECKS, ids=lambda c: c.__name__.removeprefix("check_").replace("_", "-")
+)
+def test_invariant_family(check):
+    result = check(ACCEPTANCE_GRID)
+    line = result_line(result)
+    print(line)
+    assert result.passed, line
 
 
 def test_criterion_8_fast_path_speedup():
@@ -187,20 +61,4 @@ def test_criterion_8_fast_path_speedup():
         ratio >= 20.0 and elapsed < 30.0,
         f"p=839: naive/fast = {ratio:.1f}x (fast {fast*1e6:.0f}us, naive {naive*1e3:.2f}ms), "
         f"bench took {elapsed:.1f}s",
-    )
-
-
-def test_criterion_9_round_trip():
-    worst = 0.0
-    for p in (13, 139, 839):
-        for u in sorted({1, 2, 25 % p or 1, p - 1}):
-            params = ZcParams(p=p, u=u)
-            spectrum = execute(plan(params, DFT))
-            back = naive_idft(spectrum)
-            err = np.abs(back - p * zc_time(params)).max()
-            worst = max(worst, err / (1e-8 * p))
-    report(
-        "criterion 9 round trip",
-        worst <= 1.0,
-        f"naive_idft(fast_dft) = p * sequence at p in {{13,139,839}}: worst err/tol {worst:.3e}",
     )

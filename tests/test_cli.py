@@ -54,9 +54,11 @@ def test_gen_json_round_trips_bit_exactly(capsys):
 
 
 def test_gen_rejects_composite_length(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--p", "4", "--u", "1"])
-    assert exc.value.code == 2
+    # 2147483659 is prime but not below the 2**31 cap: a usage error, not a traceback
+    for p in ("4", "2147483659"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--p", p, "--u", "1"])
+        assert exc.value.code == 2
 
 
 def test_gen_rejects_out_of_range_root(capsys):

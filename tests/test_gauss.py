@@ -90,3 +90,12 @@ def test_root_validation():
         gauss_sum_closed(13, 13)
     with pytest.raises(ValueError):
         quasi_phase_offset4(10, 1)
+    with pytest.raises(ValueError):
+        gauss_sum_closed(True, 1)
+    # numpy integers are validated like Python ints, and give the same result
+    assert gauss_sum_closed(np.int64(13), np.int32(3)) == gauss_sum_closed(13, 3)
+    assert quasi_phase_offset4(np.int64(2147483647), np.int64(5)) == quasi_phase_offset4(
+        2147483647, 5
+    )
+    with pytest.raises(ValueError):
+        gauss_sum_closed(np.int64(13), np.int64(13))

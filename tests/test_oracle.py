@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from zcdft.oracle import brute_gauss_sum, naive_dft, naive_idft, shifted_dft_identity
+from zcdft.oracle import (
+    brute_gauss_sum,
+    dft_reference,
+    idft_reference,
+    naive_dft,
+    naive_idft,
+    shifted_dft_identity,
+)
 from zcdft.sequences import ZcParams, zc_time
-from zcdft.transform import dft_reference, idft_reference
 
 from test_gauss import BRUTE_13_3, BRUTE_7_1
 

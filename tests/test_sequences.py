@@ -31,6 +31,19 @@ def test_param_validation():
     with pytest.raises(ValueError):
         LmfhParams(p=13, s=26)
     LmfhParams(p=13, s=-3)  # negative slopes are fine
+    for bad in (True, 13.0, np.bool_(True), np.float64(13)):
+        with pytest.raises(ValueError):
+            ZcParams(p=bad, u=1)
+    with pytest.raises(ValueError):
+        ZcParams(p=13, u=1.5)
+    # numpy integers are accepted and stored as Python ints
+    params = ZcParams(p=np.int64(13), u=np.int32(3), ts=np.uint8(2))
+    assert params == ZcParams(p=13, u=3, ts=2)
+    assert all(type(v) is int for v in (params.p, params.u, params.ts))
+    with pytest.raises(ValueError):
+        ZcParams(p=np.int64(13), u=np.int64(13))
+    sym = LmfhParams(p=np.int64(13), s=np.int64(-3), fs=np.int16(2))
+    assert all(type(v) is int for v in (sym.p, sym.s, sym.fs))
 
 
 def test_zc_time_first_samples():

@@ -6,17 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zcdft.numtheory import mod_inverse
-from zcdft.oracle import naive_dft, naive_idft
+from zcdft.oracle import dft_reference, idft_reference, naive_dft, naive_idft
 from zcdft.sequences import ZcParams, zc_time
-from zcdft.transform import (
-    DFT,
-    IDFT,
-    OpCounters,
-    dft_reference,
-    execute,
-    idft_reference,
-    plan,
-)
+from zcdft.transform import DFT, IDFT, OpCounters, execute, plan
 
 from conftest import ODD_PRIMES_61
 from test_gauss import BRUTE_13_3
