@@ -1,22 +1,14 @@
 """Prime-length Zadoff-Chu sequences and their linear-time DFT/IDFT.
 
-The transform of a ZC sequence is computed in O(p) by accumulating integer
-frequency points mod p and looking the phases up in a table of p-th roots of
-unity, with the first-bin constant supplied in closed form by a generalized
-quadratic Gauss sum. Quadratic-time oracles and the classical termwise
-identities are included for verification.
+The transform of a ZC sequence is computed in O(p) from the closed form of
+the paper's accumulation of integer frequency points mod p, looking the
+phases up in a table of p-th roots of unity, with the first-bin constant
+supplied in closed form by a generalized quadratic Gauss sum. Quadratic-time
+oracles and the classical termwise identities are included for verification.
 """
 
 from .gauss import GaussSumResult, gauss_sum_closed, quasi_phase_offset4
-from .numtheory import (
-    LookupTables,
-    build_tables,
-    centered,
-    is_prime,
-    legendre,
-    mod_inverse,
-    odd_primes,
-)
+from .numtheory import centered, is_prime, legendre, mod_inverse, odd_primes
 from .oracle import (
     brute_gauss_sum,
     dft_reference,
@@ -50,12 +42,10 @@ __all__ = [
     "GaussSumResult",
     "LmfhParams",
     "LmfhPattern",
-    "LookupTables",
     "OpCounters",
     "TransformPlan",
     "ZcParams",
     "brute_gauss_sum",
-    "build_tables",
     "centered",
     "dft_reference",
     "execute",

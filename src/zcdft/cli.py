@@ -104,8 +104,8 @@ def cmd_pattern(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    if args.pmax < 3:
-        parser.error("--pmax must be at least 3")
+    if args.pmax < 5:
+        parser.error("--pmax must be at least 5, the smallest grid with both p mod 4 branches")
     cfg = VerifyConfig(
         pmax=args.pmax,
         include_839=args.include_839,
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--method",
             choices=["fast", "reference", "naive"],
             default="fast",
-            help="fast accumulation loop, termwise identity, or brute force",
+            help="fast (closed form of the accumulation), termwise identity, or brute force",
         )
         if name == "idft":
             sp.add_argument(
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("verify", help="run the full invariant suite")
-    sp.add_argument("--pmax", type=int, default=199, help="largest prime in the grids")
+    sp.add_argument("--pmax", type=int, default=199, help="largest prime in the grids, >= 5")
     sp.add_argument(
         "--include-839",
         action="store_true",

@@ -36,6 +36,14 @@ class GaussSumResult:
     value: complex
 
 
+def _qpo_times4(p: int, u: int, ell: int) -> int:
+    """4*QPo for a validated (p, u) whose Legendre sign l_2u = ell is known."""
+    num = (3 - 2 * ell - (p % 4)) * p + u * (p + 1) ** 3
+    if num % 2 != 0:
+        raise AssertionError(f"4*QPo not integral for p={p}, u={u}")
+    return num // 2
+
+
 def quasi_phase_offset4(p: int, u: int) -> int:
     """4*QPo = ((3 - 2*l_2u - (p mod 4))*p + u*(p+1)**3) / 2, an exact integer.
 
@@ -46,12 +54,7 @@ def quasi_phase_offset4(p: int, u: int) -> int:
     integers converted to Python ints, by ZcParams.
     """
     params = ZcParams(p=p, u=u)
-    p, u = params.p, params.u
-    ell = legendre(2 * u, p)
-    num = (3 - 2 * ell - (p % 4)) * p + u * (p + 1) ** 3
-    if num % 2 != 0:
-        raise AssertionError(f"4*QPo not integral for p={p}, u={u}")
-    return num // 2
+    return _qpo_times4(params.p, params.u, legendre(2 * params.u, params.p))
 
 
 def gauss_sum_closed(p: int, u: int) -> GaussSumResult:
@@ -71,7 +74,7 @@ def gauss_sum_closed(p: int, u: int) -> GaussSumResult:
     value = magnitude * ell * eta * np.exp(2j * np.pi * phase / p)
     return GaussSumResult(
         magnitude=magnitude,
-        qpo_times4=quasi_phase_offset4(p, u),
+        qpo_times4=_qpo_times4(p, u, ell),
         value=complex(value),
     )
 

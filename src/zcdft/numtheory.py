@@ -1,13 +1,15 @@
 """Exact modular arithmetic over odd prime moduli.
 
-Everything here works on plain Python integers, so results are exact for any
-modulus the library accepts (odd primes below 2**31).
+Everything here is exact for any modulus the library accepts (odd primes
+below 2**31): scalar routines work on Python integers, and triangular_mod
+works on int64 arrays whose intermediates provably stay below 2**62.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+
+import numpy as np
 
 PRIME_CAP = 1 << 31
 
@@ -85,26 +87,14 @@ def centered(x: int, p: int) -> int:
     return (x + half) % p - half
 
 
-@dataclass(frozen=True)
-class LookupTables:
-    """Per-root tables for repeated transforms of the same length.
+def triangular_mod(n: np.ndarray, p: int) -> np.ndarray:
+    """T(n) = n(n+1)/2 mod p, exactly, for int64 n in [0, p) and p < 2**31.
 
-    Entry u-1 holds the data for root u: ``inverses[u-1] * u == 1 (mod p)``
-    and ``legendre2u[u-1] == legendre(2u, p)``. Immutable after construction,
-    safe to share between threads.
+    n(n+1) < 2**62, so the product and its halving are exact in int64. The
+    result is below p, so a caller may multiply it by another residue below
+    p, or add two such products of opposite sign, and still stay below 2**62.
     """
-
-    p: int
-    inverses: tuple[int, ...]
-    legendre2u: tuple[int, ...]
-
-
-def build_tables(p: int) -> LookupTables:
-    """Build the inverse / Legendre-of-2u tables for all roots u in [1, p-1]."""
-    p = require_odd_prime(p)
-    inverses = tuple(mod_inverse(u, p) for u in range(1, p))
-    legendre2u = tuple(legendre(2 * u, p) for u in range(1, p))
-    return LookupTables(p=p, inverses=inverses, legendre2u=legendre2u)
+    return n * (n + 1) // 2 % p
 
 
 def odd_primes(limit: int, start: int = 3) -> list[int]:

@@ -1,11 +1,11 @@
 """Brute-force ground truth used to validate every fast path.
 
 These are test-only reference implementations: quadratic-time transforms
-with compensated summation, direct summation of the Gauss constant, the
-index-remapping identity for the DFT of a cyclically shifted sequence, and
-the classical termwise identities (dft_reference / idft_reference) for
-differential testing against both the fast path and the quadratic-time
-transforms.
+with compensated summation, the ZC samples from their unreduced defining
+integer, direct summation of the Gauss constant, the index-remapping
+identity for the DFT of a cyclically shifted sequence, and the classical
+termwise identities (dft_reference / idft_reference) for differential
+testing against both the fast path and the quadratic-time transforms.
 Accuracy beats speed here on purpose; the oracle must be at least as
 accurate as the device under test.
 """
@@ -51,6 +51,13 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
 def naive_idft(x: np.ndarray) -> np.ndarray:
     """X[k] = sum_n x[n] * exp(+i*2*pi*n*k/p), unnormalized."""
     return _compensated_transform(x, +1)
+
+
+def zc_time_direct(params: ZcParams) -> np.ndarray:
+    """zc_time from its defining integer, u*(k+ts)(k+ts+1) mod 2p, for p below 2**20."""
+    p = params.p
+    m = np.arange(params.ts, p + params.ts, dtype=np.int64)
+    return np.exp((-1j * np.pi / p) * (params.u * m * (m + 1) % (2 * p)).astype(np.float64))
 
 
 def brute_gauss_sum(params: ZcParams) -> complex:

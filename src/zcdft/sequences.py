@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import as_int, centered, require_odd_prime
+from .numtheory import as_int, centered, require_odd_prime, triangular_mod
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,15 @@ def zc_time(params: ZcParams) -> np.ndarray:
     """Time-domain ZC sequence Z(k) = exp(-i*pi*u*(k+ts)(k+ts+1)/p), k = 0..p-1.
 
     The integer numerator u*(k+ts)(k+ts+1) is reduced mod 2p before the float
-    conversion. That keeps trig arguments small and makes the samples exactly
-    periodic in the index, so a cyclic shift is a bit-exact rotation.
+    conversion, as 2*(u*T(m) mod p) with m = (k+ts) mod p and T(m) = m(m+1)/2,
+    which is exact in int64 (see triangular_mod). That keeps trig arguments
+    small and makes the samples exactly periodic in the index, so a cyclic
+    shift is a bit-exact rotation.
     """
     p, u, ts = params.p, params.u, params.ts
-    two_p = 2 * p
-    num = [(u * (k + ts) * (k + ts + 1)) % two_p for k in range(p)]
-    return np.exp((-1j * np.pi / p) * np.asarray(num, dtype=np.float64))
+    m = (np.arange(p, dtype=np.int64) + ts) % p
+    num = 2 * (u * triangular_mod(m, p) % p)
+    return np.exp((-1j * np.pi / p) * num.astype(np.float64))
 
 
 def lmfh_symbol(params: LmfhParams) -> np.ndarray:
@@ -106,4 +108,4 @@ def frequency_track(params: ZcParams) -> np.ndarray:
     visited exactly once because u is invertible mod p.
     """
     p, u, ts = params.p, params.u, params.ts
-    return np.asarray([centered(-u * (t + ts), p) for t in range(p)], dtype=np.int64)
+    return centered(-u * ((np.arange(p, dtype=np.int64) + ts) % p), p)

@@ -1,17 +1,19 @@
-"""O(p) DFT and IDFT of ZC sequences by integer frequency/phase accumulation.
+"""O(p) DFT and IDFT of ZC sequences from integer phase indices.
 
 The spectrum of a prime-length ZC sequence is itself a constant-amplitude
 chirp: a scaled lmFH symbol whose slope is the negated modular inverse of
 the root and whose frequency shift encodes direction and cyclic shift.
-Running the hopping accumulation therefore computes the whole transform in
-2(p-1) integer additions, 2(p-1) modulo reductions and p complex-exponential
-table lookups.
+The paper accumulates its frequency points fs - iu*k into phase indices:
+2(p-1) integer additions, 2(p-1) modulo reductions and p table lookups. The
+points form an arithmetic progression, so the phase has the closed form
+phase_k = (k*fs - iu*T(k)) mod p, T(k) = k(k+1)/2. The fast path evaluates
+it (phase_indices); the counted recurrence (phase_indices_recurrence) is the
+reference the exactness checks compare against.
 
-The loop state stays purely integer: the quasi phase offset takes
-quarter-integer values, so instead of seeding the phase accumulator with it,
-sqrt(p)*exp(i*2*pi*QPo/p) is folded into one precomputed complex constant
-multiplied into every output. Algebraically identical, and it keeps the
-twiddle table at size p.
+The phases stay purely integer: the quasi phase offset takes quarter-integer
+values, so instead of seeding the phase with it, sqrt(p)*exp(i*2*pi*QPo/p)
+is folded into one precomputed complex constant multiplied into every
+output. Algebraically identical, and it keeps the twiddle table at size p.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import const_from_qpo, quasi_phase_offset4
-from .numtheory import legendre, mod_inverse
+from .gauss import _qpo_times4, const_from_qpo
+from .numtheory import legendre, mod_inverse, triangular_mod
 from .sequences import ZcParams
 
 DFT = "dft"
@@ -30,7 +32,7 @@ IDFT = "idft"
 
 @dataclass
 class OpCounters:
-    """Tallies of the integer work done by execute(); owned by the caller."""
+    """Tallies of the work done by the counted recurrence; owned by the caller."""
 
     additions: int = 0
     modulo_reductions: int = 0
@@ -70,7 +72,7 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         fs = (half * (iu - 1) - ts) % p
     else:
         fs = (half * (iu + 1) + ts) % p
-    qpo4 = quasi_phase_offset4(p, u)
+    qpo4 = _qpo_times4(p, u, ell)
     twiddles = np.exp(-2j * np.pi * np.arange(p) / p)
     twiddles.setflags(write=False)
     return TransformPlan(
@@ -85,38 +87,57 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
     )
 
 
-def execute(
-    pl: TransformPlan,
-    counters: OpCounters | None = None,
-    normalize: bool = False,
-) -> np.ndarray:
-    """Run the accumulation loop: out[k] = const_factor * twiddles[phase_k].
+def phase_indices(pl: TransformPlan) -> np.ndarray:
+    """int64 phase indices phase_k = (k*fs - iu*T(k)) mod p, k = 0..p-1.
 
-    phase starts at 0 and freq at fs; after emitting output k the updates are
+    The closed form of the accumulation that phase_indices_recurrence runs;
+    triangular_mod keeps every intermediate below 2**62.
+    """
+    p = pl.params.p
+    k = np.arange(p, dtype=np.int64)
+    return (k * pl.fs - pl.iu * triangular_mod(k, p)) % p
+
+
+def phase_indices_recurrence(pl: TransformPlan, counters: OpCounters) -> np.ndarray:
+    """The paper's accumulation, one step per output, tallied in counters.
+
+    phase starts at 0 and freq at fs; after emitting index k the updates are
     freq <- (freq - iu) mod p, phase <- (phase + freq) mod p. The updates are
     skipped on the final iteration, so exactly 2(p-1) additions and 2(p-1)
-    reductions happen per call, plus p table lookups. normalize divides the
-    output by p (only meaningful for the IDFT).
+    reductions happen per call; the p table lookups of the gather that
+    follows are tallied here too.
     """
     p = pl.params.p
     iu = pl.iu
     phases = [0] * p
     phase = 0
     freq = pl.fs
+    for k in range(1, p):
+        freq = (freq - iu) % p
+        phase = (phase + freq) % p
+        counters.additions += 2
+        counters.modulo_reductions += 2
+        phases[k] = phase
+    counters.exp_evaluations += p
+    return np.asarray(phases, dtype=np.int64)
+
+
+def execute(
+    pl: TransformPlan,
+    counters: OpCounters | None = None,
+    normalize: bool = False,
+) -> np.ndarray:
+    """out[k] = const_factor * twiddles[phase_k], with closed-form phases.
+
+    With counters, the phases come from the counted recurrence instead, which
+    gives the same integers and so the same output. normalize divides the
+    output by p (only meaningful for the IDFT).
+    """
     if counters is None:
-        for k in range(1, p):
-            freq = (freq - iu) % p
-            phase = (phase + freq) % p
-            phases[k] = phase
+        phases = phase_indices(pl)
     else:
-        for k in range(1, p):
-            freq = (freq - iu) % p
-            phase = (phase + freq) % p
-            counters.additions += 2
-            counters.modulo_reductions += 2
-            phases[k] = phase
-        counters.exp_evaluations += p
-    out = pl.const_factor * pl.twiddles[np.asarray(phases, dtype=np.intp)]
+        phases = phase_indices_recurrence(pl, counters)
+    out = pl.const_factor * pl.twiddles[phases]
     if normalize:
-        out = out / p
+        out = out / pl.params.p
     return out

@@ -133,6 +133,13 @@ def test_verify_small_grid_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_rejects_grid_without_both_branches(capsys):
+    for pmax in ("3", "4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--pmax", pmax])
+        assert exc.value.code == 2
+
+
 def test_verify_detects_injected_fault(capsys):
     code, out = run_cli(capsys, "verify", "--pmax", "13", "--inject-fault")
     assert code == 1

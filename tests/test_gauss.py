@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import zcdft.numtheory
 from zcdft.gauss import const_from_qpo, gauss_sum_closed, quasi_phase_offset4
 from zcdft.numtheory import legendre
 from zcdft.oracle import brute_gauss_sum
 from zcdft.sequences import ZcParams
+from zcdft.transform import DFT, plan
 
 from conftest import ODD_PRIMES_61
 
@@ -78,11 +80,6 @@ def test_two_phase_forms_agree(p):
         assert abs(g.value - const_from_qpo(p, g.qpo_times4)) <= 1e-12
 
 
-def test_both_eta_branches_and_both_legendre_signs():
-    seen = {(p % 4, legendre(2 * u, p)) for p in (13, 7, 17, 19) for u in range(1, p)}
-    assert seen == {(1, 1), (1, -1), (3, 1), (3, -1)}
-
-
 def test_root_validation():
     with pytest.raises(ValueError):
         gauss_sum_closed(13, 0)
@@ -99,3 +96,15 @@ def test_root_validation():
     )
     with pytest.raises(ValueError):
         gauss_sum_closed(np.int64(13), np.int64(13))
+
+
+def test_validated_inputs_are_not_validated_again(monkeypatch):
+    calls = []
+    real = zcdft.numtheory.is_prime
+    monkeypatch.setattr(zcdft.numtheory, "is_prime", lambda n: calls.append(n) or real(n))
+    params = ZcParams(p=786433, u=25)
+    calls.clear()
+    plan(params, DFT)
+    assert calls == []
+    gauss_sum_closed(786433, 25)
+    assert calls == [786433]

@@ -1,14 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from zcdft.numtheory import (
-    build_tables,
     centered,
     is_prime,
     legendre,
     mod_inverse,
     odd_primes,
+    triangular_mod,
 )
 
 from conftest import ODD_PRIMES_199, ODD_PRIMES_61, trial_division_is_prime
@@ -111,28 +112,15 @@ def test_centered_properties(p, x):
     assert (c - x) % p == 0
 
 
-def test_build_tables_examples():
-    t13 = build_tables(13)
-    assert t13.inverses[2] == 9  # entry for u=3
-    assert t13.legendre2u[2] == -1  # legendre(6, 13)
-    assert build_tables(5).inverses == (1, 3, 2, 4)
-
-
-@pytest.mark.parametrize("p", [5, 13, 61])
-def test_build_tables_consistency(p):
-    tables = build_tables(p)
-    assert len(tables.inverses) == p - 1
-    assert len(tables.legendre2u) == p - 1
-    for u in range(1, p):
-        assert tables.inverses[u - 1] == mod_inverse(u, p)
-        assert tables.legendre2u[u - 1] == legendre(2 * u, p)
-
-
-def test_build_tables_rejects_composites():
-    with pytest.raises(ValueError):
-        build_tables(9)
-    with pytest.raises(ValueError):
-        build_tables(2)
+def test_triangular_mod_is_exact_at_the_prime_cap():
+    # largest prime below 2**31, largest n: no int64 intermediate may wrap,
+    # even after a multiply by another residue as in phase_indices and zc_time
+    p = fs = iu = 2**31 - 1
+    ns = range(p - 1000, p)
+    n = np.asarray(ns, dtype=np.int64)
+    t = triangular_mod(n, p)
+    assert t.tolist() == [v * (v + 1) // 2 % p for v in ns]
+    assert ((n * fs - iu * t) % p).tolist() == [(v * fs - iu * (v * (v + 1) // 2)) % p for v in ns]
 
 
 def test_odd_primes_matches_trial_division():

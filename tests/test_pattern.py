@@ -119,15 +119,6 @@ def test_idft_flip_is_mirrored_dft_flip(case):
     assert mirrored == sorted(flip_idft(pat).points)
 
 
-@pytest.mark.parametrize("p", [13, 29])
-def test_slope_inversion_via_flip(p):
-    # flipping across f = t maps a slope to its modular inverse: reading the
-    # flipped slope computes u^-1 visually
-    for u in range(1, p):
-        assert read_slope(flip_dft(make_pattern(p, -u))) == (-mod_inverse(u, p)) % p
-        assert read_slope(flip_dft(make_pattern(p, u))) == mod_inverse(u, p)
-
-
 def test_time_shift_becomes_frequency_shift():
     base = flip_dft(make_pattern(13, -3))
     for ts in range(13):

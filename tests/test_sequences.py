@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zcdft.oracle import zc_time_direct
 from zcdft.sequences import LmfhParams, ZcParams, frequency_track, lmfh_symbol, zc_time
 
 from conftest import ODD_PRIMES_61
@@ -50,6 +51,13 @@ def test_zc_time_first_samples():
     z = zc_time(ZcParams(p=13, u=3))
     assert z[0] == 1.0 + 0.0j
     assert z[1] == pytest.approx(np.exp(-6j * np.pi / 13), abs=1e-15)
+
+
+def test_zc_time_equals_direct_integer_route_at_large_p():
+    # the registry checks p <= 199; 65537 exercises the int64 reduction
+    for u, ts in ((1, 0), (25, 1), (65536, 32768)):
+        params = ZcParams(p=65537, u=u, ts=ts)
+        assert np.array_equal(zc_time(params), zc_time_direct(params))
 
 
 def test_zc_cyclic_shift_is_exact_rotation():

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from zcdft.numtheory import mod_inverse
 from zcdft.oracle import dft_reference, idft_reference, naive_dft, naive_idft
 from zcdft.sequences import ZcParams, zc_time
-from zcdft.transform import DFT, IDFT, OpCounters, execute, plan
+from zcdft.transform import (
+    DFT,
+    IDFT,
+    OpCounters,
+    execute,
+    phase_indices,
+    phase_indices_recurrence,
+    plan,
+)
 
 from conftest import ODD_PRIMES_61
 from test_gauss import BRUTE_13_3
@@ -105,6 +113,13 @@ def test_counters_accumulate_across_calls():
 def test_counters_do_not_change_output():
     pl = plan(ZcParams(p=13, u=3), DFT)
     assert np.array_equal(execute(pl), execute(pl, OpCounters()))
+
+
+@pytest.mark.parametrize("p", [8191, 65537, 1000003])
+def test_closed_form_phases_equal_recurrence_at_large_p(p):
+    for direction in (DFT, IDFT):
+        pl = plan(ZcParams(p=p, u=25, ts=(p - 1) // 2), direction)
+        assert np.array_equal(phase_indices(pl), phase_indices_recurrence(pl, OpCounters()))
 
 
 @given(cases, st.sampled_from([DFT, IDFT]))
