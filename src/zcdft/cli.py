@@ -142,6 +142,7 @@ def cmd_bench(parser, args) -> int:
         "p": params.p,
         "u": params.u,
         "reps": args.reps,
+        "plan_ns": _median_ns(lambda: transform.plan(params, transform.DFT), args.reps),
         "fast_ns": _median_ns(lambda: transform.execute(pl), args.reps),
         "reference_ns": _median_ns(lambda: oracle.dft_reference(params), args.reps),
         "naive_ns": _median_ns(lambda: oracle.naive_dft(x), args.reps),
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sanity check: perturb one frequency shift; verification must fail",
     )
 
-    sp = sub.add_parser("bench", help="time the fast, reference and naive paths")
+    sp = sub.add_parser("bench", help="time plan and the fast, reference and naive paths")
     sp.add_argument("--p", type=int, default=839, help="prime sequence length")
     sp.add_argument("--u", type=int, default=25, help="root, in [1, p-1]")
     sp.add_argument("--ts", type=int, default=0, help="cyclic shift, in [0, p-1]")

@@ -94,7 +94,11 @@ def triangular_mod(n: np.ndarray, p: int) -> np.ndarray:
     result is below p, so a caller may multiply it by another residue below
     p, or add two such products of opposite sign, and still stay below 2**62.
     """
-    return n * (n + 1) // 2 % p
+    t = n + 1
+    t *= n
+    t //= 2
+    t %= p
+    return t
 
 
 def odd_primes(limit: int, start: int = 3) -> list[int]:

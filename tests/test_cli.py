@@ -162,6 +162,7 @@ def test_bench_report_schema_and_counts(capsys):
         "p",
         "u",
         "reps",
+        "plan_ns",
         "fast_ns",
         "reference_ns",
         "naive_ns",
@@ -174,6 +175,7 @@ def test_bench_report_schema_and_counts(capsys):
     assert report["modulo_reductions"] == 2 * 138
     assert report["exp_evaluations"] == 139
     assert 0 < report["fast_ns"] < report["naive_ns"]
+    assert report["plan_ns"] > 0
 
 
 def test_cli_outputs_are_deterministic(capsys):

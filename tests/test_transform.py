@@ -52,6 +52,25 @@ def test_plan_is_immutable():
         pl.twiddles[0] = 0
 
 
+EPS = np.finfo(np.float64).eps
+EPS_LD = np.finfo(np.longdouble).eps
+
+
+@pytest.mark.skipif(EPS_LD == EPS, reason="np.longdouble is float64 here: no more precise reference")
+@pytest.mark.parametrize("p", [5, 17, 139, 839, 65537, 1000003])
+def test_twiddle_table_error_within_derived_bound(p):
+    table = plan(ZcParams(p=p, u=1), DFT).twiddles
+    assert table.shape == (p,)
+    assert not table.flags.writeable
+    assert table.base is None or not table.base.flags.writeable
+    # the long-double reference errs by at most ~(3*pi + sqrt(2)) EPS_LD;
+    # 16 EPS_LD covers that and the second-order terms of the bound
+    theta = 2 * (4 * np.arctan(np.longdouble(1))) * np.arange(p, dtype=np.longdouble) / p
+    ref = np.cos(theta) - 1j * np.sin(theta)
+    err = np.abs(table - ref).max()
+    assert err <= (3 * np.pi + 2 * np.sqrt(2)) * EPS + 16 * EPS_LD
+
+
 @given(cases, st.sampled_from([DFT, IDFT]))
 @settings(max_examples=60)
 def test_plan_invariants(params, direction):
