@@ -48,6 +48,14 @@ def test_mod_inverse_of_multiple_of_p_fails():
         mod_inverse(26, 13)
 
 
+@pytest.mark.parametrize("p", ODD_PRIMES_61)
+def test_mod_inverse_property(p):
+    for a in range(1, p):
+        inv = mod_inverse(a, p)
+        assert 1 <= inv <= p - 1
+        assert a * inv % p == 1
+
+
 @given(st.sampled_from(ODD_PRIMES_199), st.integers(min_value=-(10**9), max_value=10**9))
 def test_mod_inverse_any_representative(p, a):
     if a % p == 0:
