@@ -21,7 +21,7 @@ def main() -> int:
     args = ap.parse_args()
 
     base = make_pattern(args.p, -args.u)
-    shifted = make_pattern(args.p, -args.u, 0, args.ts)
+    shifted = make_pattern(args.p, -args.u, ts=args.ts)
     tag = f"p{args.p}_u{args.u}"
     exports = {
         f"{tag}_time.csv": base,

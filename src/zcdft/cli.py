@@ -92,7 +92,7 @@ _FLIPS = {
 
 def cmd_pattern(parser, args) -> int:
     params = _zc_params(parser, args)
-    pat = pattern.make_pattern(params.p, -params.u, 0, params.ts)
+    pat = pattern.make_pattern(params.p, -params.u, ts=params.ts)
     for name in [f.strip() for f in args.flip.split(",")]:
         if name == "none":
             continue
@@ -171,10 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = sub.add_parser("gen", help="write the time-domain ZC sequence")
+    sp.set_defaults(handler=cmd_gen)
     add_zc_flags(sp)
 
     for name, blurb in (("dft", "forward transform"), ("idft", "inverse transform")):
         sp = sub.add_parser(name, help=f"write the {blurb} of the ZC sequence")
+        sp.set_defaults(handler=cmd_transform)
         add_zc_flags(sp)
         sp.add_argument(
             "--method",
@@ -188,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     sp = sub.add_parser("pattern", help="write the lmFH pattern as CSV")
+    sp.set_defaults(handler=cmd_pattern)
     add_zc_flags(sp, with_format=False)
     sp.add_argument(
         "--flip",
@@ -196,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("verify", help="run the full invariant suite")
+    sp.set_defaults(handler=cmd_verify)
     sp.add_argument("--pmax", type=int, default=199, help="largest prime in the grids, >= 5")
     sp.add_argument(
         "--include-839",
@@ -208,7 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="sanity check: perturb one frequency shift; verification must fail",
     )
 
-    sp = sub.add_parser("bench", help="time plan and the fast, reference and naive paths")
+    sp = sub.add_parser(
+        "bench",
+        help="time plan and the fast, reference and naive paths",
+        description="Print median timings and the operation counts of the counted "
+        "recurrence as JSON. exp_evaluations counts the p table lookups of the "
+        "gather, not calls to exp.",
+    )
+    sp.set_defaults(handler=cmd_bench)
     sp.add_argument("--p", type=int, default=839, help="prime sequence length")
     sp.add_argument("--u", type=int, default=25, help="root, in [1, p-1]")
     sp.add_argument("--ts", type=int, default=0, help="cyclic shift, in [0, p-1]")
@@ -220,18 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen":
-        return cmd_gen(parser, args)
-    if args.command in ("dft", "idft"):
-        return cmd_transform(parser, args)
-    if args.command == "pattern":
-        return cmd_pattern(parser, args)
-    if args.command == "verify":
-        return cmd_verify(parser, args)
-    if args.command == "bench":
-        return cmd_bench(parser, args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return args.handler(parser, args)
 
 
 if __name__ == "__main__":

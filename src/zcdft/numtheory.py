@@ -55,20 +55,12 @@ def require_odd_prime(p: int) -> int:
 def mod_inverse(a: int, p: int) -> int:
     """Inverse of a modulo the odd prime p, in [1, p-1].
 
-    Uses the iterative extended Euclidean algorithm (O(log p) divisions).
     Raises ValueError when a is divisible by p, in which case no inverse
     exists.
     """
-    a %= p
-    if a == 0:
+    if a % p == 0:
         raise ValueError(f"no inverse: argument is divisible by modulus {p}")
-    r0, r1 = p, a
-    t0, t1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    return t0 % p
+    return pow(a, -1, p)
 
 
 def legendre(a: int, p: int) -> int:
@@ -101,8 +93,8 @@ def triangular_mod(n: np.ndarray, p: int) -> np.ndarray:
     return t
 
 
-def odd_primes(limit: int, start: int = 3) -> list[int]:
-    """Ascending odd primes in [start, limit], by sieve of Eratosthenes."""
+def odd_primes(limit: int) -> list[int]:
+    """Ascending odd primes in [3, limit], by sieve of Eratosthenes."""
     if limit < 3:
         return []
     sieve = bytearray([1]) * (limit + 1)
@@ -110,4 +102,4 @@ def odd_primes(limit: int, start: int = 3) -> list[int]:
     for i in range(2, int(limit**0.5) + 1):
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [n for n in range(max(start, 3), limit + 1) if sieve[n] and n % 2 == 1]
+    return [n for n in range(3, limit + 1, 2) if sieve[n]]

@@ -107,18 +107,15 @@ def dft_reference(params: ZcParams) -> np.ndarray:
     return dual * _linear_ramp(p, shift) * gauss_sum_closed(p, u).value
 
 
-def idft_reference(params: ZcParams, normalize: bool = False) -> np.ndarray:
+def idft_reference(params: ZcParams) -> np.ndarray:
     """Termwise classical identity for the unnormalized IDFT.
 
     F(k) = conj(Z_{iu}(k)) * exp(i*2*pi*((p-1)/2*(iu+1) - ts)*k/p) * F(0).
     The IDFT differs from the DFT by a frequency shift of 1 mod p (plus the
-    sign of the ts term). normalize divides by p.
+    sign of the ts term).
     """
     p, u, ts = params.p, params.u, params.ts
     iu = mod_inverse(u, p)
     shift = (((p - 1) // 2) * (iu + 1) - ts) % p
     dual = np.conj(zc_time(ZcParams(p=p, u=iu, ts=0)))
-    out = dual * _linear_ramp(p, shift) * gauss_sum_closed(p, u).value
-    if normalize:
-        out = out / p
-    return out
+    return dual * _linear_ramp(p, shift) * gauss_sum_closed(p, u).value

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numtheory import centered, mod_inverse, require_odd_prime
+from .numtheory import centered, mod_inverse
+from .sequences import LmfhParams
 
 OBVERSE = "obverse"
 REVERSE = "reverse"
@@ -40,10 +41,6 @@ class LmfhPattern:
     points: tuple[tuple[int, int], ...]
     orientation: str
 
-    def frequencies(self) -> tuple[int, ...]:
-        """f values ordered by time index."""
-        return tuple(f for _, f in self.points)
-
 
 def _as_pattern(p: int, raw_points, orientation: str) -> LmfhPattern:
     pts = tuple(sorted(raw_points))
@@ -56,19 +53,17 @@ def _toggled(orientation: str) -> str:
     return REVERSE if orientation == OBVERSE else OBVERSE
 
 
-def make_pattern(p: int, slope: int, fs: int = 0, ts: int = 0) -> LmfhPattern:
-    """Linear pattern f(t) = centered(slope*(t - ts) + fs, p), obverse side.
+def make_pattern(p: int, slope: int, *, ts: int = 0) -> LmfhPattern:
+    """Linear pattern f(t) = centered(slope*(t - ts), p), obverse side.
 
-    fs is a plain frequency offset applied at every t (the waveform-level
-    convention that suppresses fs at t = 0 belongs to the symbol generators,
-    not to the drawing). ts translates the graph by +ts along the time axis,
-    which is how the cyclic shift enters the figures; under flip_dft it comes
-    out as a +ts cyclic frequency shift, matching the transform identities.
+    p and slope are validated as LmfhParams. ts translates the graph by +ts
+    along the time axis, which is how the cyclic shift enters the figures;
+    under flip_dft it comes out as a +ts cyclic frequency shift, matching the
+    transform identities.
     """
-    p = require_odd_prime(p)
-    if slope % p == 0:
-        raise ValueError("slope must be nonzero modulo p")
-    pts = ((t, centered(slope * (t - ts) + fs, p)) for t in range(p))
+    params = LmfhParams(p=p, s=slope)
+    p, slope = params.p, params.s
+    pts = ((t, centered(slope * (t - ts), p)) for t in range(p))
     return _as_pattern(p, pts, OBVERSE)
 
 

@@ -33,7 +33,13 @@ IDFT = "idft"
 
 @dataclass
 class OpCounters:
-    """Tallies of the work done by the counted recurrence; owned by the caller."""
+    """Tallies of the work done by the counted recurrence; owned by the caller.
+
+    exp_evaluations counts the p table lookups of the gather, one per output,
+    not calls to exp: plan builds the table with 2*ceil(sqrt(p)) exps. The
+    name stays because the bench reports (zcdft bench, perfbench) use it as
+    a key.
+    """
 
     additions: int = 0
     modulo_reductions: int = 0
@@ -159,16 +165,11 @@ def phase_indices_recurrence(pl: TransformPlan, counters: OpCounters) -> np.ndar
     return np.asarray(phases, dtype=np.int64)
 
 
-def execute(
-    pl: TransformPlan,
-    counters: OpCounters | None = None,
-    normalize: bool = False,
-) -> np.ndarray:
+def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray:
     """out[k] = const_factor * twiddles[phase_k], with closed-form phases.
 
     With counters, the phases come from the counted recurrence instead, which
-    gives the same integers and so the same output. normalize divides the
-    output by p (only meaningful for the IDFT).
+    gives the same integers and so the same output.
     """
     if counters is None:
         phases = phase_indices(pl)
@@ -176,6 +177,4 @@ def execute(
         phases = phase_indices_recurrence(pl, counters)
     out = pl.twiddles[phases]
     out *= pl.const_factor
-    if normalize:
-        out /= pl.params.p
     return out

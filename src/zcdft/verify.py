@@ -370,7 +370,7 @@ def check_pattern_shift_extraction(cfg: VerifyConfig) -> CheckResult:
         for u in range(1, p):
             iu = mod_inverse(u, p)
             for ts in (0, 1, (p - 1) // 2):
-                pat = pattern.make_pattern(p, -u, 0, ts)
+                pat = pattern.make_pattern(p, -u, ts=ts)
                 # The classical shifts ((p+1)/2)(1-iu) and ((p-1)/2)(iu+1),
                 # moved by +ts and -ts; plan shifts are their negations mod p.
                 for direction, flip, classical in (

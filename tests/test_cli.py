@@ -199,5 +199,5 @@ def test_idft_file_round_trip(tmp_path, capsys):
     out_file = tmp_path / "idft.csv"
     run_cli(capsys, "idft", "--p", "13", "--u", "3", "--normalize", "--out", str(out_file))
     parsed = parse_csv_sequence(out_file.read_text())
-    expected = execute(plan(ZcParams(p=13, u=3), IDFT), normalize=True)
+    expected = execute(plan(ZcParams(p=13, u=3), IDFT)) / 13
     assert np.array_equal(parsed, expected)

@@ -126,4 +126,4 @@ def test_triangular_mod_is_exact_at_the_prime_cap():
 def test_odd_primes_matches_trial_division():
     assert odd_primes(199) == ODD_PRIMES_199
     assert odd_primes(2) == []
-    assert odd_primes(61, start=5) == [p for p in ODD_PRIMES_61 if p >= 5]
+    assert odd_primes(61) == ODD_PRIMES_61

@@ -36,7 +36,7 @@ def test_make_pattern_p13_u3():
 
 def test_make_pattern_cyclic_time_shift():
     base = make_pattern(13, -3)
-    shifted = make_pattern(13, -3, 0, 2)
+    shifted = make_pattern(13, -3, ts=2)
     # the graph is translated along t: frequencies rotate by two time steps
     expect = {(t, dict(base.points)[(t - 2) % 13]) for t in range(13)}
     assert set(shifted.points) == expect
@@ -47,12 +47,17 @@ def test_make_pattern_rejects_zero_slope():
         make_pattern(13, 0)
     with pytest.raises(ValueError):
         make_pattern(13, 26)
+    # the points are integers, so a float or bool slope is not a slope
+    with pytest.raises(ValueError):
+        make_pattern(13, 1.5)
+    with pytest.raises(ValueError):
+        make_pattern(13, True)
 
 
 @given(pattern_cases)
 def test_frequencies_are_a_permutation(case):
     p, s, ts = case
-    pat = make_pattern(p, -s, 0, ts)
+    pat = make_pattern(p, -s, ts=ts)
     half = (p - 1) // 2
     assert sorted(f for _, f in pat.points) == list(range(-half, half + 1))
 
@@ -69,11 +74,6 @@ def test_flip_dft_slope_and_first_frequency():
     assert flipped.orientation == REVERSE
 
 
-def test_flip_dft_is_involution():
-    pat = make_pattern(13, -3)
-    assert flip_dft(flip_dft(pat)) == pat
-
-
 def test_flip_idft_slope_and_shift():
     flipped = flip_idft(make_pattern(13, -3))
     assert read_slope(flipped) == 4  # still -u^-1
@@ -84,7 +84,7 @@ def test_flip_idft_slope_and_shift():
 
 
 def test_flip_idft_is_involution():
-    pat = make_pattern(13, -3, 0, 4)
+    pat = make_pattern(13, -3, ts=4)
     assert flip_idft(flip_idft(pat)) == pat
 
 
@@ -103,7 +103,7 @@ def test_flip_conjugate_basics():
 @settings(max_examples=60)
 def test_flips_toggle_orientation_and_invert(case):
     p, s, ts = case
-    pat = make_pattern(p, -s, 0, ts)
+    pat = make_pattern(p, -s, ts=ts)
     for flip in (flip_dft, flip_idft, flip_conjugate):
         once = flip(pat)
         assert once.orientation == REVERSE
@@ -114,7 +114,7 @@ def test_flips_toggle_orientation_and_invert(case):
 @settings(max_examples=60)
 def test_idft_flip_is_mirrored_dft_flip(case):
     p, s, ts = case
-    pat = make_pattern(p, -s, 0, ts)
+    pat = make_pattern(p, -s, ts=ts)
     mirrored = sorted((p - 1 - t, -f) for t, f in flip_dft(pat).points)
     assert mirrored == sorted(flip_idft(pat).points)
 
@@ -122,7 +122,7 @@ def test_idft_flip_is_mirrored_dft_flip(case):
 def test_time_shift_becomes_frequency_shift():
     base = flip_dft(make_pattern(13, -3))
     for ts in range(13):
-        shifted = flip_dft(make_pattern(13, -3, 0, ts))
+        shifted = flip_dft(make_pattern(13, -3, ts=ts))
         expect = {(t, centered(f + ts, 13)) for t, f in base.points}
         assert set(shifted.points) == expect
 
@@ -132,7 +132,7 @@ def test_time_shift_becomes_frequency_shift():
 def test_extracted_shift_is_negated_plan_shift(u, ts):
     # pinned congruence: pattern shift + plan shift = 0 (mod p), both
     # directions, any cyclic shift
-    pat = make_pattern(13, -u, 0, ts)
+    pat = make_pattern(13, -u, ts=ts)
     params = ZcParams(p=13, u=u, ts=ts)
     assert (read_shift(flip_dft(pat)) + plan(params, DFT).fs) % 13 == 0
     assert (read_shift(flip_idft(pat)) + plan(params, IDFT).fs) % 13 == 0

@@ -79,7 +79,7 @@ def test_lmfh_first_samples():
     assert sym[1] == pytest.approx(np.exp(-2j * np.pi * 3 / 13), abs=1e-15)
 
 
-@pytest.mark.parametrize("p", ODD_PRIMES_61)
+@pytest.mark.parametrize("p", ODD_PRIMES_61[:10])
 def test_lmfh_zc_conjugacy(p):
     # slope -u accumulates to the ZC sequence itself; slope +u to its conjugate
     for u in range(1, p):
