@@ -4,15 +4,13 @@ The transform of a ZC sequence is computed in O(p) from the closed form of
 the paper's accumulation of integer frequency points mod p, looking the
 phases up in a table of p-th roots of unity, with the first-bin constant
 supplied in closed form by a generalized quadratic Gauss sum. Quadratic-time
-oracles and the classical termwise identities are included for verification.
+oracles and the O(p) index-remapping identity are included for verification.
 """
 
 from .gauss import GaussSumResult, gauss_sum_closed, quasi_phase_offset4
 from .numtheory import centered, is_prime, legendre, mod_inverse, odd_primes
 from .oracle import (
     brute_gauss_sum,
-    dft_reference,
-    idft_reference,
     naive_dft,
     naive_idft,
     shifted_dft_identity,
@@ -47,7 +45,6 @@ __all__ = [
     "ZcParams",
     "brute_gauss_sum",
     "centered",
-    "dft_reference",
     "execute",
     "export_pattern",
     "flip_conjugate",
@@ -55,7 +52,6 @@ __all__ = [
     "flip_idft",
     "frequency_track",
     "gauss_sum_closed",
-    "idft_reference",
     "is_prime",
     "legendre",
     "lmfh_symbol",

@@ -70,10 +70,7 @@ def cmd_transform(parser, args) -> int:
     if args.method == "fast":
         out = transform.execute(transform.plan(params, direction))
     elif args.method == "reference":
-        if direction == transform.DFT:
-            out = oracle.dft_reference(params)
-        else:
-            out = oracle.idft_reference(params)
+        out = oracle.shifted_dft_identity(params, direction)
     else:
         x = zc_time(params)
         out = oracle.naive_dft(x) if direction == transform.DFT else oracle.naive_idft(x)
@@ -144,7 +141,9 @@ def cmd_bench(parser, args) -> int:
         "reps": args.reps,
         "plan_ns": _median_ns(lambda: transform.plan(params, transform.DFT), args.reps),
         "fast_ns": _median_ns(lambda: transform.execute(pl), args.reps),
-        "reference_ns": _median_ns(lambda: oracle.dft_reference(params), args.reps),
+        "reference_ns": _median_ns(
+            lambda: oracle.shifted_dft_identity(params, transform.DFT), args.reps
+        ),
         "naive_ns": _median_ns(lambda: oracle.naive_dft(x), args.reps),
         "additions": counters.additions,
         "modulo_reductions": counters.modulo_reductions,
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--method",
             choices=["fast", "reference", "naive"],
             default="fast",
-            help="fast (closed form of the accumulation), termwise identity, or brute force",
+            help="fast (closed form of the accumulation), index-remapping identity, or brute force",
         )
         if name == "idft":
             sp.add_argument(

@@ -2,10 +2,10 @@
 
 These are test-only reference implementations: quadratic-time transforms
 with compensated summation, the ZC samples from their unreduced defining
-integer, direct summation of the Gauss constant, the index-remapping
-identity for the DFT of a cyclically shifted sequence, and the classical
-termwise identities (dft_reference / idft_reference) for differential
-testing against both the fast path and the quadratic-time transforms.
+integer, direct summation of the Gauss constant, and the index-remapping
+identity, the one O(p) reference for the DFT and IDFT of a cyclically
+shifted sequence, for differential testing against both the fast path and
+the quadratic-time transforms.
 Accuracy beats speed here on purpose; the oracle must be at least as
 accurate as the device under test.
 """
@@ -19,6 +19,7 @@ import numpy as np
 from .gauss import gauss_sum_closed
 from .numtheory import mod_inverse
 from .sequences import ZcParams, zc_time
+from .transform import DFT, require_direction
 
 
 def _compensated_transform(x: np.ndarray, sign: int) -> np.ndarray:
@@ -72,50 +73,19 @@ def brute_gauss_sum(params: ZcParams) -> complex:
     return complex(math.fsum(z.real), math.fsum(z.imag))
 
 
-def shifted_dft_identity(params: ZcParams) -> np.ndarray:
-    """DFT of a shifted ZC sequence via index remapping into the base sequence.
+def shifted_dft_identity(params: ZcParams, direction: str) -> np.ndarray:
+    """Spectrum of x = zc_time(params) by index remapping, in O(p).
 
-    F(k) = conj(Z(iu*k + ts)) * Z(ts) * F(0), with Z the unshifted sequence
-    evaluated at arguments reduced mod p and F(0) from brute_gauss_sum. An
-    independent route to the same spectrum as naive_dft(zc_time(params)).
+    F(k) = conj(x[step*k mod p]) * x[0] * F(0), with step = iu for the DFT
+    and -iu for the unnormalized IDFT (iu the inverse of u mod p). F(0) is
+    the sum of the samples, the same for both directions and every shift,
+    taken from the closed-form Gauss sum: summing the samples instead would
+    add their rounding errors coherently. An independent route to the
+    spectrum that naive_dft / naive_idft compute by summation.
     """
-    p, u, ts = params.p, params.u, params.ts
-    iu = mod_inverse(u, p)
-    base = zc_time(ZcParams(p=p, u=u, ts=0))
-    idx = (iu * np.arange(p) + ts) % p
-    f0 = brute_gauss_sum(ZcParams(p=p, u=u, ts=0))
-    return np.conj(base[idx]) * base[ts % p] * f0
-
-
-def _linear_ramp(p: int, shift: int) -> np.ndarray:
-    """exp(+i*2*pi*shift*k/p) with the index product reduced exactly mod p."""
-    k = np.arange(p)
-    return np.exp(2j * np.pi * ((shift * k) % p) / p)
-
-
-def dft_reference(params: ZcParams) -> np.ndarray:
-    """Termwise classical identity for the DFT of a shifted ZC sequence.
-
-    F(k) = Z_{-iu}(k) * exp(i*2*pi*((p+1)/2*(1-iu) + ts)*k/p) * F(0), with
-    F(0) from the closed-form Gauss sum. O(p) with one complex multiply per
-    sample; no accumulation.
-    """
-    p, u, ts = params.p, params.u, params.ts
-    iu = mod_inverse(u, p)
-    shift = (((p + 1) // 2) * (1 - iu) + ts) % p
-    dual = zc_time(ZcParams(p=p, u=(p - iu) % p, ts=0))
-    return dual * _linear_ramp(p, shift) * gauss_sum_closed(p, u).value
-
-
-def idft_reference(params: ZcParams) -> np.ndarray:
-    """Termwise classical identity for the unnormalized IDFT.
-
-    F(k) = conj(Z_{iu}(k)) * exp(i*2*pi*((p-1)/2*(iu+1) - ts)*k/p) * F(0).
-    The IDFT differs from the DFT by a frequency shift of 1 mod p (plus the
-    sign of the ts term).
-    """
-    p, u, ts = params.p, params.u, params.ts
-    iu = mod_inverse(u, p)
-    shift = (((p - 1) // 2) * (iu + 1) - ts) % p
-    dual = np.conj(zc_time(ZcParams(p=p, u=iu, ts=0)))
-    return dual * _linear_ramp(p, shift) * gauss_sum_closed(p, u).value
+    require_direction(direction)
+    p, u = params.p, params.u
+    step = mod_inverse(u, p) if direction == DFT else -mod_inverse(u, p)
+    x = zc_time(params)
+    idx = step * np.arange(p, dtype=np.int64) % p
+    return np.conj(x[idx]) * (x[0] * gauss_sum_closed(p, u).value)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .numtheory import centered, mod_inverse
-from .sequences import LmfhParams
+from .sequences import LmfhParams, ZcParams
 
 OBVERSE = "obverse"
 REVERSE = "reverse"
@@ -56,13 +56,14 @@ def _toggled(orientation: str) -> str:
 def make_pattern(p: int, slope: int, *, ts: int = 0) -> LmfhPattern:
     """Linear pattern f(t) = centered(slope*(t - ts), p), obverse side.
 
-    p and slope are validated as LmfhParams. ts translates the graph by +ts
-    along the time axis, which is how the cyclic shift enters the figures;
-    under flip_dft it comes out as a +ts cyclic frequency shift, matching the
-    transform identities.
+    p and slope are validated as LmfhParams, ts as the cyclic shift of
+    ZcParams. ts translates the graph by +ts along the time axis, which is
+    how the cyclic shift enters the figures; under flip_dft it comes out as a
+    +ts cyclic frequency shift, matching the transform identities.
     """
     params = LmfhParams(p=p, s=slope)
     p, slope = params.p, params.s
+    ts = ZcParams(p=p, u=1, ts=ts).ts
     pts = ((t, centered(slope * (t - ts), p)) for t in range(p))
     return _as_pattern(p, pts, OBVERSE)
 

@@ -85,10 +85,15 @@ class TransformPlan:
     const_factor: complex
 
 
-def plan(params: ZcParams, direction: str) -> TransformPlan:
-    """Build the immutable plan: inverse, Legendre sign, shift, constant, table."""
+def require_direction(direction: str) -> None:
+    """Raise ValueError unless direction is DFT or IDFT."""
     if direction not in (DFT, IDFT):
         raise ValueError(f"direction must be {DFT!r} or {IDFT!r}, got {direction!r}")
+
+
+def plan(params: ZcParams, direction: str) -> TransformPlan:
+    """Build the immutable plan: inverse, Legendre sign, shift, constant, table."""
+    require_direction(direction)
     p, u, ts = params.p, params.u, params.ts
     iu = mod_inverse(u, p)
     ell = legendre(2 * u, p)

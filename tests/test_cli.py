@@ -94,10 +94,11 @@ def test_idft_normalize_divides_by_p(capsys):
     assert np.array_equal(parse_csv_sequence(normed), parse_csv_sequence(raw) / 13)
 
 
-def test_idft_naive_matches_fast(capsys):
+@pytest.mark.parametrize("method", ["reference", "naive"])
+def test_idft_naive_matches_fast(capsys, method):
     _, fast = run_cli(capsys, "idft", "--p", "29", "--u", "11", "--ts", "3")
-    _, naive = run_cli(capsys, "idft", "--p", "29", "--u", "11", "--ts", "3", "--method", "naive")
-    delta = np.abs(parse_csv_sequence(fast) - parse_csv_sequence(naive)).max()
+    _, other = run_cli(capsys, "idft", "--p", "29", "--u", "11", "--ts", "3", "--method", method)
+    delta = np.abs(parse_csv_sequence(fast) - parse_csv_sequence(other)).max()
     assert delta <= 1e-9 * np.sqrt(29)
 
 

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from zcdft.oracle import (
-    brute_gauss_sum,
-    dft_reference,
-    idft_reference,
-    naive_dft,
-    naive_idft,
-    shifted_dft_identity,
-)
+from zcdft.oracle import brute_gauss_sum, naive_dft, naive_idft, shifted_dft_identity
 from zcdft.sequences import ZcParams, zc_time
+from zcdft.transform import DFT, IDFT
 
 from test_gauss import BRUTE_13_3, BRUTE_7_1
 
@@ -57,7 +51,7 @@ def test_zc_spectrum_bin0_matches_gauss_constant():
 def test_naive_idft_matches_reference_identity():
     params = ZcParams(p=13, u=3)
     got = naive_idft(zc_time(params))
-    assert np.abs(got - idft_reference(params)).max() <= 1e-9 * np.sqrt(13)
+    assert np.abs(got - shifted_dft_identity(params, IDFT)).max() <= 1e-9 * np.sqrt(13)
 
 
 def test_brute_gauss_sum_frozen_values():
@@ -76,16 +70,20 @@ def test_brute_gauss_sum_requires_unshifted():
         brute_gauss_sum(ZcParams(p=13, u=3, ts=1))
 
 
-def test_shifted_identity_reduces_to_reference_at_ts0():
-    params = ZcParams(p=13, u=3)
-    got = shifted_dft_identity(params)
-    assert np.abs(got - dft_reference(params)).max() <= 1e-10 * np.sqrt(13)
-
-
 def test_shifted_identity_matches_direct_dft():
     params = ZcParams(p=13, u=3, ts=5)
-    got = shifted_dft_identity(params)
+    got = shifted_dft_identity(params, DFT)
     assert np.abs(got - naive_dft(zc_time(params))).max() <= 1e-9 * np.sqrt(13)
+
+
+def test_shifted_identity_idft_is_dft_at_negated_bins():
+    # both directions gather the same indices, so this holds bit for bit
+    params = ZcParams(p=13, u=3, ts=5)
+    k = np.arange(13)
+    dft = shifted_dft_identity(params, DFT)
+    assert np.array_equal(shifted_dft_identity(params, IDFT), dft[(-k) % 13])
+    with pytest.raises(ValueError, match="direction"):
+        shifted_dft_identity(params, "fft")
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -94,7 +92,7 @@ def test_shifted_identity_bin0_is_gauss_constant(p):
     for u in range(1, p):
         f0 = brute_gauss_sum(ZcParams(p=p, u=u))
         for ts in range(p):
-            out = shifted_dft_identity(ZcParams(p=p, u=u, ts=ts))
+            out = shifted_dft_identity(ZcParams(p=p, u=u, ts=ts), DFT)
             assert out[0] == pytest.approx(f0, abs=1e-12)
 
 

@@ -52,6 +52,10 @@ def test_make_pattern_rejects_zero_slope():
         make_pattern(13, 1.5)
     with pytest.raises(ValueError):
         make_pattern(13, True)
+    # so is the shift, which must lie in [0, p-1] as a ZcParams shift does
+    for ts in (1.5, True, -1, 13):
+        with pytest.raises(ValueError, match="cyclic shift"):
+            make_pattern(13, -3, ts=ts)
 
 
 @given(pattern_cases)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zcdft.numtheory import mod_inverse, triangular_mod
-from zcdft.oracle import dft_reference, idft_reference, naive_dft, naive_idft
+from zcdft.oracle import naive_dft, naive_idft, shifted_dft_identity
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import (
     DFT,
@@ -161,20 +161,13 @@ def test_fast_path_matches_oracle(params, direction):
     assert np.abs(fast - oracle).max() <= 1e-9 * np.sqrt(params.p)
 
 
-def test_dft_reference_examples():
-    params = ZcParams(p=13, u=3)
-    tol_ref = 1e-10 * np.sqrt(13)
-    tol_naive = 1e-9 * np.sqrt(13)
-    assert np.abs(dft_reference(params) - execute(plan(params, DFT))).max() <= tol_ref
-    assert np.abs(dft_reference(params) - naive_dft(zc_time(params))).max() <= tol_naive
-    shifted = ZcParams(p=13, u=3, ts=5)
-    assert np.abs(dft_reference(shifted) - naive_dft(zc_time(shifted))).max() <= tol_naive
-
-
-def test_idft_reference_examples():
-    params = ZcParams(p=13, u=3)
-    assert np.abs(idft_reference(params) - execute(plan(params, IDFT))).max() <= 1e-10 * np.sqrt(13)
-    assert np.abs(idft_reference(params) - naive_idft(zc_time(params))).max() <= 1e-9 * np.sqrt(13)
+@pytest.mark.parametrize("direction", [DFT, IDFT])
+def test_identity_examples(direction):
+    naive = naive_dft if direction == DFT else naive_idft
+    for params in (ZcParams(p=13, u=3), ZcParams(p=13, u=3, ts=5)):
+        ref = shifted_dft_identity(params, direction)
+        assert np.abs(ref - execute(plan(params, direction))).max() <= 1e-10 * np.sqrt(13)
+        assert np.abs(ref - naive(zc_time(params))).max() <= 1e-9 * np.sqrt(13)
 
 
 def test_conjugate_form_equivalence():
