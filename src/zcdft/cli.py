@@ -132,6 +132,7 @@ def cmd_bench(parser, args) -> int:
     if args.reps < 1:
         parser.error("--reps must be positive")
     pl = transform.plan(params, transform.DFT)
+    phases = transform.phase_indices(pl)
     x = zc_time(params)
     counters = transform.OpCounters()
     transform.execute(pl, counters)
@@ -141,6 +142,8 @@ def cmd_bench(parser, args) -> int:
         "reps": args.reps,
         "plan_ns": _median_ns(lambda: transform.plan(params, transform.DFT), args.reps),
         "fast_ns": _median_ns(lambda: transform.execute(pl), args.reps),
+        "phase_ns": _median_ns(lambda: transform.phase_indices(pl), args.reps),
+        "gather_ns": _median_ns(lambda: transform._gather(pl, phases), args.reps),
         "reference_ns": _median_ns(
             lambda: oracle.shifted_dft_identity(params, transform.DFT), args.reps
         ),
@@ -215,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time plan and the fast, reference and naive paths",
         description="Print median timings and the operation counts of the counted "
-        "recurrence as JSON. exp_evaluations counts the p table lookups of the "
+        "recurrence as JSON. fast_ns is execute; phase_ns and gather_ns are its "
+        "two parts, the phase indices and the scaled table gather. plan_ns is a "
+        "median over reps, so it times a kept table whenever p fits the "
+        "per-length store. exp_evaluations counts the p table lookups of the "
         "gather, not calls to exp.",
     )
     sp.set_defaults(handler=cmd_bench)

@@ -14,12 +14,19 @@ The phases stay purely integer: the quasi phase offset takes quarter-integer
 values, so instead of seeding the phase with it, sqrt(p)*exp(i*2*pi*QPo/p)
 is folded into one precomputed complex constant multiplied into every
 output. Algebraically identical, and it keeps the twiddle table at size p.
+
+The root enters only through iu and fs. The twiddle table, arange(p) and
+T(k) mod p depend on p alone, so they are kept per length in one bounded
+store (_LengthStore) and shared by every root, shift and direction of p.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,11 +63,15 @@ class TransformPlan:
     (p+1)/2*(iu-1) - ts for the DFT and (p+1)/2*(iu+1) + ts for the IDFT,
     reduced into [0, p-1]; the two directions differ by nothing else.
 
-    The table is read-only and so is its base. It is built from two
-    sqrt(p)-length tables: with m = isqrt(p-1) + 1 and j = a*m + b,
-    twiddles[j] = hi[a] * lo[b], where lo[b] = exp(-i*2*pi*b/p) for b < m
-    and hi[a] = exp(-i*2*pi*a*m/p) for a < ceil(p/m). That is
-    2*ceil(sqrt(p)) complex exps and p complex multiplies, not p exps.
+    The table is read-only and so is its base. Every plan of one p shares
+    one table while p's entry is kept in the bounded store (_LengthStore);
+    a length too long to keep gets a table of its own per plan.
+
+    The table is built from two sqrt(p)-length tables: with
+    m = isqrt(p-1) + 1 and j = a*m + b, twiddles[j] = hi[a] * lo[b], where
+    lo[b] = exp(-i*2*pi*b/p) for b < m and hi[a] = exp(-i*2*pi*a*m/p) for
+    a < ceil(p/m). That is 2*ceil(sqrt(p)) complex exps and p complex
+    multiplies, not p exps.
 
     Error of each entry, with eps the float64 epsilon and u = eps/2:
     - argument: each factor's angle 2*pi*n/p takes three roundings (fl(2*pi),
@@ -110,7 +121,7 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         ell=ell,
         fs=fs,
         qpo_times4=qpo4,
-        twiddles=_twiddle_table(p),
+        twiddles=_STORE.twiddles(p),
         const_factor=const_from_qpo(p, qpo4),
     )
 
@@ -130,18 +141,101 @@ def _twiddle_table(p: int) -> np.ndarray:
     return full.ravel()[:p]
 
 
+class _LengthTables(NamedTuple):
+    """The read-only arrays of one length: table, arange(p), T(k) mod p."""
+
+    twiddles: np.ndarray
+    k: np.ndarray
+    tri: np.ndarray
+
+
+def _entry_bytes(p: int) -> int:
+    """Bytes of p's entry, counting the table's base of m*ceil(p/m) entries."""
+    m = math.isqrt(p - 1) + 1
+    return 16 * m * -(-p // m) + 2 * 8 * p
+
+
+_STORE_BYTES = 1 << 20
+
+
+class _LengthStore:
+    """LRU of _LengthTables by p, bounded in total bytes.
+
+    An entry is kept whole or not at all; one larger than the bound is never
+    built, so that path computes what it would without a store. Bookkeeping
+    is under a lock, building is outside it: two threads may build the same
+    p, and the first to insert it wins, so every plan of a kept p shares one
+    table.
+
+    The bound, _STORE_BYTES = 1 MiB, holds every PRACH length (139, 571,
+    839, 1151: 87 KB) and the whole acceptance grid (5 <= p <= 199: 138 KB)
+    several times over, and it is small next to the ~27 MB peak RSS of
+    importing numpy. The longest length it can keep is 32749, so no large p
+    is ever held (65537 would need 2.1 MB): there lengths rarely repeat and
+    the table is a small part of an operation.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict[int, _LengthTables] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def peek(self, p: int) -> _LengthTables | None:
+        """p's kept entry, marked as recently used, or None; builds nothing."""
+        with self._lock:
+            entry = self._entries.get(p)
+            if entry is not None:
+                self._entries.move_to_end(p)
+            return entry
+
+    def twiddles(self, p: int) -> np.ndarray:
+        """p's twiddle table: the kept one, or a new one kept if its entry fits."""
+        entry = self.peek(p)
+        if entry is not None:
+            return entry.twiddles
+        size = _entry_bytes(p)
+        if size > self.budget:
+            return _twiddle_table(p)
+        k = np.arange(p, dtype=np.int64)
+        tri = triangular_mod(k, p)
+        k.setflags(write=False)
+        tri.setflags(write=False)
+        entry = _LengthTables(_twiddle_table(p), k, tri)
+        with self._lock:
+            kept = self._entries.get(p)
+            if kept is not None:
+                self._entries.move_to_end(p)
+                return kept.twiddles
+            while self.nbytes + size > self.budget:
+                old, _ = self._entries.popitem(last=False)
+                self.nbytes -= _entry_bytes(old)
+            self._entries[p] = entry
+            self.nbytes += size
+        return entry.twiddles
+
+
+_STORE = _LengthStore(_STORE_BYTES)
+
+
 def phase_indices(pl: TransformPlan) -> np.ndarray:
     """int64 phase indices phase_k = (k*fs - iu*T(k)) mod p, k = 0..p-1.
 
     The closed form of the accumulation that phase_indices_recurrence runs;
-    triangular_mod keeps every intermediate below 2**62.
+    triangular_mod keeps every intermediate below 2**62. k and T(k) come
+    from p's kept entry; without one they are computed in place.
     """
     p = pl.params.p
-    k = np.arange(p, dtype=np.int64)
-    t = triangular_mod(k, p)
-    t *= -pl.iu
-    k *= pl.fs
-    k += t
+    entry = _STORE.peek(p)
+    if entry is None:
+        k = np.arange(p, dtype=np.int64)
+        t = triangular_mod(k, p)
+        t *= pl.iu
+        k *= pl.fs
+    else:
+        k = entry.k * pl.fs
+        t = entry.tri * pl.iu
+    k -= t
     np.remainder(k, p, out=k)
     return k
 
@@ -180,6 +274,11 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
         phases = phase_indices(pl)
     else:
         phases = phase_indices_recurrence(pl, counters)
+    return _gather(pl, phases)
+
+
+def _gather(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
+    """const_factor * twiddles[phases], scaled in place."""
     out = pl.twiddles[phases]
     out *= pl.const_factor
     return out

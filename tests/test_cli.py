@@ -165,6 +165,8 @@ def test_bench_report_schema_and_counts(capsys):
         "reps",
         "plan_ns",
         "fast_ns",
+        "phase_ns",
+        "gather_ns",
         "reference_ns",
         "naive_ns",
         "additions",
@@ -176,6 +178,7 @@ def test_bench_report_schema_and_counts(capsys):
     assert report["modulo_reductions"] == 2 * 138
     assert report["exp_evaluations"] == 139
     assert 0 < report["fast_ns"] < report["naive_ns"]
+    assert report["phase_ns"] > 0 and report["gather_ns"] > 0
     assert report["plan_ns"] > 0
 
 

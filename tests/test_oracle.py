@@ -48,12 +48,6 @@ def test_zc_spectrum_bin0_matches_gauss_constant():
     assert out[0] == pytest.approx(BRUTE_13_3, abs=1e-12)
 
 
-def test_naive_idft_matches_reference_identity():
-    params = ZcParams(p=13, u=3)
-    got = naive_idft(zc_time(params))
-    assert np.abs(got - shifted_dft_identity(params, IDFT)).max() <= 1e-9 * np.sqrt(13)
-
-
 def test_brute_gauss_sum_frozen_values():
     assert brute_gauss_sum(ZcParams(p=13, u=3)) == pytest.approx(BRUTE_13_3, abs=1e-14)
     assert brute_gauss_sum(ZcParams(p=7, u=1)) == pytest.approx(BRUTE_7_1, abs=1e-14)
@@ -68,12 +62,6 @@ def test_brute_gauss_sum_magnitude(p):
 def test_brute_gauss_sum_requires_unshifted():
     with pytest.raises(ValueError):
         brute_gauss_sum(ZcParams(p=13, u=3, ts=1))
-
-
-def test_shifted_identity_matches_direct_dft():
-    params = ZcParams(p=13, u=3, ts=5)
-    got = shifted_dft_identity(params, DFT)
-    assert np.abs(got - naive_dft(zc_time(params))).max() <= 1e-9 * np.sqrt(13)
 
 
 def test_shifted_identity_idft_is_dft_at_negated_bins():

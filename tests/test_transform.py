@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from zcdft.numtheory import mod_inverse, triangular_mod
 from zcdft.oracle import naive_dft, naive_idft, shifted_dft_identity
+from zcdft import transform
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import (
     DFT,
@@ -18,7 +21,7 @@ from zcdft.transform import (
     plan,
 )
 
-from conftest import ODD_PRIMES_61
+from conftest import ODD_PRIMES_61, ODD_PRIMES_199
 from test_gauss import BRUTE_13_3
 
 cases = st.builds(
@@ -50,6 +53,93 @@ def test_plan_is_immutable():
         pl.fs = 0
     with pytest.raises(ValueError):
         pl.twiddles[0] = 0
+
+
+PRACH_LENGTHS = [139, 571, 839, 1151]
+
+
+@pytest.fixture
+def fresh_store(monkeypatch):
+    """Swap in an empty store with the module's bound; returns it."""
+    store = transform._LengthStore(transform._STORE_BYTES)
+    monkeypatch.setattr(transform, "_STORE", store)
+    return store
+
+
+def test_kept_length_shares_one_read_only_table(fresh_store):
+    a = plan(ZcParams(p=839, u=25), DFT)
+    b = plan(ZcParams(p=839, u=3, ts=7), IDFT)
+    assert a.twiddles is b.twiddles
+    entry = fresh_store.peek(839)
+    assert entry.twiddles is a.twiddles
+    for array in entry:
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
+    budget = transform._STORE_BYTES
+    # 32749 is the longest length whose entry fits; 16381 fills half the
+    # bound, so it and 32749 cannot be kept together
+    for p in PRACH_LENGTHS + ODD_PRIMES_199 + [65537, 16381, 32749, 32771, 16411]:
+        before = fresh_store.nbytes
+        plan(ZcParams(p=p, u=1), DFT)
+        assert (p in fresh_store._entries) == (transform._entry_bytes(p) <= budget)
+        if p in (65537, 32771):
+            assert fresh_store.nbytes == before
+        entries = list(fresh_store._entries.values())
+        held = sum(e.twiddles.base.nbytes + e.k.nbytes + e.tri.nbytes for e in entries)
+        assert fresh_store.nbytes == held <= budget
+    assert list(fresh_store._entries) == [16411]
+
+
+@pytest.mark.parametrize("p", [839, 65537])
+def test_kept_entry_gives_the_same_phases_and_spectra(p, monkeypatch):
+    params = ZcParams(p=p, u=25, ts=(p - 1) // 2)
+    results = {}
+    # nothing kept, the module's store, every length kept
+    for budget in (0, transform._STORE_BYTES, 1 << 23):
+        store = transform._LengthStore(budget)
+        monkeypatch.setattr(transform, "_STORE", store)
+        for direction in (DFT, IDFT):
+            pl = plan(params, direction)
+            assert (p in store._entries) == (transform._entry_bytes(p) <= budget)
+            results[budget, direction] = (phase_indices(pl), execute(pl))
+    for (_, direction), (phases, out) in results.items():
+        ref_phases, ref_out = results[0, direction]
+        assert np.array_equal(phases, ref_phases)
+        assert np.array_equal(out, ref_out)
+
+
+def test_threads_match_serial_results(monkeypatch):
+    cases = [
+        (ZcParams(p=p, u=u, ts=u % p), direction)
+        for p in PRACH_LENGTHS
+        for u in (1, 25, 138)
+        for direction in (DFT, IDFT)
+    ]
+    serial = [execute(plan(params, direction)) for params, direction in cases]
+    store = transform._LengthStore(transform._STORE_BYTES)
+    monkeypatch.setattr(transform, "_STORE", store)
+
+    def run(params, direction):
+        pl = plan(params, direction)
+        return pl.twiddles, execute(pl)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, *case) for case in cases * 4]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    tables = {}
+    for (params, _), ref, (table, out) in zip(cases * 4, serial * 4, got):
+        assert np.array_equal(out, ref)
+        tables.setdefault(params.p, set()).add(id(table))
+    assert all(len(ids) == 1 for ids in tables.values())
+    assert store.nbytes == sum(transform._entry_bytes(p) for p in PRACH_LENGTHS)
 
 
 EPS = np.finfo(np.float64).eps
