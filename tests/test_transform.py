@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zcdft import transform
 from zcdft.numtheory import mod_inverse, triangular_mod
 from zcdft.oracle import naive_dft, naive_idft, shifted_dft_identity
-from zcdft import transform
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import (
     DFT,
