@@ -50,22 +50,22 @@ def _sequence_text(args, samples: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _zc_params(parser: argparse.ArgumentParser, args) -> ZcParams:
+def _zc_params(parser: argparse.ArgumentParser, p: int, u: int, ts: int) -> ZcParams:
     """ZcParams from --p/--u/--ts; an invalid value is a usage error (exit 2)."""
     try:
-        return ZcParams(p=args.p, u=args.u, ts=args.ts)
+        return ZcParams(p=p, u=u, ts=ts)
     except ValueError as exc:
         parser.error(f"invalid --p/--u/--ts: {exc}")
 
 
 def cmd_gen(parser, args) -> int:
-    params = _zc_params(parser, args)
+    params = _zc_params(parser, args.p, args.u, args.ts)
     _write_text(args.out, _sequence_text(args, zc_time(params)))
     return 0
 
 
 def cmd_transform(parser, args) -> int:
-    params = _zc_params(parser, args)
+    params = _zc_params(parser, args.p, args.u, args.ts)
     direction = transform.DFT if args.command == "dft" else transform.IDFT
     if args.method == "fast":
         out = transform.execute(transform.plan(params, direction))
@@ -88,7 +88,7 @@ _FLIPS = {
 
 
 def cmd_pattern(parser, args) -> int:
-    params = _zc_params(parser, args)
+    params = _zc_params(parser, args.p, args.u, args.ts)
     pat = pattern.make_pattern(params.p, -params.u, ts=params.ts)
     for name in [f.strip() for f in args.flip.split(",")]:
         if name == "none":
@@ -127,32 +127,34 @@ def _median_ns(fn, reps: int) -> int:
     return int(statistics.median(times))
 
 
-def cmd_bench(parser, args) -> int:
-    params = _zc_params(parser, args)
-    if args.reps < 1:
-        parser.error("--reps must be positive")
+def _bench_report(params: ZcParams, reps: int) -> dict:
     pl = transform.plan(params, transform.DFT)
     phases = transform.phase_indices(pl)
     x = zc_time(params)
     counters = transform.OpCounters()
     transform.execute(pl, counters)
-    report = {
+    return {
         "p": params.p,
         "u": params.u,
-        "reps": args.reps,
-        "plan_ns": _median_ns(lambda: transform.plan(params, transform.DFT), args.reps),
-        "fast_ns": _median_ns(lambda: transform.execute(pl), args.reps),
-        "phase_ns": _median_ns(lambda: transform.phase_indices(pl), args.reps),
-        "gather_ns": _median_ns(lambda: transform._gather(pl, phases), args.reps),
-        "reference_ns": _median_ns(
-            lambda: oracle.shifted_dft_identity(params, transform.DFT), args.reps
-        ),
-        "naive_ns": _median_ns(lambda: oracle.naive_dft(x), args.reps),
+        "reps": reps,
+        "plan_ns": _median_ns(lambda: transform.plan(params, transform.DFT), reps),
+        "fast_ns": _median_ns(lambda: transform.execute(pl), reps),
+        "phase_ns": _median_ns(lambda: transform.phase_indices(pl), reps),
+        "gather_ns": _median_ns(lambda: transform._gather(pl, phases), reps),
+        "reference_ns": _median_ns(lambda: oracle.shifted_dft_identity(params, transform.DFT), reps),
+        "naive_ns": _median_ns(lambda: oracle.naive_dft(x), reps),
         "additions": counters.additions,
         "modulo_reductions": counters.modulo_reductions,
         "exp_evaluations": counters.exp_evaluations,
     }
-    print(json.dumps(report, indent=2))
+
+
+def cmd_bench(parser, args) -> int:
+    cases = [_zc_params(parser, p, args.u, args.ts) for p in args.p or [839]]
+    if args.reps < 1:
+        parser.error("--reps must be positive")
+    for params in cases:
+        print(json.dumps(_bench_report(params, args.reps)), flush=True)
     return 0
 
 
@@ -218,14 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time plan and the fast, reference and naive paths",
         description="Print median timings and the operation counts of the counted "
-        "recurrence as JSON. fast_ns is execute; phase_ns and gather_ns are its "
-        "two parts, the phase indices and the scaled table gather. plan_ns is a "
+        "recurrence as one JSON line per --p. fast_ns is execute; phase_ns and "
+        "gather_ns time the phase indices and the scaled table gather, which "
+        "execute runs block by block and these run whole-length. plan_ns is a "
         "median over reps, so it times a kept table whenever p fits the "
         "per-length store. exp_evaluations counts the p table lookups of the "
         "gather, not calls to exp.",
     )
     sp.set_defaults(handler=cmd_bench)
-    sp.add_argument("--p", type=int, default=839, help="prime sequence length")
+    sp.add_argument(
+        "--p", type=int, action="append", help="prime sequence length; repeat for several (default 839)"
+    )
     sp.add_argument("--u", type=int, default=25, help="root, in [1, p-1]")
     sp.add_argument("--ts", type=int, default=0, help="cyclic shift, in [0, p-1]")
     sp.add_argument("--reps", type=int, default=100, help="repetitions per path")

@@ -15,9 +15,15 @@ values, so instead of seeding the phase with it, sqrt(p)*exp(i*2*pi*QPo/p)
 is folded into one precomputed complex constant multiplied into every
 output. Algebraically identical, and it keeps the twiddle table at size p.
 
-The root enters only through iu and fs. The twiddle table, arange(p) and
-T(k) mod p depend on p alone, so they are kept per length in one bounded
-store (_LengthStore) and shared by every root, shift and direction of p.
+execute runs that closed form in blocks of _BLOCK to 2*_BLOCK bins
+(_block_phases): a block's phases, its gather from the table and its scale
+are done while its arrays stay in L2, instead of as whole-length passes.
+Within a block the closed form needs only j and T(j) for j < 2*_BLOCK, two
+read-only module arrays that do not depend on p.
+
+The root enters only through iu and fs. The twiddle table depends on p
+alone, so it is kept per length in one bounded store (_LengthStore) and
+shared by every root, shift and direction of p.
 """
 
 from __future__ import annotations
@@ -25,13 +31,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .gauss import _qpo_times4, const_from_qpo
-from .numtheory import legendre, mod_inverse, triangular_mod
+from .numtheory import legendre, mod_inverse
 from .sequences import ZcParams
 
 DFT = "dft"
@@ -84,6 +90,26 @@ class TransformPlan:
       (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.5).
     In all, |twiddles[j] - exp(-i*2*pi*j/p)| <= (3*pi + 2*sqrt(2)) * eps,
     about 12.3 eps, to first order in eps.
+
+    execute cuts the p bins into n = max(1, p // _BLOCK) blocks at i*p//n,
+    so for p >= 2*_BLOCK each block holds between _BLOCK and 2*_BLOCK bins.
+    For the bins k0 + j of a block, T(k0 + j) = T(k0) + k0*j + T(j), so
+        phase_k0+j = (base + j*slope - iu*T(j)) mod p,
+        slope = (fs - iu*k0) mod p,  base = (k0*fs - iu*T(k0)) mod p,
+    with slope and base taken exactly as Python ints. With j < 2*_BLOCK =
+    2**13, T(j) < 2**26, so iu*T(j) < 2**57 and j*slope < 2**44: the int64
+    sum stays exact, and one reduction per bin gives the same integers as
+    the counted recurrence. Below 2*_BLOCK there is one block, k0 = 0, and
+    the phases take two multiplies, a subtract and a reduction.
+
+    _BLOCK = 2**12 bins: a block's int64 phases and scratch (64 KB each at
+    most), its output slice (128 KB) and the j and T(j) arrays (64 KB each)
+    stay in L2 from the phases to the scale, while per-block interpreter
+    work stays a few microseconds against the block's tens. No block is
+    shorter than _BLOCK, so every block's scale runs the same numpy
+    complex-multiply loop as one whole-length multiply and the spectra are
+    bit-identical to it; with fixed blocks of _BLOCK, the 1-bin last block
+    at p = 65537 took the other loop and changed that bin in its last bit.
     """
 
     params: ZcParams
@@ -141,103 +167,128 @@ def _twiddle_table(p: int) -> np.ndarray:
     return full.ravel()[:p]
 
 
-class _LengthTables(NamedTuple):
-    """The read-only arrays of one length: table, arange(p), T(k) mod p."""
-
-    twiddles: np.ndarray
-    k: np.ndarray
-    tri: np.ndarray
-
-
 def _entry_bytes(p: int) -> int:
-    """Bytes of p's entry, counting the table's base of m*ceil(p/m) entries."""
+    """Bytes of p's kept table, counting its base of m*ceil(p/m) entries."""
     m = math.isqrt(p - 1) + 1
-    return 16 * m * -(-p // m) + 2 * 8 * p
+    return 16 * m * -(-p // m)
 
 
-_STORE_BYTES = 1 << 20
+_STORE_BYTES = 1 << 19
 
 
 class _LengthStore:
-    """LRU of _LengthTables by p, bounded in total bytes.
+    """LRU of read-only twiddle tables by p, bounded in total bytes.
 
-    An entry is kept whole or not at all; one larger than the bound is never
-    built, so that path computes what it would without a store. Bookkeeping
-    is under a lock, building is outside it: two threads may build the same
-    p, and the first to insert it wins, so every plan of a kept p shares one
-    table.
+    A table is kept whole or not at all; one larger than the bound is never
+    kept, so that path builds a table per plan, as it would without a store.
+    Bookkeeping is under a lock, building is outside it: two threads may
+    build the same p, and the first to insert it wins, so every plan of a
+    kept p shares one table.
 
-    The bound, _STORE_BYTES = 1 MiB, holds every PRACH length (139, 571,
-    839, 1151: 87 KB) and the whole acceptance grid (5 <= p <= 199: 138 KB)
+    The bound, _STORE_BYTES = 512 KiB, holds every PRACH length (139, 571,
+    839, 1151: 43 KB) and the whole acceptance grid (5 <= p <= 199: 71 KB)
     several times over, and it is small next to the ~27 MB peak RSS of
-    importing numpy. The longest length it can keep is 32749, so no large p
-    is ever held (65537 would need 2.1 MB): there lengths rarely repeat and
-    the table is a small part of an operation.
+    importing numpy. A table takes 16*m*ceil(p/m) bytes, about 16*p; the
+    longest length it can keep is 32749 (524176 bytes; 32771 would need
+    527072), so no large p is ever held (65537 would need 1.05 MB): there
+    lengths rarely repeat and the table is a small part of an operation.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
-        self._entries: OrderedDict[int, _LengthTables] = OrderedDict()
+        self._entries: OrderedDict[int, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
 
-    def peek(self, p: int) -> _LengthTables | None:
-        """p's kept entry, marked as recently used, or None; builds nothing."""
+    def peek(self, p: int) -> np.ndarray | None:
+        """p's kept table, marked as recently used, or None; builds nothing."""
         with self._lock:
-            entry = self._entries.get(p)
-            if entry is not None:
+            table = self._entries.get(p)
+            if table is not None:
                 self._entries.move_to_end(p)
-            return entry
+            return table
 
     def twiddles(self, p: int) -> np.ndarray:
-        """p's twiddle table: the kept one, or a new one kept if its entry fits."""
-        entry = self.peek(p)
-        if entry is not None:
-            return entry.twiddles
+        """p's twiddle table: the kept one, or a new one kept if it fits."""
+        table = self.peek(p)
+        if table is not None:
+            return table
+        table = _twiddle_table(p)
         size = _entry_bytes(p)
         if size > self.budget:
-            return _twiddle_table(p)
-        k = np.arange(p, dtype=np.int64)
-        tri = triangular_mod(k, p)
-        k.setflags(write=False)
-        tri.setflags(write=False)
-        entry = _LengthTables(_twiddle_table(p), k, tri)
+            return table
         with self._lock:
             kept = self._entries.get(p)
             if kept is not None:
                 self._entries.move_to_end(p)
-                return kept.twiddles
+                return kept
             while self.nbytes + size > self.budget:
                 old, _ = self._entries.popitem(last=False)
                 self.nbytes -= _entry_bytes(old)
-            self._entries[p] = entry
+            self._entries[p] = table
             self.nbytes += size
-        return entry.twiddles
+        return table
 
 
 _STORE = _LengthStore(_STORE_BYTES)
+
+_BLOCK = 1 << 12
+
+# j and T(j) = j(j+1)/2 for j < 2*_BLOCK, the same for every p
+_J = np.arange(2 * _BLOCK, dtype=np.int64)
+_TJ = np.cumsum(_J)
+_J.setflags(write=False)
+_TJ.setflags(write=False)
+
+
+def _block_bounds(p: int) -> Iterator[tuple[int, int]]:
+    """Bins [lo, hi) of execute's blocks: n = max(1, p // _BLOCK) cuts at i*p//n.
+
+    For p >= 2*_BLOCK every block holds between _BLOCK and 2*_BLOCK bins;
+    below that there is one block of p bins.
+    """
+    n = max(1, p // _BLOCK)
+    for i in range(n):
+        yield i * p // n, (i + 1) * p // n
+
+
+def _block_phases(
+    pl: TransformPlan,
+    k0: int,
+    n: int,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
+    """phase_k for the n <= 2*_BLOCK bins k = k0 + j, j < n, into out.
+
+    (base + j*slope - iu*T(j)) mod p from _J and _TJ, exact in int64 (see
+    TransformPlan). out and tmp, n-element int64 buffers, are allocated when
+    not given. It reads no table, so any block of any p can be checked
+    against Python ints without building one.
+    """
+    p, iu, fs = pl.params.p, pl.iu, pl.fs
+    phases = np.multiply(_J[:n], (fs - iu * k0) % p, out=out)
+    phases -= np.multiply(_TJ[:n], iu, out=tmp)
+    if k0:
+        phases += (k0 * fs - iu * (k0 * (k0 + 1) // 2)) % p
+    np.remainder(phases, p, out=phases)
+    return phases
 
 
 def phase_indices(pl: TransformPlan) -> np.ndarray:
     """int64 phase indices phase_k = (k*fs - iu*T(k)) mod p, k = 0..p-1.
 
-    The closed form of the accumulation that phase_indices_recurrence runs;
-    triangular_mod keeps every intermediate below 2**62. k and T(k) come
-    from p's kept entry; without one they are computed in place.
+    The closed form of the accumulation that phase_indices_recurrence runs,
+    computed block by block as execute does.
     """
     p = pl.params.p
-    entry = _STORE.peek(p)
-    if entry is None:
-        k = np.arange(p, dtype=np.int64)
-        t = triangular_mod(k, p)
-        t *= pl.iu
-        k *= pl.fs
-    else:
-        k = entry.k * pl.fs
-        t = entry.tri * pl.iu
-    k -= t
-    np.remainder(k, p, out=k)
-    return k
+    if p < 2 * _BLOCK:
+        return _block_phases(pl, 0, p)
+    phases = np.empty(p, dtype=np.int64)
+    tmp = np.empty(2 * _BLOCK, dtype=np.int64)
+    for lo, hi in _block_bounds(p):
+        _block_phases(pl, lo, hi - lo, phases[lo:hi], tmp[: hi - lo])
+    return phases
 
 
 def phase_indices_recurrence(pl: TransformPlan, counters: OpCounters) -> np.ndarray:
@@ -267,14 +318,26 @@ def phase_indices_recurrence(pl: TransformPlan, counters: OpCounters) -> np.ndar
 def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray:
     """out[k] = const_factor * twiddles[phase_k], with closed-form phases.
 
+    Each block's phases, gather and scale run before the next block starts.
     With counters, the phases come from the counted recurrence instead, which
     gives the same integers and so the same output.
     """
-    if counters is None:
-        phases = phase_indices(pl)
-    else:
-        phases = phase_indices_recurrence(pl, counters)
-    return _gather(pl, phases)
+    if counters is not None:
+        return _gather(pl, phase_indices_recurrence(pl, counters))
+    p = pl.params.p
+    if p < 2 * _BLOCK:
+        return _gather(pl, _block_phases(pl, 0, p))
+    out = np.empty(p, dtype=pl.twiddles.dtype)
+    phases = np.empty(2 * _BLOCK, dtype=np.int64)
+    tmp = np.empty(2 * _BLOCK, dtype=np.int64)
+    for lo, hi in _block_bounds(p):
+        n = hi - lo
+        block = out[lo:hi]
+        # every phase is in [0, p), so "clip" never clips; unlike "raise" it
+        # writes into block directly instead of through a buffer
+        np.take(pl.twiddles, _block_phases(pl, lo, n, phases[:n], tmp[:n]), out=block, mode="clip")
+        block *= pl.const_factor
+    return out
 
 
 def _gather(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:

@@ -156,30 +156,34 @@ def test_verify_pmax61_under_ten_seconds(capsys):
 
 
 def test_bench_report_schema_and_counts(capsys):
-    code, out = run_cli(capsys, "bench", "--p", "139", "--u", "25", "--reps", "5")
+    # 8209 is the first prime of two blocks (2 * transform._BLOCK = 8192)
+    code, out = run_cli(capsys, "bench", "--p", "139", "--p", "8209", "--u", "25", "--reps", "2")
     assert code == 0
-    report = json.loads(out)
-    assert list(report) == [
-        "p",
-        "u",
-        "reps",
-        "plan_ns",
-        "fast_ns",
-        "phase_ns",
-        "gather_ns",
-        "reference_ns",
-        "naive_ns",
-        "additions",
-        "modulo_reductions",
-        "exp_evaluations",
-    ]
-    assert report["p"] == 139 and report["u"] == 25 and report["reps"] == 5
-    assert report["additions"] == 2 * 138
-    assert report["modulo_reductions"] == 2 * 138
-    assert report["exp_evaluations"] == 139
-    assert 0 < report["fast_ns"] < report["naive_ns"]
-    assert report["phase_ns"] > 0 and report["gather_ns"] > 0
-    assert report["plan_ns"] > 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["p"] for r in reports] == [139, 8209]
+    for report in reports:
+        p = report["p"]
+        assert list(report) == [
+            "p",
+            "u",
+            "reps",
+            "plan_ns",
+            "fast_ns",
+            "phase_ns",
+            "gather_ns",
+            "reference_ns",
+            "naive_ns",
+            "additions",
+            "modulo_reductions",
+            "exp_evaluations",
+        ]
+        assert report["u"] == 25 and report["reps"] == 2
+        assert report["additions"] == 2 * (p - 1)
+        assert report["modulo_reductions"] == 2 * (p - 1)
+        assert report["exp_evaluations"] == p
+        assert 0 < report["fast_ns"] < report["naive_ns"]
+        assert report["phase_ns"] > 0 and report["gather_ns"] > 0
+        assert report["plan_ns"] > 0
 
 
 def test_cli_outputs_are_deterministic(capsys):

@@ -115,7 +115,8 @@ def test_centered_properties(p, x):
 
 def test_triangular_mod_is_exact_at_the_prime_cap():
     # largest prime below 2**31, largest n: no int64 intermediate may wrap,
-    # even after a multiply by another residue as in phase_indices and zc_time
+    # even after a multiply by another residue, as zc_time and the large-p
+    # phase test in test_transform do
     p = fs = iu = 2**31 - 1
     ns = range(p - 1000, p)
     n = np.asarray(ns, dtype=np.int64)

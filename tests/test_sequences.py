@@ -79,15 +79,6 @@ def test_lmfh_first_samples():
     assert sym[1] == pytest.approx(np.exp(-2j * np.pi * 3 / 13), abs=1e-15)
 
 
-@pytest.mark.parametrize("p", ODD_PRIMES_61[:10])
-def test_lmfh_zc_conjugacy(p):
-    # slope -u accumulates to the ZC sequence itself; slope +u to its conjugate
-    for u in range(1, p):
-        z = zc_time(ZcParams(p=p, u=u))
-        assert np.abs(lmfh_symbol(LmfhParams(p=p, s=-u)) - z).max() <= 1e-12
-        assert np.abs(lmfh_symbol(LmfhParams(p=p, s=u)) - np.conj(z)).max() <= 1e-12
-
-
 def test_lmfh_phase_offset_is_global():
     flat = lmfh_symbol(LmfhParams(p=13, s=-3))
     tilted = lmfh_symbol(LmfhParams(p=13, s=-3, po=0.7))

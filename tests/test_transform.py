@@ -70,9 +70,9 @@ def test_kept_length_shares_one_read_only_table(fresh_store):
     a = plan(ZcParams(p=839, u=25), DFT)
     b = plan(ZcParams(p=839, u=3, ts=7), IDFT)
     assert a.twiddles is b.twiddles
-    entry = fresh_store.peek(839)
-    assert entry.twiddles is a.twiddles
-    for array in entry:
+    table = fresh_store.peek(839)
+    assert table is a.twiddles
+    for array in (table, table.base):
         with pytest.raises(ValueError):
             array[0] = 1
 
@@ -87,8 +87,7 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
         assert (p in fresh_store._entries) == (transform._entry_bytes(p) <= budget)
         if p in (65537, 32771):
             assert fresh_store.nbytes == before
-        entries = list(fresh_store._entries.values())
-        held = sum(e.twiddles.base.nbytes + e.k.nbytes + e.tri.nbytes for e in entries)
+        held = sum(table.base.nbytes for table in fresh_store._entries.values())
         assert fresh_store.nbytes == held <= budget
     assert list(fresh_store._entries) == [16411]
 
@@ -240,6 +239,54 @@ def test_closed_form_phases_equal_recurrence_at_large_p(p):
     expect = u * (triangular_mod(np.int64(ts), p) - triangular_mod(idx, p)) % p
     assert np.array_equal(phases[DFT], expect)
     assert np.array_equal(phases[IDFT], phases[DFT][(-k) % p])
+
+
+# 8209 is the first prime >= 2 * _BLOCK (two blocks); 12289 splits into
+# blocks of 4096, 4096 and 4097 bins
+BLOCKED_PRIMES = [8209, 12289]
+
+
+@pytest.mark.parametrize("p", BLOCKED_PRIMES)
+def test_blocked_phases_equal_recurrence(p):
+    assert 2 * transform._BLOCK <= 8209
+    for u, ts, direction in ((25, 7, DFT), (p - 2, (p - 1) // 2, IDFT)):
+        pl = plan(ZcParams(p=p, u=u, ts=ts), direction)
+        assert np.array_equal(phase_indices(pl), phase_indices_recurrence(pl, OpCounters()))
+
+
+@pytest.mark.parametrize("p", BLOCKED_PRIMES + [65537, 1000003])
+def test_blocked_execute_equals_whole_length_gather(p):
+    for direction in (DFT, IDFT):
+        pl = plan(ZcParams(p=p, u=25, ts=(p - 1) // 2), direction)
+        assert np.array_equal(execute(pl), transform._gather(pl, phase_indices(pl)))
+
+
+def test_block_kernel_is_exact_at_the_prime_cap():
+    # the largest iu and fs at the largest p the library accepts; a plan with
+    # an empty table, since the kernel never reads it
+    p = 2**31 - 1
+    pl = transform.TransformPlan(
+        params=ZcParams(p=p, u=p - 1),
+        direction=DFT,
+        iu=p - 1,
+        ell=1,
+        fs=p - 1,
+        qpo_times4=0,
+        twiddles=np.empty(0, dtype=np.complex128),
+        const_factor=1 + 0j,
+    )
+    n = p // transform._BLOCK
+    picked = {0: None, n // 2: None, n - 1: None}
+    end = 0
+    for i, (lo, hi) in enumerate(transform._block_bounds(p)):
+        assert lo == end and transform._BLOCK <= hi - lo <= 2 * transform._BLOCK
+        end = hi
+        if i in picked:
+            picked[i] = lo, hi
+    assert end == p
+    for lo, hi in picked.values():
+        expect = [(k * pl.fs - pl.iu * (k * (k + 1) // 2)) % p for k in range(lo, hi)]
+        assert transform._block_phases(pl, lo, hi - lo).tolist() == expect
 
 
 @given(cases, st.sampled_from([DFT, IDFT]))
