@@ -141,7 +141,9 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "fast_ns": _median_ns(lambda: transform.execute(pl), reps),
         "phase_ns": _median_ns(lambda: transform.phase_indices(pl), reps),
         "gather_ns": _median_ns(lambda: transform._gather(pl, phases), reps),
-        "reference_ns": _median_ns(lambda: oracle.shifted_dft_identity(params, transform.DFT), reps),
+        "reference_ns": _median_ns(
+            lambda: oracle.shifted_dft_identity(params, transform.DFT), reps
+        ),
         "naive_ns": _median_ns(lambda: oracle.naive_dft(x), reps),
         "additions": counters.additions,
         "modulo_reductions": counters.modulo_reductions,
@@ -229,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(handler=cmd_bench)
     sp.add_argument(
-        "--p", type=int, action="append", help="prime sequence length; repeat for several (default 839)"
+        "--p",
+        type=int,
+        action="append",
+        help="prime sequence length; repeat for several (default 839)",
     )
     sp.add_argument("--u", type=int, default=25, help="root, in [1, p-1]")
     sp.add_argument("--ts", type=int, default=0, help="cyclic shift, in [0, p-1]")

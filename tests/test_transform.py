@@ -241,14 +241,15 @@ def test_closed_form_phases_equal_recurrence_at_large_p(p):
     assert np.array_equal(phases[IDFT], phases[DFT][(-k) % p])
 
 
-# 8209 is the first prime >= 2 * _BLOCK (two blocks); 12289 splits into
-# blocks of 4096, 4096 and 4097 bins
-BLOCKED_PRIMES = [8209, 12289]
+# 8209 is the first prime >= 2 * _BLOCK, the first with two blocks; 12289
+# has three blocks of unequal length
+BLOCK_LENGTHS = {8209: [4104, 4105], 12289: [4096, 4096, 4097]}
+BLOCKED_PRIMES = list(BLOCK_LENGTHS)
 
 
 @pytest.mark.parametrize("p", BLOCKED_PRIMES)
 def test_blocked_phases_equal_recurrence(p):
-    assert 2 * transform._BLOCK <= 8209
+    assert [hi - lo for lo, hi in transform._block_bounds(p)] == BLOCK_LENGTHS[p]
     for u, ts, direction in ((25, 7, DFT), (p - 2, (p - 1) // 2, IDFT)):
         pl = plan(ZcParams(p=p, u=u, ts=ts), direction)
         assert np.array_equal(phase_indices(pl), phase_indices_recurrence(pl, OpCounters()))
