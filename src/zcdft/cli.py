@@ -148,6 +148,7 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "additions": counters.additions,
         "modulo_reductions": counters.modulo_reductions,
         "exp_evaluations": counters.exp_evaluations,
+        "table_bytes": pl.twiddles.nbytes,
     }
 
 
@@ -227,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
         "execute runs block by block and these run whole-length. plan_ns is a "
         "median over reps, so it times a kept table whenever p fits the "
         "per-length store. exp_evaluations counts the p table lookups of the "
-        "gather, not calls to exp.",
+        "gather, not calls to exp. table_bytes is what the plan holds: the "
+        "whole table of a kept length, or the two sqrt(p)-length factors of "
+        "one too large to keep.",
     )
     sp.set_defaults(handler=cmd_bench)
     sp.add_argument(

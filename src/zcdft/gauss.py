@@ -15,6 +15,8 @@ is stored exactly as the integer 4*QPo.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +85,8 @@ def const_from_qpo(p: int, qpo_times4: int) -> complex:
     """sqrt(p) * exp(i*2*pi*QPo/p) computed from the exact integer 4*QPo.
 
     Reduces 4*QPo mod 4p first, keeping the trig argument in [0, 2*pi).
+    math.sqrt and cmath.exp round as np.sqrt and np.exp do, bit for bit, at
+    a fraction of the cost of numpy's scalar calls; plan calls this once.
     """
     q4 = qpo_times4 % (4 * p)
-    return complex(np.sqrt(p) * np.exp(2j * np.pi * q4 / (4 * p)))
+    return math.sqrt(p) * cmath.exp(2j * math.pi * q4 / (4 * p))

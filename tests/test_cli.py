@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from zcdft import transform
 from zcdft.cli import main
 from zcdft.pattern import export_pattern, flip_conjugate, flip_dft, make_pattern
 from zcdft.sequences import ZcParams, zc_time
@@ -155,8 +156,11 @@ def test_verify_pmax61_under_ten_seconds(capsys):
     assert elapsed < 10.0
 
 
-def test_bench_report_schema_and_counts(capsys):
-    # 8209 is the first prime of two blocks (2 * transform._BLOCK = 8192)
+def test_bench_report_schema_and_counts(capsys, monkeypatch):
+    # 8209 is the first prime of two blocks (2 * transform._BLOCK = 8192); a
+    # store bounded to 139's table keeps 139 and leaves 8209 factored
+    store = transform._LengthStore(transform._entry_bytes(139))
+    monkeypatch.setattr(transform, "_STORE", store)
     code, out = run_cli(capsys, "bench", "--p", "139", "--p", "8209", "--u", "25", "--reps", "2")
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()]
@@ -176,6 +180,7 @@ def test_bench_report_schema_and_counts(capsys):
             "additions",
             "modulo_reductions",
             "exp_evaluations",
+            "table_bytes",
         ]
         assert report["u"] == 25 and report["reps"] == 2
         assert report["additions"] == 2 * (p - 1)
@@ -184,6 +189,8 @@ def test_bench_report_schema_and_counts(capsys):
         assert 0 < report["fast_ns"] < report["naive_ns"]
         assert report["phase_ns"] > 0 and report["gather_ns"] > 0
         assert report["plan_ns"] > 0
+    m = transform._split(8209)
+    assert [r["table_bytes"] for r in reports] == [16 * 139, 16 * (m + -(-8209 // m))]
 
 
 def test_cli_outputs_are_deterministic(capsys):

@@ -83,10 +83,13 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
     # bound, so it and 32749 cannot be kept together
     for p in PRACH_LENGTHS + ODD_PRIMES_199 + [65537, 16381, 32749, 32771, 16411]:
         before = fresh_store.nbytes
-        plan(ZcParams(p=p, u=1), DFT)
+        pl = plan(ZcParams(p=p, u=1), DFT)
         assert (p in fresh_store._entries) == (transform._entry_bytes(p) <= budget)
         if p in (65537, 32771):
             assert fresh_store.nbytes == before
+            assert pl.split == transform._split(p)
+        else:
+            assert pl.split == 0 and pl.twiddles is fresh_store.peek(p)
         held = sum(table.base.nbytes for table in fresh_store._entries.values())
         assert fresh_store.nbytes == held <= budget
     assert list(fresh_store._entries) == [16411]
@@ -148,10 +151,15 @@ EPS_LD = np.finfo(np.longdouble).eps
 @pytest.mark.skipif(EPS_LD == EPS, reason="np.longdouble is float64 here: no more precise reference")
 @pytest.mark.parametrize("p", [5, 17, 139, 839, 65537, 1000003])
 def test_twiddle_table_error_within_derived_bound(p):
-    table = plan(ZcParams(p=p, u=1), DFT).twiddles
+    pl = plan(ZcParams(p=p, u=1), DFT)
+    held = pl.twiddles
+    assert not held.flags.writeable
+    assert held.base is None or not held.base.flags.writeable
+    # 65537 and 1000003 are not kept: their plans hold lo and hi, and the
+    # entries are the products the gather forms
+    m = pl.split
+    table = np.multiply.outer(held[m:], held[:m]).ravel()[:p] if m else held
     assert table.shape == (p,)
-    assert not table.flags.writeable
-    assert table.base is None or not table.base.flags.writeable
     # the long-double reference errs by at most ~(3*pi + sqrt(2)) EPS_LD;
     # 16 EPS_LD covers that and the second-order terms of the bound
     theta = 2 * (4 * np.arctan(np.longdouble(1))) * np.arange(p, dtype=np.longdouble) / p
@@ -288,6 +296,33 @@ def test_block_kernel_is_exact_at_the_prime_cap():
     for lo, hi in picked.values():
         expect = [(k * pl.fs - pl.iu * (k * (k + 1) // 2)) % p for k in range(lo, hi)]
         assert transform._block_phases(pl, lo, hi - lo).tolist() == expect
+
+
+# 32771 is the first length whose table the store does not keep
+@pytest.mark.parametrize("p", [32771, 65537, 131071, 1000003])
+def test_factored_execute_equals_table_gather(p):
+    table = transform._twiddle_table(p)
+    for direction in (DFT, IDFT):
+        pl = plan(ZcParams(p=p, u=25, ts=(p - 1) // 2), direction)
+        assert pl.split == transform._split(p)
+        assert np.array_equal(execute(pl), table[phase_indices(pl)] * pl.const_factor)
+
+
+def test_plan_at_the_prime_cap_holds_only_factors():
+    # ~1.5 MB of factors instead of a 34 GB table; execute is not called
+    p = 2**31 - 1
+    pl = plan(ZcParams(p=p, u=p - 1, ts=7), DFT)
+    m = pl.split
+    assert m == transform._split(p)
+    assert pl.twiddles.nbytes == 16 * (m + -(-p // m))
+    assert not pl.twiddles.flags.writeable
+    lo, hi = pl.twiddles[:m], pl.twiddles[m:]
+    bounds = list(transform._block_bounds(p))
+    for k0, k1 in (bounds[0], bounds[-1]):
+        phases = [(k * pl.fs - pl.iu * (k * (k + 1) // 2)) % p for k in range(k0, k1)]
+        a, b = [r // m for r in phases], [r % m for r in phases]
+        got = transform._gather(pl, transform._block_phases(pl, k0, k1 - k0))
+        assert np.array_equal(got, hi[a] * lo[b] * pl.const_factor)
 
 
 @given(cases, st.sampled_from([DFT, IDFT]))
