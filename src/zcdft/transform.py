@@ -405,10 +405,16 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
 
 
 def _gather(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
-    """const_factor * twiddles[phases], scaled in place; hi[a] * lo[b] if factored."""
+    """const_factor * twiddles[phases], scaled in place; hi[a] * lo[b] if factored.
+
+    A factored plan's phases split as execute's blocks split them, a =
+    phases // m and b = phases - a*m: the same integers as np.divmod, whose
+    int64 remainder does not go through libdivide.
+    """
     m = pl.split
     if m:
-        a, b = np.divmod(phases, m)
+        a = phases // m
+        b = phases - a * m
         out = pl.twiddles[m:][a]
         out *= pl.twiddles[b]
     else:

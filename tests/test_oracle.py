@@ -48,6 +48,55 @@ def test_zc_spectrum_bin0_matches_gauss_constant():
     assert out[0] == pytest.approx(BRUTE_13_3, abs=1e-12)
 
 
+def _per_sample_kahan(x, sign):
+    # the summation loop the chunked kernel must reproduce, one n at a time
+    p = len(x)
+    table = np.exp(sign * 2j * np.pi * np.arange(p) / p)
+    k = np.arange(p)
+    acc = np.zeros(p, dtype=np.complex128)
+    comp = np.zeros(p, dtype=np.complex128)
+    for n in range(p):
+        y = x[n] * table[(n * k) % p] - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+    return acc
+
+
+@pytest.mark.parametrize("p", [5, 61, 839])
+def test_chunked_sum_equals_per_sample_loop(p):
+    for u, ts in ((1, 0), (p - 1, (p - 1) // 2)):
+        x = zc_time(ZcParams(p=p, u=u, ts=ts))
+        assert np.array_equal(naive_dft(x), _per_sample_kahan(x, -1))
+        assert np.array_equal(naive_idft(x), _per_sample_kahan(x, +1))
+
+
+@pytest.mark.parametrize("p", [5, 31, 199, 839])
+def test_stacked_cases_equal_one_case_calls(p):
+    # every root with ts in {0, 1}, or 4 roots at 839, where both the stacked
+    # and the one-case call sum over several chunks of terms
+    if p < 839:
+        cases = [(u, ts) for u in range(1, p) for ts in (0, 1)]
+    else:
+        cases = [(1, 0), (2, 1), (419, 0), (838, 1)]
+    x = np.stack([zc_time(ZcParams(p=p, u=u, ts=ts)) for u, ts in cases])
+    for naive in (naive_dft, naive_idft):
+        out = naive(x)
+        assert out.shape == x.shape
+        for row, case in zip(out, x):
+            assert np.array_equal(row, naive(case))
+        assert np.array_equal(naive(x.reshape(2, -1, p)), out.reshape(2, -1, p))
+
+
+def test_real_and_one_dimensional_inputs_keep_shape(rng):
+    x = rng.normal(size=13)
+    for naive in (naive_dft, naive_idft):
+        out = naive(x)
+        assert out.shape == (13,) and out.dtype == np.complex128
+        assert np.array_equal(out, naive(x.astype(np.complex128)))
+        assert np.array_equal(naive(x.tolist()), out)
+
+
 def test_brute_gauss_sum_frozen_values():
     assert brute_gauss_sum(ZcParams(p=13, u=3)) == pytest.approx(BRUTE_13_3, abs=1e-14)
     assert brute_gauss_sum(ZcParams(p=7, u=1)) == pytest.approx(BRUTE_7_1, abs=1e-14)

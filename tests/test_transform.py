@@ -263,6 +263,8 @@ def test_blocked_phases_equal_recurrence(p):
         assert np.array_equal(phase_indices(pl), phase_indices_recurrence(pl, OpCounters()))
 
 
+# 65537 and 1000003 have factored plans: _gather's whole-length split into
+# phases // m and phases - (phases // m)*m against execute's per-block one
 @pytest.mark.parametrize("p", BLOCKED_PRIMES + [65537, 1000003])
 def test_blocked_execute_equals_whole_length_gather(p):
     for direction in (DFT, IDFT):
