@@ -127,6 +127,11 @@ def _median_ns(fn, reps: int) -> int:
     return int(statistics.median(times))
 
 
+# naive_ns times the O(p^2) oracle --reps times: about 1 s per rep at
+# p = 8209 and over a minute at 65537, so above this length it is null
+_NAIVE_PMAX = 10_000
+
+
 def _bench_report(params: ZcParams, reps: int) -> dict:
     pl = transform.plan(params, transform.DFT)
     phases = transform.phase_indices(pl)
@@ -144,7 +149,9 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "reference_ns": _median_ns(
             lambda: oracle.shifted_dft_identity(params, transform.DFT), reps
         ),
-        "naive_ns": _median_ns(lambda: oracle.naive_dft(x), reps),
+        "naive_ns": (
+            _median_ns(lambda: oracle.naive_dft(x), reps) if params.p <= _NAIVE_PMAX else None
+        ),
         "additions": counters.additions,
         "modulo_reductions": counters.modulo_reductions,
         "exp_evaluations": counters.exp_evaluations,
@@ -230,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         "per-length store. exp_evaluations counts the p table lookups of the "
         "gather, not calls to exp. table_bytes is what the plan holds: the "
         "whole table of a kept length, or the two sqrt(p)-length factors of "
-        "one too large to keep.",
+        "one too large to keep. naive_ns times the O(p^2) oracle only up to "
+        f"p = {_NAIVE_PMAX} and is null above it.",
     )
     sp.set_defaults(handler=cmd_bench)
     sp.add_argument(

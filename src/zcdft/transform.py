@@ -19,15 +19,18 @@ execute runs that closed form in blocks of _BLOCK to 2*_BLOCK bins
 (_block_phases): a block's phases, its gather from the table and its scale
 are done while its arrays stay in L2, instead of as whole-length passes.
 Within a block the closed form needs only j and T(j) for j < 2*_BLOCK, two
-read-only module arrays that do not depend on p.
+read-only module arrays that do not depend on p. _BLOCK = 2**14 won a sweep
+of 2**12 to 2**15 (see TransformPlan), so every p < 2**15 is one block.
 
 The root enters only through iu and fs. The twiddle table depends on p
 alone, so it is kept per length in one bounded store (_LengthStore) and
 shared by every root, shift and direction of p. A length whose table the
 store does not keep (p > 32749) would use its p entries once, so its plan
 holds only the two sqrt(p)-length factors of the table, and execute gathers
-hi[a] * lo[b] per block: p bins cost 2*ceil(sqrt(p)) exps and no p-entry
-table, and the spectra stay bit-identical to a gather from the whole table.
+hi[a] * lo[b] per block, a = phase >> s and b = phase & (m - 1) for the
+power of two m = 2**s: p bins cost m + ceil(p/m) < 2.5*sqrt(p) + 1 exps and
+no p-entry table, and the spectra stay bit-identical to a gather from the
+whole table.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ class OpCounters:
     """Tallies of the work done by the counted recurrence; owned by the caller.
 
     exp_evaluations counts the p table lookups of the gather, one per output,
-    not calls to exp: plan builds the table with 2*ceil(sqrt(p)) exps. The
-    name stays because the bench reports (zcdft bench, perfbench) use it as
-    a key.
+    not calls to exp: plan builds the table with m + ceil(p/m) exps, m ~
+    sqrt(p) (see TransformPlan). The name stays because the bench reports
+    (zcdft bench, perfbench) use it as a key.
     """
 
     additions: int = 0
@@ -75,29 +78,36 @@ class TransformPlan:
     the IDFT, reduced into [0, p-1]; the two directions differ by nothing
     else.
 
-    The table is built from two sqrt(p)-length tables: with
-    m = isqrt(p-1) + 1 and j = a*m + b, twiddles[j] = hi[a] * lo[b], where
-    lo[b] = exp(-i*2*pi*b/p) for b < m and hi[a] = exp(-i*2*pi*a*m/p) for
-    a < ceil(p/m). That is 2*ceil(sqrt(p)) complex exps and p complex
-    multiplies, not p exps.
+    The table is built from two sqrt(p)-length tables: with m = 2**s the
+    least power of two with m*m >= p (_split) and j = a*m + b,
+    twiddles[j] = hi[a] * lo[b], where lo[b] = exp(-i*2*pi*b/p) for b < m
+    and hi[a] = exp(-i*2*pi*a*m/p) for a < ceil(p/m). With sqrt(p) <= m <
+    2*sqrt(p), that is m + ceil(p/m) < 2.5*sqrt(p) + 1 complex exps and p
+    complex multiplies, not p exps. A power of two splits a phase r into
+    a = r >> s and b = r & (m - 1), two cheap integer passes, where r // m
+    and r - m*(r // m) take three; kept tables use the same m, so both
+    forms hold the same products.
 
     split says which form the plan holds, and the store's keep rule decides
     it (_LengthStore). split = 0: twiddles is the whole p-entry table, shared
     by every plan of p while the store keeps it. split = m: p's table is too
     large to keep, so twiddles is lo followed by hi, m + ceil(p/m) entries,
-    and the table is never formed; the gather reads hi[phase // m] and
-    lo[phase % m] and multiplies them. Each product is one complex multiply
-    of the same two complex128 values that np.multiply.outer(hi, lo)
-    multiplies for entry a*m + b, and numpy rounds it the same way whether
-    one operand is broadcast (the outer product) or both are arrays (the
-    gather). So it is the table entry bit for bit, and so are the spectra.
+    and the table is never formed; the gather reads hi[phase >> s] and
+    lo[phase & (m - 1)] and multiplies them. Each product is one complex
+    multiply of the same two complex128 values that np.multiply.outer(hi,
+    lo) multiplies for entry a*m + b, and numpy rounds it the same way
+    whether one operand is broadcast (the outer product) or both are arrays
+    (the gather). So it is the table entry bit for bit, and so are the spectra.
     Either form is read-only, and so is its base.
 
     Error of each entry, with eps the float64 epsilon and u = eps/2:
     - argument: each factor's angle 2*pi*n/p takes three roundings (fl(2*pi),
       the division by p, the product with n), so it is off by at most
       gamma_3 = 3u/(1-3u) of itself. The two angles add up to 2*pi*j/p < 2*pi,
-      so the phase of the product is off by at most 2*pi*gamma_3 ~ 3*pi*eps;
+      so the phase of the product is off by at most 2*pi*gamma_3 ~ 3*pi*eps.
+      This holds for any m: every hi angle is 2*pi*a*m/p with a*m < p and
+      every lo angle 2*pi*b/p with b < m < p, so the power-of-two split
+      changes the last bits of entries but not the bound;
     - exp: libm's cos and sin are within one ulp, at most eps/2 for values
       of magnitude at most 1, so each factor is off by at most eps/sqrt(2);
     - product: one complex multiply adds sqrt(2)*gamma_2 ~ sqrt(2)*eps
@@ -111,21 +121,27 @@ class TransformPlan:
         phase_k0+j = (base + j*slope - iu*T(j)) mod p,
         slope = (fs - iu*k0) mod p,  base = (k0*fs - iu*T(k0)) mod p,
     with slope and base taken exactly as Python ints. With j < 2*_BLOCK =
-    2**13, T(j) < 2**26, so iu*T(j) < 2**57 and j*slope < 2**44: the int64
-    sum stays exact, and one reduction per bin gives the same integers as
-    the counted recurrence. Below 2*_BLOCK there is one block, k0 = 0, and
-    the phases take two multiplies, a subtract and a reduction.
+    2**15 and iu, slope, base < p < 2**31, T(j) < 2**29, so iu*T(j) < 2**60
+    and j*slope < 2**46: the int64 sum stays exact, and one reduction per
+    bin gives the same integers as the counted recurrence. _BLOCK = 2**15
+    would still fit (iu*T(j) < 2**62); at 2**16, iu*T(j) reaches 2**64. Below
+    2*_BLOCK there is one block, k0 = 0, and the phases take two
+    multiplies, a subtract and a reduction.
 
-    _BLOCK = 2**12 bins: a block's int64 phases and scratch (64 KB each at
-    most), its output slice (128 KB) and the j and T(j) arrays (64 KB each),
-    and for a factored plan its complex scratch (128 KB) and the factors
-    (32 KB at p = 10**6), stay in L2 from the phases to the scale, while
-    per-block interpreter work stays a few microseconds against the block's
-    tens. No block is shorter than _BLOCK, so every block's scale runs the
-    same numpy complex-multiply loop as one whole-length multiply and the
-    spectra are bit-identical to it; with fixed blocks of _BLOCK, the 1-bin
-    last block at p = 65537 took the other loop and changed that bin in its
-    last bit.
+    _BLOCK = 2**14 bins, from a sweep of 2**12 to 2**15 over plan + execute
+    at 24 random primes in [2**16, 2**20] with caches evicted between
+    operations (2-vCPU Xeon, 2 MB of L2 per core, numpy 2.4.6): speed
+    against 2**12, median of per-case ratios, read 1.20-1.21 at 2**13,
+    1.32 at 2**14 and 1.20-1.25 at 2**15. Each block makes about 14 numpy
+    calls of 0.5-1 us fixed cost each, which smaller blocks pay more
+    often; at 2**14 a block's int64 phases and scratch (256 KB each at
+    most), its output slice (512 KB), the j and T(j) it reads (256 KB
+    each) and a factored plan's complex scratch (512 KB) still about fit
+    that L2. No block is shorter than _BLOCK, so every block's scale runs
+    the same numpy complex-multiply loop as one whole-length multiply and
+    the spectra are bit-identical to it; with fixed blocks of _BLOCK, the
+    1-bin last block at p = 65537 took the other loop and changed that bin
+    in its last bit.
     """
 
     params: ZcParams
@@ -172,8 +188,11 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
 
 
 def _split(p: int) -> int:
-    """m = isqrt(p-1) + 1: the table is hi[a] * lo[b] at a*m + b (see TransformPlan)."""
-    return math.isqrt(p - 1) + 1
+    """m, the least power of two with m*m >= p: the table is hi[a] * lo[b] at a*m + b.
+
+    A phase r splits as a = r >> s, b = r & (m - 1), m = 2**s (see TransformPlan).
+    """
+    return 1 << math.isqrt(p - 1).bit_length()
 
 
 def _twiddle_factors(p: int) -> np.ndarray:
@@ -222,13 +241,16 @@ class _LengthStore:
     table.
 
     The bound, _STORE_BYTES = 512 KiB, holds every PRACH length (139, 571,
-    839, 1151: 43 KB) and the whole acceptance grid (5 <= p <= 199: 71 KB)
+    839, 1151: 43 KB) and the whole acceptance grid (5 <= p <= 199: 72 KB)
     several times over, and it is small next to the ~27 MB peak RSS of
-    importing numpy. A table takes 16*m*ceil(p/m) bytes, about 16*p; the
-    longest length it can keep is 32749 (524176 bytes; 32771 would need
-    527072), so no large p is ever held (65537 would need 1.05 MB): there
-    lengths rarely repeat, and a plan holds 16*(m + ceil(p/m)) bytes of
-    factors, 8 KB at 65537 and 1.5 MB at 2**31-1.
+    importing numpy. A table takes 16*m*ceil(p/m) bytes, about 16*p with
+    m the power of two of _split; the longest length it can keep is 32749
+    (exactly 524288 bytes; 32771 would need 528384), so no large p is ever
+    held (65537 would need 1.06 MB): there lengths rarely repeat, and a plan
+    holds 16*(m + ceil(p/m)) bytes of factors, 10 KB at 65537 and 1.5 MB at
+    2**31-1. Every execute block of a length the store keeps is that
+    length's only block (32749 < 2*_BLOCK), so kept tables are gathered
+    once per spectrum, whole.
     """
 
     def __init__(self, budget: int):
@@ -273,7 +295,7 @@ class _LengthStore:
 
 _STORE = _LengthStore(_STORE_BYTES)
 
-_BLOCK = 1 << 12
+_BLOCK = 1 << 14
 
 # j and T(j) = j(j+1)/2 for j < 2*_BLOCK, the same for every p
 _J = np.arange(2 * _BLOCK, dtype=np.int64)
@@ -307,11 +329,14 @@ def _block_phases(
     not given; tmp is left holding scratch. It reads no table, so any block
     of any p can be checked against Python ints without building one.
 
-    With several blocks the reduction is x - p*(x // p): numpy divides an
+    From p = 8192 on the reduction is x - p*(x // p): numpy divides an
     int64 array by a scalar through libdivide for // but not for %, so on
     an 8192-bin block the three passes cost about a third of one
-    np.remainder. Below 2*_BLOCK, one block, the reduction is np.remainder:
-    at p <= 571 the two extra numpy calls cost more than they save.
+    np.remainder. Below 8192 the reduction is np.remainder: timed alone,
+    floor division lost at 139 and 571 and won from 839 on, and on the
+    prach mix the two were within noise. The crossover is in p, not in
+    _BLOCK, so the one-block lengths 8192 to 2*_BLOCK - 1 keep floor
+    division.
     """
     p, iu, fs = pl.params.p, pl.iu, pl.fs
     phases = np.multiply(_J[:n], (fs - iu * k0) % p, out=out)
@@ -319,7 +344,7 @@ def _block_phases(
     phases -= tmp
     if k0:
         phases += (k0 * fs - iu * (k0 * (k0 + 1) // 2)) % p
-    if p < 2 * _BLOCK:
+    if p < 8192:
         return np.remainder(phases, p, out=phases)
     np.floor_divide(phases, p, out=tmp)
     tmp *= p
@@ -371,8 +396,8 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     """out[k] = const_factor * twiddles[phase_k], with closed-form phases.
 
     Each block's phases, gather and scale run before the next block starts;
-    a factored plan's gather is hi[phase // m] * lo[phase % m] (see
-    TransformPlan). With counters, the phases come from the counted
+    a factored plan's gather is hi[phase >> s] * lo[phase & (m - 1)], m = 2**s
+    (see TransformPlan). With counters, the phases come from the counted
     recurrence instead, which gives the same integers and so the same output.
     """
     if counters is not None:
@@ -386,6 +411,7 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     tmp = np.empty(2 * _BLOCK, dtype=np.int64)
     if m:
         lo, hi = pl.twiddles[:m], pl.twiddles[m:]
+        s = m.bit_length() - 1
         scratch = np.empty(2 * _BLOCK, dtype=np.complex128)
     for k0, k1 in _block_bounds(p):
         n = k1 - k0
@@ -394,10 +420,9 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
         # every index is in range, so "clip" never clips; unlike "raise" it
         # writes into the output directly instead of through a buffer
         if m:
-            a = np.floor_divide(r, m, out=tmp[:n])
-            np.take(hi, a, out=block, mode="clip")
-            r -= np.multiply(a, m, out=a)
-            block *= np.take(lo, r, out=scratch[:n], mode="clip")
+            np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
+            b = np.bitwise_and(r, m - 1, out=r)
+            block *= np.take(lo, b, out=scratch[:n], mode="clip")
         else:
             np.take(pl.twiddles, r, out=block, mode="clip")
         block *= pl.const_factor
@@ -408,15 +433,13 @@ def _gather(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
     """const_factor * twiddles[phases], scaled in place; hi[a] * lo[b] if factored.
 
     A factored plan's phases split as execute's blocks split them, a =
-    phases // m and b = phases - a*m: the same integers as np.divmod, whose
-    int64 remainder does not go through libdivide.
+    phases >> s and b = phases & (m - 1) with m = 2**s: the same integers
+    as phases // m and phases % m.
     """
     m = pl.split
     if m:
-        a = phases // m
-        b = phases - a * m
-        out = pl.twiddles[m:][a]
-        out *= pl.twiddles[b]
+        out = pl.twiddles[m:][phases >> (m.bit_length() - 1)]
+        out *= pl.twiddles[phases & (m - 1)]
     else:
         out = pl.twiddles[phases]
     out *= pl.const_factor

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from zcdft import transform
+from zcdft import cli, transform
 from zcdft.cli import main
 from zcdft.pattern import export_pattern, flip_conjugate, flip_dft, make_pattern
 from zcdft.sequences import ZcParams, zc_time
@@ -157,8 +157,9 @@ def test_verify_pmax61_under_ten_seconds(capsys):
 
 
 def test_bench_report_schema_and_counts(capsys, monkeypatch):
-    # 8209 is the first prime of two blocks (2 * transform._BLOCK = 8192); a
-    # store bounded to 139's table keeps 139 and leaves 8209 factored
+    # 8209 is one block whose phases reduce by floor division (from p = 8192
+    # on), and naive_ns is timed up to cli._NAIVE_PMAX; a store bounded to
+    # 139's table keeps 139 and leaves 8209 factored
     store = transform._LengthStore(transform._entry_bytes(139))
     monkeypatch.setattr(transform, "_STORE", store)
     code, out = run_cli(capsys, "bench", "--p", "139", "--p", "8209", "--u", "25", "--reps", "2")
@@ -191,6 +192,14 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
         assert report["plan_ns"] > 0
     m = transform._split(8209)
     assert [r["table_bytes"] for r in reports] == [16 * 139, 16 * (m + -(-8209 // m))]
+
+
+def test_bench_report_keeps_naive_key_as_null_above_its_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_NAIVE_PMAX", 100)
+    code, out = run_cli(capsys, "bench", "--p", "97", "--p", "139", "--reps", "1")
+    assert code == 0
+    naive = [json.loads(line)["naive_ns"] for line in out.splitlines()]
+    assert naive[0] > 0 and naive[1] is None
 
 
 def test_cli_outputs_are_deterministic(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zcdft import transform
-from zcdft.numtheory import mod_inverse, triangular_mod
+from zcdft.numtheory import PRIME_CAP, mod_inverse, triangular_mod
 from zcdft.oracle import naive_dft, naive_idft, shifted_dft_identity
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import (
@@ -249,13 +249,29 @@ def test_closed_form_phases_equal_recurrence_at_large_p(p):
     assert np.array_equal(phases[IDFT], phases[DFT][(-k) % p])
 
 
-# 8209 is the first prime >= 2 * _BLOCK, the first with two blocks; 12289
-# has three blocks of unequal length
-BLOCK_LENGTHS = {8209: [4104, 4105], 12289: [4096, 4096, 4097]}
-BLOCKED_PRIMES = list(BLOCK_LENGTHS)
+# 8209 and 12289 had two and three blocks at _BLOCK = 2**12 and are one block
+# now, reduced by floor division like 32749, the longest one-block length the
+# store keeps; 32771 is the first prime >= 2 * _BLOCK, the first with two
+# blocks, and 49157, the first prime >= 3 * _BLOCK, has three of unequal length
+BLOCK_LENGTHS = {
+    8209: [8209],
+    12289: [12289],
+    32749: [32749],
+    32771: [16385, 16386],
+    49157: [16385, 16386, 16386],
+}
+BLOCKED_PRIMES = [p for p, lengths in BLOCK_LENGTHS.items() if len(lengths) > 1]
 
 
-@pytest.mark.parametrize("p", BLOCKED_PRIMES)
+def test_block_kernel_stays_within_int64():
+    # |base + j*slope - iu*T(j)| is at most the sum of its terms' magnitudes,
+    # here at the largest p, iu, slope, base and j the library accepts
+    p, j = PRIME_CAP - 1, 2 * transform._BLOCK - 1
+    assert j == transform._J[-1] and transform._TJ[-1] == j * (j + 1) // 2
+    assert p * transform._TJ[-1].item() + j * p + PRIME_CAP < 2**63
+
+
+@pytest.mark.parametrize("p", list(BLOCK_LENGTHS))
 def test_blocked_phases_equal_recurrence(p):
     assert [hi - lo for lo, hi in transform._block_bounds(p)] == BLOCK_LENGTHS[p]
     for u, ts, direction in ((25, 7, DFT), (p - 2, (p - 1) // 2, IDFT)):
@@ -263,8 +279,14 @@ def test_blocked_phases_equal_recurrence(p):
         assert np.array_equal(phase_indices(pl), phase_indices_recurrence(pl, OpCounters()))
 
 
-# 65537 and 1000003 have factored plans: _gather's whole-length split into
-# phases // m and phases - (phases // m)*m against execute's per-block one
+@pytest.mark.parametrize("p", PRACH_LENGTHS + [32771, 65537, PRIME_CAP - 1])
+def test_split_is_a_power_of_two_at_least_sqrt_p(p):
+    m = transform._split(p)
+    assert m & (m - 1) == 0 and m * m >= p > (m // 2) ** 2
+
+
+# every length here has a factored plan: _gather's whole-length split into
+# phases >> s and phases & (m - 1) against execute's per-block one
 @pytest.mark.parametrize("p", BLOCKED_PRIMES + [65537, 1000003])
 def test_blocked_execute_equals_whole_length_gather(p):
     for direction in (DFT, IDFT):
@@ -319,12 +341,15 @@ def test_plan_at_the_prime_cap_holds_only_factors():
     assert pl.twiddles.nbytes == 16 * (m + -(-p // m))
     assert not pl.twiddles.flags.writeable
     lo, hi = pl.twiddles[:m], pl.twiddles[m:]
+    s = m.bit_length() - 1
     bounds = list(transform._block_bounds(p))
     for k0, k1 in (bounds[0], bounds[-1]):
         phases = [(k * pl.fs - pl.iu * (k * (k + 1) // 2)) % p for k in range(k0, k1)]
         a, b = [r // m for r in phases], [r % m for r in phases]
-        got = transform._gather(pl, transform._block_phases(pl, k0, k1 - k0))
-        assert np.array_equal(got, hi[a] * lo[b] * pl.const_factor)
+        r = transform._block_phases(pl, k0, k1 - k0)
+        # execute and _gather split by shift and mask
+        assert (r >> s).tolist() == a and (r & (m - 1)).tolist() == b
+        assert np.array_equal(transform._gather(pl, r), hi[a] * lo[b] * pl.const_factor)
 
 
 @given(cases, st.sampled_from([DFT, IDFT]))
