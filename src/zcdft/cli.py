@@ -127,7 +127,7 @@ def _median_ns(fn, reps: int) -> int:
     return int(statistics.median(times))
 
 
-# naive_ns times the O(p^2) oracle --reps times: about 1 s per rep at
+# naive_ns times the O(p^2) oracle --reps times: about 1.3 s per rep at
 # p = 8209 and over a minute at 65537, so above this length it is null
 _NAIVE_PMAX = 10_000
 
