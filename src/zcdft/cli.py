@@ -10,6 +10,7 @@ given the flags; only bench timings vary run to run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -109,10 +110,12 @@ def cmd_verify(parser, args) -> int:
         inject_fault=args.inject_fault,
     )
     results = run_all(cfg)
+    failures = sum(not r.passed for r in results)
+    if args.json:
+        print(json.dumps([dataclasses.asdict(r) for r in results]))
+        return 1 if failures else 0
     width = max(len(r.name) for r in results)
-    failures = 0
     for r in results:
-        failures += not r.passed
         print(result_line(r, width))
     print(f"{len(results) - failures}/{len(results)} property families passed")
     return 1 if failures else 0
@@ -127,8 +130,9 @@ def _median_ns(fn, reps: int) -> int:
     return int(statistics.median(times))
 
 
-# naive_ns times the O(p^2) oracle --reps times: about 1.3 s per rep at
-# p = 8209 and over a minute at 65537, so above this length it is null
+# naive_ns times the O(p^2) oracle --reps times: 0.8-0.9 s per rep at
+# p = 8209, 3.3-6.7 s at 16381 and, growing as p^2, about a minute at 65537,
+# so above this length it is null
 _NAIVE_PMAX = 10_000
 
 
@@ -224,6 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-fault",
         action="store_true",
         help="sanity check: perturb one frequency shift; verification must fail",
+    )
+    sp.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON list of the families (name, passed, max_error, detail, "
+        "seconds) instead of the [PASS]/[FAIL] lines",
     )
 
     sp = sub.add_parser(

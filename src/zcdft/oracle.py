@@ -1,21 +1,44 @@
 """Brute-force ground truth used to validate every fast path.
 
 These are test-only reference implementations: quadratic-time transforms
-with compensated summation, the ZC samples from their unreduced defining
-integer, direct summation of the Gauss constant, and the index-remapping
-identity, the one O(p) reference for the DFT and IDFT of a cyclically
-shifted sequence, for differential testing against both the fast path and
-the quadratic-time transforms.
+summed exactly in integer fixed point, the ZC samples from their unreduced
+defining integer, direct summation of the Gauss constant, and the
+index-remapping identity, the one O(p) reference for the DFT and IDFT of a
+cyclically shifted sequence, for differential testing against both the fast
+path and the quadratic-time transforms.
 Accuracy beats speed here on purpose; the oracle must be at least as
 accurate as the device under test.
 
-The quadratic-time transforms add the p terms x[n] * W^(n*k) of each bin in
-the order n = 0, 1, ..., p-1 with Kahan's compensation. They build those
-terms _CHUNK at a time as a (rows, p) block and run the recurrence over its
-rows with four in-place ufunc calls each; the order and every operation are
-the ones of a per-sample loop, so the output is that loop's bit for bit. x
-may carry leading batch axes, (..., p): a stack of cases is summed in one
-call, row for row the same as one call per case.
+The quadratic-time transforms round each term x[n] * W^(n*k) once to a
+fixed-point grid, add the rounded terms exactly in int64, and round the
+exact sum once to float64 (a long accumulator, after Kulisch, Computer
+Arithmetic and Validity, 2008). An exact sum does not depend on the order
+of its terms, so the terms are built about _CHUNK at a time as a (rows, p)
+block and each block is summed over n in one call. x may carry leading
+batch axes, (..., p); the output does not depend on the chunk size or the
+batch shape, so a stack of cases summed in one call equals one call per
+case.
+
+Error bound, with eps the float64 epsilon, for each bin of each case, where
+sum|x| is the sum of the case's sample moduli and g = 2**(e - _SCALE) its
+grid (2**(e-1) <= max component of |x| < 2**e):
+    |naive_dft(x)[k] - sum_n x[n]*exp(-2*pi*i*n*k/p)|
+        <= (3*pi + 1/sqrt(2) + sqrt(2) + 1/2) * eps * sum|x| + p * g / sqrt(2),
+to first order in eps, and the same for naive_idft. The terms are:
+- table: each entry's angle 2*pi*j/p takes three roundings (fl(pi), the
+  product with j, the division by p), so it is off by at most 2*pi*gamma_3
+  ~ 3*pi*eps; libm's cos and sin add at most eps/2 each, eps/sqrt(2) in all;
+- product: one complex multiply adds sqrt(2)*gamma_2 ~ sqrt(2)*eps of
+  |x[n]| (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.5);
+- grid: rounding a term's two components to g adds at most g/sqrt(2);
+- the one final rounding adds eps/2 of the sum, at most eps/2 * sum|x|.
+For a ZC sequence, sum|x| = p and g = eps/2, so the bound is about
+12.4 * p * eps, that is 12.4 * sqrt(p) in units of eps*sqrt(p). It is a
+worst case: every term's error would have to point the same way. Measured
+against a long-double DFT of the same samples (5 roots, ts = 7, both
+directions) the error reads 3.1, 3.3, 3.7, 5.3 and 5.4 eps*sqrt(p) at
+p = 61, 139, 199, 839 and 2503, as the Kahan-summed loop this replaced did
+within 0.15.
 """
 
 from __future__ import annotations
@@ -30,65 +53,102 @@ from .sequences import ZcParams, zc_time
 from .transform import DFT, require_direction
 
 
-# Terms per chunk of _compensated_transform: a chunk's gathered factors and
-# terms (256 KB each) and its int64 indices and the per-call index table
-# (128 KB each) stay in L2 from the build to the last row. Building all p*p
-# terms at once made p = 839 more than twice as slow (12 -> 27 ms).
-_CHUNK = 1 << 14
+# Terms per chunk of _exact_transform, for one case at a time. The product
+# overwrites the gathered factors, so a chunk's temporaries are its int64
+# indices (64 KB), its terms (128 KB) and their int64 values (128 KB). That
+# stays in L2 and below glibc's 128 KB mmap threshold: with 2**14 terms per
+# chunk every call page-faulted its temporaries in afresh, 115 faults at
+# p = 139, and took 1.9 times as long. A stack summed with its cases side by
+# side in one chunk of 2**14 rows*cases faulted in the same way and took 3.3
+# times as long at p = 199. Since rows*p <= _CHUNK and rows <= p,
+# rows <= sqrt(_CHUNK) < 91, so one chunk fits in the low word (_CARRY_ROWS).
+_CHUNK = 1 << 13
+
+# A case is scaled so that its largest component is below 2**_SCALE. A term's
+# components are then at most 2**(_SCALE + 1), so the low word, below 2**32
+# after a carry, takes up to _CARRY_ROWS rows of terms and stays below 2**63.
+_SCALE = 54
+_CARRY_ROWS = 2 ** (62 - _SCALE) - 1
+_LOW = (1 << 32) - 1
 
 
-def _compensated_transform(x: np.ndarray, sign: int) -> np.ndarray:
-    """O(p^2) DFT (sign=-1) or unnormalized IDFT (sign=+1), Kahan-summed.
+def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
+    """O(p^2) DFT (sign=-1) or unnormalized IDFT (sign=+1), summed exactly.
 
     Twiddle arguments are reduced as integers (n*k mod p) so every factor is
-    an exact table entry; the accumulation across the p terms of each bin is
-    compensated so rounding does not grow with p.
+    an exact table entry. Each case (each row of the leading axes) is scaled
+    by 2**(_SCALE - e), where 2**(e-1) <= max component of |x| < 2**e: a
+    power of two, so the scaling is exact, and np.ldexp applies it where the
+    factor itself would not be a float (2**1050 for inputs near 1e-300).
 
     x has shape (..., p); leading axes are independent cases. The terms are
-    built for `rows` consecutive n at a time, rows*x.size close to _CHUNK
-    and at least one: the indices n*k mod p of a chunk are its first row's
+    built for `rows` consecutive n at a time, rows*p close to _CHUNK and at
+    least one: the indices n*k mod p of a chunk are its first row's
     (n0*k mod p) plus j*k mod p for j < rows, computed once per call, and
     their sum, below 2p, indexes the table written twice, so no term needs
-    its own reduction. The integers are those of n*k mod p, so every factor
-    is the same table entry. Each term is x[n] * W^(n*k) with x as the first
-    operand: numpy's complex multiply is not bitwise commutative here, and
-    with the table entry first all of 2508 sampled cases of the p <= 199
-    grid differed from the per-sample loop in the last bit.
-    The rows then run in n order through y = term - comp, t = acc + y,
-    comp = (t - acc) - y, acc = t, the same operations in the same order as
-    a loop over n, so the output is the same bit for bit.
+    its own reduction. Each case gathers its own chunk of factors and
+    multiplies them by x[n], with x as the first operand. The terms' float64
+    components are rounded to integers, cast to int64 and summed over the
+    chunk's rows in one call; the chunk sum is added to a low word whose
+    bits from 32 up are carried into a high word at least every _CARRY_ROWS
+    rows, so no p can overflow. hi*2**32 + lo, lo < 2**32 after the last
+    carry, is the exact sum of the rounded terms; it is rounded once
+    (hi*2**32 is exact in float64 while |hi| < 2**53, which holds for
+    p < 2**30) and scaled back exactly, unless it underflows.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.ascontiguousarray(x, dtype=np.complex128)
     p = x.shape[-1]
-    table = np.exp(sign * 2j * np.pi * np.arange(p) / p)
-    wrapped = np.concatenate((table, table))
+    parts = x.view(np.float64).reshape(-1, 2 * p)
+    top = np.abs(parts).max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError("the O(p^2) transforms need finite input")
+    shift = _SCALE - np.frexp(top)[1]
+    scaled = np.ldexp(parts, shift).view(np.complex128)
     k = np.arange(p)
-    rows = min(p, max(1, _CHUNK // x.size))
-    step = np.multiply.outer(np.arange(rows), k) % p
-    acc = np.zeros(x.shape, dtype=np.complex128)
-    comp = np.zeros_like(acc)
-    y = np.empty_like(acc)
-    t = np.empty_like(acc)
+    wrapped = np.exp(sign * 2j * np.pi * k / p)
+    wrapped = np.concatenate((wrapped, wrapped))
+    rows = min(p, max(1, _CHUNK // p))
+    # j*k mod p by floor division, which numpy runs through libdivide, at
+    # half the cost of % (which took a third of a one-row chunk at p = 4099)
+    step = np.multiply.outer(np.arange(rows), k)
+    step -= step // p * p
+    hi = np.zeros(parts.shape, dtype=np.int64)
+    lo = np.zeros_like(hi)
+    added = 0
     for n0 in range(0, p, rows):
         c = min(rows, p - n0)
-        terms = x[..., n0 : n0 + c, None] * wrapped[step[:c] + n0 * k % p]
-        for term in np.moveaxis(terms, -2, 0):
-            np.subtract(term, comp, y)
-            np.add(acc, y, t)
-            np.subtract(t, acc, comp)
-            np.subtract(comp, y, comp)
-            acc, t = t, acc
-    return acc
+        base = n0 * k
+        base -= base // p * p
+        idx = step[:c] + base
+        for case, case_lo in zip(scaled, lo):
+            terms = wrapped[idx]
+            terms = np.multiply(case[n0 : n0 + c, None], terms, out=terms).view(np.float64)
+            case_lo += np.rint(terms, out=terms).astype(np.int64).sum(axis=0)
+        added += c
+        # before the next chunk could overflow lo, and before lo is rounded
+        if added + rows > _CARRY_ROWS or n0 + c == p:
+            hi += lo >> 32
+            lo &= _LOW
+            added = 0
+    out = np.ldexp(hi.astype(np.float64), 32)
+    out += lo
+    return np.ldexp(out, -shift).view(np.complex128).reshape(x.shape)
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
-    """X[k] = sum_n x[n] * exp(-i*2*pi*n*k/p), by direct summation, over the last axis."""
-    return _compensated_transform(x, -1)
+    """X[k] = sum_n x[n] * exp(-i*2*pi*n*k/p), by direct summation, over the last axis.
+
+    Raises ValueError unless every sample is finite.
+    """
+    return _exact_transform(x, -1)
 
 
 def naive_idft(x: np.ndarray) -> np.ndarray:
-    """X[k] = sum_n x[n] * exp(+i*2*pi*n*k/p), unnormalized, over the last axis."""
-    return _compensated_transform(x, +1)
+    """X[k] = sum_n x[n] * exp(+i*2*pi*n*k/p), unnormalized, over the last axis.
+
+    Raises ValueError unless every sample is finite.
+    """
+    return _exact_transform(x, +1)
 
 
 def zc_time_direct(params: ZcParams) -> np.ndarray:

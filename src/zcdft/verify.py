@@ -7,8 +7,9 @@ and print the same [PASS]/[FAIL] line per family through result_line.
 
 Each check covers one property family over a grid of primes controlled by
 pmax. Checks are pure and independent; run_all executes them in order and
-reports the maximum observed error per family. A deliberate fault can be
-injected into the fast DFT comparison to prove the harness is not vacuous.
+reports the maximum observed error and the wall time of each family. A
+deliberate fault can be injected into the fast DFT comparison to prove the
+harness is not vacuous.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ class CheckResult:
     passed: bool
     max_error: float
     detail: str = ""
+    seconds: float = 0.0
+
+    def __post_init__(self):
+        # checks compute these with numpy; plain types keep the result JSON-ready
+        self.passed = bool(self.passed)
+        self.max_error = float(self.max_error)
 
 
 @dataclass(frozen=True)
@@ -423,4 +430,11 @@ ALL_CHECKS: list[Callable[[VerifyConfig], CheckResult]] = [
 
 
 def run_all(cfg: VerifyConfig) -> list[CheckResult]:
-    return [check(cfg) for check in ALL_CHECKS]
+    """Every family of ALL_CHECKS in order, each with its wall time in seconds."""
+    results = []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        result = check(cfg)
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results

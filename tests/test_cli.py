@@ -9,6 +9,7 @@ from zcdft.cli import main
 from zcdft.pattern import export_pattern, flip_conjugate, flip_dft, make_pattern
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import IDFT, execute, plan
+from zcdft.verify import VerifyConfig, run_all
 
 from test_gauss import BRUTE_13_3
 
@@ -133,6 +134,20 @@ def test_verify_small_grid_passes(capsys):
     families = [line for line in out.splitlines() if line.startswith("[PASS]")]
     assert len(families) >= 12
     assert "[FAIL]" not in out
+
+
+def test_verify_json_lists_every_family_with_its_time(capsys):
+    code, out = run_cli(capsys, "verify", "--pmax", "13", "--json")
+    assert code == 0
+    results = json.loads(out)
+    assert [r["name"] for r in results] == [r.name for r in run_all(VerifyConfig(pmax=13))]
+    for r in results:
+        assert list(r) == ["name", "passed", "max_error", "detail", "seconds"]
+        assert r["passed"] is True and r["seconds"] > 0
+    code, out = run_cli(capsys, "verify", "--pmax", "13", "--inject-fault", "--json")
+    assert code == 1
+    failed = [r["name"] for r in json.loads(out) if not r["passed"]]
+    assert failed == ["fast-dft-vs-naive"]
 
 
 def test_verify_rejects_grid_without_both_branches(capsys):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from zcdft.oracle import brute_gauss_sum, naive_dft, naive_idft, shifted_dft_identity
+from zcdft.oracle import _SCALE, brute_gauss_sum, naive_dft, naive_idft, shifted_dft_identity
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import DFT, IDFT
 
@@ -48,27 +50,104 @@ def test_zc_spectrum_bin0_matches_gauss_constant():
     assert out[0] == pytest.approx(BRUTE_13_3, abs=1e-12)
 
 
-def _per_sample_kahan(x, sign):
-    # the summation loop the chunked kernel must reproduce, one n at a time
+def _per_sample_exact(x, sign):
+    # the sum the chunked kernel must reproduce, one n at a time: each term
+    # times 2**s rounded to an integer, the integers added as Python ints,
+    # and the exact sum rounded to float64 once
     p = len(x)
     table = np.exp(sign * 2j * np.pi * np.arange(p) / p)
     k = np.arange(p)
-    acc = np.zeros(p, dtype=np.complex128)
-    comp = np.zeros(p, dtype=np.complex128)
+    s = _SCALE - math.frexp(np.abs(x.view(np.float64)).max())[1]
+    to_int = np.frompyfunc(int, 1, 1)
+    acc = np.zeros(2 * p, dtype=object)
     for n in range(p):
-        y = x[n] * table[(n * k) % p] - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return acc
+        term = (x[n] * table[(n * k) % p]).view(np.float64)
+        acc += to_int(np.rint(np.ldexp(term, s)))
+    return np.array([math.ldexp(float(v), -s) for v in acc]).view(np.complex128)
 
 
 @pytest.mark.parametrize("p", [5, 61, 839])
 def test_chunked_sum_equals_per_sample_loop(p):
     for u, ts in ((1, 0), (p - 1, (p - 1) // 2)):
         x = zc_time(ZcParams(p=p, u=u, ts=ts))
-        assert np.array_equal(naive_dft(x), _per_sample_kahan(x, -1))
-        assert np.array_equal(naive_idft(x), _per_sample_kahan(x, +1))
+        assert np.array_equal(naive_dft(x), _per_sample_exact(x, -1))
+        assert np.array_equal(naive_idft(x), _per_sample_exact(x, +1))
+
+
+def test_sum_past_the_int64_range_is_exact():
+    # x = 0.75 + 0.75j is scaled to 0.75 * 2**54 per component, so bin 0 adds
+    # 1031 such terms, past 2**63: only the carry into the high word keeps it
+    # exact
+    p = 1031
+    for naive in (naive_dft, naive_idft):
+        out = naive(np.full(p, 0.75 + 0.75j))
+        assert out[0] == 773.25 + 773.25j
+        assert np.abs(out[1:]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected(bad):
+    x = np.ones((3, 7), dtype=np.complex128)
+    x[1, 4] = complex(0.5, bad)
+    for naive in (naive_dft, naive_idft):
+        for case in (x, x[1], x[1].imag):
+            with pytest.raises(ValueError, match="finite"):
+                naive(case)
+
+
+def test_zero_and_extreme_scale_inputs(rng):
+    for naive in (naive_dft, naive_idft):
+        assert np.array_equal(naive(np.zeros(7)), np.zeros(7, dtype=np.complex128))
+    x = rng.normal(size=61) + 1j * rng.normal(size=61)
+    for scale in (1e300, 1e-300):
+        y = x * scale
+        for out, ref in ((naive_dft(y), np.fft.fft(y)), (naive_idft(y), 61 * np.fft.ifft(y))):
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _long_double_transform(x, sign, bins):
+    # sum_n x[n] * exp(sign*2*pi*i*n*k/p) in long double, n*k reduced exactly
+    p = len(x)
+    pi = 4 * np.arctan(np.longdouble(1))
+    theta = (2 * pi / p) * (np.multiply.outer(bins, np.arange(p)) % p).astype(np.longdouble)
+    w = np.cos(theta) + 1j * (sign * np.sin(theta))
+    return (x.astype(np.clongdouble) * w).sum(axis=-1)
+
+
+def _derived_bound(x):
+    # the oracle module's bound, plus the long-double reference's own error:
+    # its table as the oracle's, and at most p roundings of its sum
+    p = len(x)
+    eps, eps_ld = np.finfo(np.float64).eps, np.finfo(np.longdouble).eps
+    sum_abs = np.abs(x).sum()
+    grid = 2.0 ** (math.frexp(np.abs(x.view(np.float64)).max())[1] - _SCALE)
+    table_and_product = 3 * np.pi + 1 / np.sqrt(2) + np.sqrt(2)
+    return (
+        (table_and_product + 0.5) * eps * sum_abs
+        + p * grid / np.sqrt(2)
+        + (table_and_product + p) * float(eps_ld) * sum_abs
+    )
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is float64 on this platform",
+)
+@pytest.mark.parametrize("p", [61, 199, 839, 2503])
+def test_error_against_long_double_within_derived_bound(p, rng):
+    # every bin at 61 and 199, 48 of them at 839 and 2503
+    bins = np.arange(p) if p <= 199 else np.unique(np.r_[0, rng.integers(1, p, 47)])
+    cases = (
+        zc_time(ZcParams(p=p, u=1)),
+        zc_time(ZcParams(p=p, u=p - 1, ts=(p - 1) // 2)),
+        1e-3 * (rng.normal(size=p) + 1j * rng.normal(size=p)),
+    )
+    for x in cases:
+        bound = _derived_bound(x)
+        for naive, sign in ((naive_dft, -1), (naive_idft, +1)):
+            ref = _long_double_transform(x, sign, bins)
+            err = np.abs(naive(x)[bins].astype(np.clongdouble) - ref).max()
+            assert err <= bound
 
 
 @pytest.mark.parametrize("p", [5, 31, 199, 839])
