@@ -37,8 +37,7 @@ For a ZC sequence, sum|x| = p and g = eps/2, so the bound is about
 worst case: every term's error would have to point the same way. Measured
 against a long-double DFT of the same samples (5 roots, ts = 7, both
 directions) the error reads 3.1, 3.3, 3.7, 5.3 and 5.4 eps*sqrt(p) at
-p = 61, 139, 199, 839 and 2503, as the Kahan-summed loop this replaced did
-within 0.15.
+p = 61, 139, 199, 839 and 2503.
 """
 
 from __future__ import annotations
@@ -55,13 +54,11 @@ from .transform import DFT, require_direction
 
 # Terms per chunk of _exact_transform, for one case at a time. The product
 # overwrites the gathered factors, so a chunk's temporaries are its int64
-# indices (64 KB), its terms (128 KB) and their int64 values (128 KB). That
-# stays in L2 and below glibc's 128 KB mmap threshold: with 2**14 terms per
-# chunk every call page-faulted its temporaries in afresh, 115 faults at
-# p = 139, and took 1.9 times as long. A stack summed with its cases side by
-# side in one chunk of 2**14 rows*cases faulted in the same way and took 3.3
-# times as long at p = 199. Since rows*p <= _CHUNK and rows <= p,
-# rows <= sqrt(_CHUNK) < 91, so one chunk fits in the low word (_CARRY_ROWS).
+# indices (64 KB), terms (128 KB) and their int64 values (128 KB): in L2, and
+# below glibc's 128 KB mmap threshold, so no call page-faults them in afresh.
+# At 2**14 terms every call did (115 faults and 1.9 times the time at
+# p = 139), and so did a stack with its cases side by side (3.3 times at 199).
+# rows*p <= _CHUNK and rows <= p give rows <= sqrt(_CHUNK) < 91 <= _CARRY_ROWS.
 _CHUNK = 1 << 13
 
 # A case is scaled so that its largest component is below 2**_SCALE. A term's
@@ -87,12 +84,14 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     (n0*k mod p) plus j*k mod p for j < rows, computed once per call, and
     their sum, below 2p, indexes the table written twice, so no term needs
     its own reduction. Each case gathers its own chunk of factors and
-    multiplies them by x[n], with x as the first operand. The terms' float64
-    components are rounded to integers, cast to int64 and summed over the
-    chunk's rows in one call; the chunk sum is added to a low word whose
-    bits from 32 up are carried into a high word at least every _CARRY_ROWS
-    rows, so no p can overflow. hi*2**32 + lo, lo < 2**32 after the last
-    carry, is the exact sum of the rounded terms; it is rounded once
+    multiplies them by x[n], with x as the first operand: numpy's complex
+    multiply is not bitwise commutative here, and the per-sample reference
+    in the tests computes x[n] * W^(n*k). The terms' float64 components are
+    rounded to integers, cast to int64 and summed over the chunk's rows in
+    one call; the chunk sum is added to a low word whose bits from 32 up
+    are carried into a high word at least every _CARRY_ROWS rows, so no p
+    can overflow. hi*2**32 + lo, lo < 2**32 after the last carry, is the
+    exact sum of the rounded terms; it is rounded once
     (hi*2**32 is exact in float64 while |hi| < 2**53, which holds for
     p < 2**30) and scaled back exactly, unless it underflows.
     """
