@@ -241,8 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="time plan and the fast, reference and naive paths",
         description="Print median timings and the operation counts of the counted "
         "recurrence as one JSON line per --p. fast_ns is execute; phase_ns and "
-        "gather_ns time the phase indices and the scaled table gather, which "
-        "execute runs block by block and these run whole-length. plan_ns is a "
+        "gather_ns time the closed-form phase indices and the scaled gather "
+        "from the plan's table or factors, each over the whole length. For a "
+        "length the store does not keep, execute runs these two block by "
+        "block; for a kept one it runs neither, and reads the same table "
+        "entries through the length's discrete-log tables. plan_ns is a "
         "median over reps, so it times a kept table whenever p fits the "
         "per-length store. exp_evaluations counts the p table lookups of the "
         "gather, not calls to exp. table_bytes is what the plan holds: the "

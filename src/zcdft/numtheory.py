@@ -2,7 +2,9 @@
 
 Everything here is exact for any modulus the library accepts (odd primes
 below 2**31): scalar routines work on Python integers, and triangular_mod
-works on int64 arrays whose intermediates provably stay below 2**62.
+and power_table work on int64 arrays whose intermediates provably stay
+below 2**62. primitive_root and power_table give the discrete logs that
+transform reads a kept length's twiddle table through.
 """
 
 from __future__ import annotations
@@ -91,6 +93,45 @@ def triangular_mod(n: np.ndarray, p: int) -> np.ndarray:
     t //= 2
     t %= p
     return t
+
+
+def primitive_root(p: int) -> int:
+    """The least primitive root g of the odd prime p: g**e mod p runs over 1..p-1.
+
+    p - 1 is factored by trial division (at most sqrt(p) steps), and g has
+    order p - 1 iff g**((p-1)/q) != 1 mod p for every prime q dividing p - 1.
+    """
+    n, qs, d = p - 1, [], 2
+    while d * d <= n:
+        if n % d == 0:
+            qs.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        qs.append(n)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    return g
+
+
+def power_table(g: int, p: int) -> np.ndarray:
+    """int64 g**e mod p for e < p - 1, by doubling: O(log p) numpy calls.
+
+    Each pass extends the known powers g**0..g**(n-1) by g**n times them.
+    Both factors are below p < 2**31, so every product is below 2**62 and
+    exact in int64.
+    """
+    out = np.empty(p - 1, dtype=np.int64)
+    out[0] = 1
+    n = 1
+    while n < p - 1:
+        k = min(n, p - 1 - n)
+        np.multiply(out[:k], pow(g, n, p), out=out[n : n + k])
+        np.remainder(out[n : n + k], p, out=out[n : n + k])
+        n += k
+    return out
 
 
 def odd_primes(limit: int) -> list[int]:

@@ -15,22 +15,31 @@ values, so instead of seeding the phase with it, sqrt(p)*exp(i*2*pi*QPo/p)
 is folded into one precomputed complex constant multiplied into every
 output. Algebraically identical, and it keeps the twiddle table at size p.
 
-execute runs that closed form in blocks of _BLOCK to 2*_BLOCK bins
-(_block_phases): a block's phases, its gather from the table and its scale
-are done while its arrays stay in L2, instead of as whole-length passes.
-Within a block the closed form needs only j and T(j) for j < 2*_BLOCK, two
-read-only module arrays that do not depend on p. _BLOCK = 2**14 won a sweep
-of 2**12 to 2**15 (see TransformPlan), so every p < 2**15 is one block.
+The phase is also a product of two linear factors: with r = -iu*(p+1)/2
+and s = 1 - 2*u*fs mod p, phase_k = r*k*(k + s) mod p, zero only at k = 0
+and k = -s. In the multiplicative group mod p a product is a sum of
+discrete logs (the primitive-root reindexing of Rader's prime-length DFT,
+Proc. IEEE 56(6), 1968), so for a length it keeps, execute reads
+twiddles[phase_k] as E3[L(r) + L(k) + L(k + s)]: two reads from a
+per-length log table, one add, one gather, and no multiply or reduction.
+E3 is gathered from the table, so the spectra are the table gather's bit
+for bit. Such an entry (table, L2 and E3) takes about 80*p bytes, and the
+store's bound of 2.5 MiB keeps every p <= 32749.
 
-The root enters only through iu and fs. The twiddle table depends on p
-alone, so it is kept per length in one bounded store (_LengthStore) and
-shared by every root, shift and direction of p. A length whose table the
-store does not keep (p > 32749) would use its p entries once, so its plan
-holds only the two sqrt(p)-length factors of the table, and execute gathers
-hi[a] * lo[b] per block, a = phase >> s and b = phase & (m - 1) for the
-power of two m = 2**s: p bins cost m + ceil(p/m) < 2.5*sqrt(p) + 1 exps and
-no p-entry table, and the spectra stay bit-identical to a gather from the
-whole table.
+The root enters only through iu and fs. The twiddle table and its log
+tables depend on p alone, so they are kept per length in one bounded store
+(_LengthStore) and shared by every root, shift and direction of p. A length
+whose entry the store does not keep (p > 32749) would use its p entries
+once, so its plan holds only the two sqrt(p)-length factors of the table,
+and execute runs the closed form in blocks of _BLOCK to 2*_BLOCK bins
+(_block_phases) and gathers hi[a] * lo[b] per block, a = phase >> s and
+b = phase & (m - 1) for the power of two m = 2**s: p bins cost m +
+ceil(p/m) < 2.5*sqrt(p) + 1 exps and no p-entry table, and the spectra stay
+bit-identical to a gather from the whole table. A block's phases, gather
+and scale are done while its arrays stay in L2, instead of as whole-length
+passes; within a block the closed form needs only j and T(j) for j <
+2*_BLOCK, two read-only module arrays that do not depend on p. _BLOCK =
+2**14 won a sweep of 2**12 to 2**15 (see TransformPlan).
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import _qpo_times4, const_from_qpo
-from .numtheory import legendre, mod_inverse
+from .numtheory import legendre, mod_inverse, power_table, primitive_root
 from .sequences import ZcParams
 
 DFT = "dft"
@@ -90,15 +99,18 @@ class TransformPlan:
 
     split says which form the plan holds, and the store's keep rule decides
     it (_LengthStore). split = 0: twiddles is the whole p-entry table, shared
-    by every plan of p while the store keeps it. split = m: p's table is too
-    large to keep, so twiddles is lo followed by hi, m + ceil(p/m) entries,
-    and the table is never formed; the gather reads hi[phase >> s] and
-    lo[phase & (m - 1)] and multiplies them. Each product is one complex
-    multiply of the same two complex128 values that np.multiply.outer(hi,
-    lo) multiplies for entry a*m + b, and numpy rounds it the same way
-    whether one operand is broadcast (the outer product) or both are arrays
-    (the gather). So it is the table entry bit for bit, and so are the spectra.
-    Either form is read-only, and so is its base.
+    by every plan of p while the store keeps it, and logs holds the length's
+    log tables (L2, E3) that execute reads it through (see execute). split =
+    m: p's entry is too large to keep, logs is None, twiddles is lo followed
+    by hi, m + ceil(p/m) entries, and the table is never formed; the gather
+    reads hi[phase >> s] and lo[phase & (m - 1)] and multiplies them. Each
+    product is one complex multiply of the same two complex128 values that
+    np.multiply.outer(hi, lo) multiplies for entry a*m + b, and numpy rounds
+    it the same way whether one operand is broadcast (the outer product) or
+    both are arrays (the gather). So it is the table entry bit for bit, and
+    so are the spectra. Every array a plan holds is read-only, and so is its
+    base. A kept entry (table, L2, E3) takes about 80*p bytes, 2.6 MB at
+    32749; a factored plan holds 16*(m + ceil(p/m)) bytes (_LengthStore).
 
     Error of each entry, with eps the float64 epsilon and u = eps/2:
     - argument: each factor's angle 2*pi*n/p takes three roundings (fl(2*pi),
@@ -115,8 +127,9 @@ class TransformPlan:
     In all, |twiddles[j] - exp(-i*2*pi*j/p)| <= (3*pi + 2*sqrt(2)) * eps,
     about 12.3 eps, to first order in eps.
 
-    execute cuts the p bins into n = max(1, p // _BLOCK) blocks at i*p//n,
-    so for p >= 2*_BLOCK each block holds between _BLOCK and 2*_BLOCK bins.
+    execute cuts a factored plan's p bins, and phase_indices any p's, into
+    n = max(1, p // _BLOCK) blocks at i*p//n, so for p >= 2*_BLOCK each
+    block holds between _BLOCK and 2*_BLOCK bins.
     For the bins k0 + j of a block, T(k0 + j) = T(k0) + k0*j + T(j), so
         phase_k0+j = (base + j*slope - iu*T(j)) mod p,
         slope = (fs - iu*k0) mod p,  base = (k0*fs - iu*T(k0)) mod p,
@@ -126,7 +139,8 @@ class TransformPlan:
     bin gives the same integers as the counted recurrence. _BLOCK = 2**15
     would still fit (iu*T(j) < 2**62); at 2**16, iu*T(j) reaches 2**64. Below
     2*_BLOCK there is one block, k0 = 0, and the phases take two
-    multiplies, a subtract and a reduction.
+    multiplies, a subtract and a reduction; every length the store keeps is
+    below 2*_BLOCK, and execute reads it through its logs instead.
 
     _BLOCK = 2**14 bins, from a sweep of 2**12 to 2**15 over plan + execute
     at 24 random primes in [2**16, 2**20] with caches evicted between
@@ -153,6 +167,7 @@ class TransformPlan:
     twiddles: np.ndarray
     const_factor: complex
     split: int = 0
+    logs: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def require_direction(direction: str) -> None:
@@ -173,7 +188,11 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
     else:
         fs = (half * (iu + 1) + ts) % p
     qpo4 = _qpo_times4(p, u, ell)
-    twiddles, split = _STORE.twiddles(p)
+    entry = _STORE.entry(p)
+    if entry is None:
+        twiddles, split, logs = _twiddle_factors(p), _split(p), None
+    else:
+        twiddles, split, logs = entry[0], 0, entry[1:]
     return TransformPlan(
         params=params,
         direction=direction,
@@ -184,6 +203,7 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         twiddles=twiddles,
         const_factor=const_from_qpo(p, qpo4),
         split=split,
+        logs=logs,
     )
 
 
@@ -217,80 +237,102 @@ def _twiddle_table(p: int) -> np.ndarray:
     return full.ravel()[:p]
 
 
+def _log_tables(p: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L2 and E3 of p for the log-domain gather, read-only, each its own base.
+
+    With g the least primitive root of p, L2 = [L, L] where L[g**e mod p] = e
+    for e < p - 1 and L[0] = 0, and E3[e] = table[g**(e mod (p-1)) mod p] for
+    e < 3(p - 1), gathered from the table, so each entry is a table entry
+    bit for bit (see execute).
+    """
+    pw = power_table(primitive_root(p), p)
+    logs = np.empty(2 * p, dtype=np.intp)
+    logs[0] = 0
+    logs[pw] = np.arange(p - 1)
+    logs[p:] = logs[:p]
+    w = table[pw]
+    exps = np.concatenate((w, w, w))
+    logs.setflags(write=False)
+    exps.setflags(write=False)
+    return logs, exps
+
+
 def _entry_bytes(p: int) -> int:
-    """Bytes of p's kept table, counting its base of m*ceil(p/m) entries."""
+    """Bytes of p's kept entry: the table's base of m*ceil(p/m) entries, L2 and E3."""
     m = _split(p)
-    return 16 * m * -(-p // m)
+    return 16 * m * -(-p // m) + 2 * p * np.dtype(np.intp).itemsize + 48 * (p - 1)
 
 
-_STORE_BYTES = 1 << 19
+_STORE_BYTES = 5 << 19
+
+# a kept length's (table, L2, E3)
+_Entry = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _LengthStore:
-    """LRU of read-only twiddle tables by p, bounded in total bytes.
+    """LRU of read-only per-length entries by p, bounded in total bytes.
 
-    A table is kept whole or not at all, and the keep rule also picks the
-    form of a plan's twiddles. A length whose table is larger than the bound
-    is never kept, and its plans hold the table's two factors (split = m,
-    see TransformPlan) instead of a p-entry table each: such a table would be
+    An entry is (table, L2, E3): the whole twiddle table and the two
+    discrete-log tables that execute gathers it through (_log_tables). It is
+    kept whole or not at all, and the keep rule also picks the form of a
+    plan's twiddles. A length whose entry is larger than the bound is never
+    kept, and its plans hold the table's two factors (split = m, see
+    TransformPlan) instead of a p-entry table each: such a table would be
     built for one plan and read once, so forming it costs more than the
-    second gather of the factored path. A kept table is read by every plan
+    second gather of the factored path. A kept entry is read by every plan
     of p, and there one gather from it is the faster path. Bookkeeping is
     under a lock, building is outside it: two threads may build the same p,
     and the first to insert it wins, so every plan of a kept p shares one
-    table.
+    entry.
 
-    The bound, _STORE_BYTES = 512 KiB, holds every PRACH length (139, 571,
-    839, 1151: 43 KB) and the whole acceptance grid (5 <= p <= 199: 72 KB)
-    several times over, and it is small next to the ~27 MB peak RSS of
-    importing numpy. A table takes 16*m*ceil(p/m) bytes, about 16*p with
-    m the power of two of _split; the longest length it can keep is 32749
-    (exactly 524288 bytes; 32771 would need 528384), so no large p is ever
-    held (65537 would need 1.06 MB): there lengths rarely repeat, and a plan
-    holds 16*(m + ceil(p/m)) bytes of factors, 10 KB at 65537 and 1.5 MB at
-    2**31-1. Every execute block of a length the store keeps is that
-    length's only block (32749 < 2*_BLOCK), so kept tables are gathered
-    once per spectrum, whole.
+    An entry takes 16*m*ceil(p/m) bytes of table (about 16*p, with m the
+    power of two of _split), 16*p of intp L2 and 48*(p-1) of complex E3:
+    about 80*p in all. The bound, _STORE_BYTES = 5*2**19 = 2.5 MiB, holds
+    every PRACH length (139, 571, 839, 1151: 216 KB) and the whole acceptance
+    grid (5 <= p <= 199: 340 KB) several times over, and it is small next to
+    the ~27 MB peak RSS of importing numpy. The longest length it can keep
+    is 32749 (2,620,176 bytes; 32771 would need 2,625,680), so no large p is
+    ever held (65537 would need 5.2 MB): there lengths rarely repeat, and a
+    plan holds 16*(m + ceil(p/m)) bytes of factors, 10 KB at 65537 and
+    1.5 MB at 2**31-1. Every kept length is below 2*_BLOCK, so execute's
+    blocks never read a kept entry.
     """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
-        self._entries: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[int, _Entry] = OrderedDict()
         self._lock = threading.Lock()
 
-    def peek(self, p: int) -> np.ndarray | None:
-        """p's kept table, marked as recently used, or None; builds nothing."""
+    def peek(self, p: int) -> _Entry | None:
+        """p's kept entry, marked as recently used, or None; builds nothing."""
         with self._lock:
-            table = self._entries.get(p)
-            if table is not None:
+            entry = self._entries.get(p)
+            if entry is not None:
                 self._entries.move_to_end(p)
-            return table
+            return entry
 
-    def twiddles(self, p: int) -> tuple[np.ndarray, int]:
-        """p's twiddles and split: the kept table and 0, or p's factors and m.
-
-        A table that fits the bound is kept; a length whose table does not
-        fit gets new factors per call and no table.
-        """
-        table = self.peek(p)
-        if table is not None:
-            return table, 0
+    def entry(self, p: int) -> _Entry | None:
+        """p's entry (table, L2, E3), built and kept if it fits the bound, else None."""
+        entry = self.peek(p)
+        if entry is not None:
+            return entry
         size = _entry_bytes(p)
         if size > self.budget:
-            return _twiddle_factors(p), _split(p)
+            return None
         table = _twiddle_table(p)
+        entry = (table, *_log_tables(p, table))
         with self._lock:
             kept = self._entries.get(p)
             if kept is not None:
                 self._entries.move_to_end(p)
-                return kept, 0
+                return kept
             while self.nbytes + size > self.budget:
                 old, _ = self._entries.popitem(last=False)
                 self.nbytes -= _entry_bytes(old)
-            self._entries[p] = table
+            self._entries[p] = entry
             self.nbytes += size
-        return table, 0
+        return entry
 
 
 _STORE = _LengthStore(_STORE_BYTES)
@@ -329,14 +371,12 @@ def _block_phases(
     not given; tmp is left holding scratch. It reads no table, so any block
     of any p can be checked against Python ints without building one.
 
-    From p = 8192 on the reduction is x - p*(x // p): numpy divides an
-    int64 array by a scalar through libdivide for // but not for %, so on
-    an 8192-bin block the three passes cost about a third of one
-    np.remainder. Below 8192 the reduction is np.remainder: timed alone,
-    floor division lost at 139 and 571 and won from 839 on, and on the
-    prach mix the two were within noise. The crossover is in p, not in
-    _BLOCK, so the one-block lengths 8192 to 2*_BLOCK - 1 keep floor
-    division.
+    The reduction is x - p*(x // p): numpy divides an int64 array by a
+    scalar through libdivide for // but not for %, so on an 8192-bin block
+    the three passes cost about a third of one np.remainder. execute runs
+    this kernel only on plans whose entry the store does not keep, that is
+    for p > 32749 (or under a smaller bound); phase_indices runs it at
+    every p.
     """
     p, iu, fs = pl.params.p, pl.iu, pl.fs
     phases = np.multiply(_J[:n], (fs - iu * k0) % p, out=out)
@@ -344,8 +384,6 @@ def _block_phases(
     phases -= tmp
     if k0:
         phases += (k0 * fs - iu * (k0 * (k0 + 1) // 2)) % p
-    if p < 8192:
-        return np.remainder(phases, p, out=phases)
     np.floor_divide(phases, p, out=tmp)
     tmp *= p
     phases -= tmp
@@ -356,7 +394,9 @@ def phase_indices(pl: TransformPlan) -> np.ndarray:
     """int64 phase indices phase_k = (k*fs - iu*T(k)) mod p, k = 0..p-1.
 
     The closed form of the accumulation that phase_indices_recurrence runs,
-    computed block by block as execute does.
+    computed block by block as execute does for a factored plan. It equals
+    r*k*(k + s) mod p with r = -iu*(p+1)/2 and s = 1 - 2*u*fs mod p, the
+    product whose discrete logs a kept plan's execute adds instead.
     """
     p = pl.params.p
     if p < 2 * _BLOCK:
@@ -393,38 +433,53 @@ def phase_indices_recurrence(pl: TransformPlan, counters: OpCounters) -> np.ndar
 
 
 def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray:
-    """out[k] = const_factor * twiddles[phase_k], with closed-form phases.
+    """out[k] = const_factor * twiddles[phase_k], through the logs or in blocks.
 
-    Each block's phases, gather and scale run before the next block starts;
-    a factored plan's gather is hi[phase >> s] * lo[phase & (m - 1)], m = 2**s
-    (see TransformPlan). With counters, the phases come from the counted
-    recurrence instead, which gives the same integers and so the same output.
+    A kept plan (logs set) reads the table through its discrete logs. With
+    r = -iu*(p+1)/2 and s = 1 - 2*u*fs mod p, phase_k = r*k*(k + s) mod p
+    (the closed form with 1/2 = (p+1)/2 mod p), so for k != 0, -s
+        twiddles[phase_k] = E3[L(r) + L(k) + L(k + s)],
+    each index below 3(p - 1): one add of two slices of L2, one gather from
+    E3 and the scale. E3's entries are the table's own, so the output is the
+    gather from the table bit for bit. phase_k = 0 at k = 0 and k = -s mod p
+    (one bin when s = 0, that is ts = (p-1)/2), where L(0) means nothing;
+    those bins are set to const_factor = const_factor * twiddles[0]. r and
+    s are read from the plan's fields, so a plan changed by
+    dataclasses.replace gives the spectrum of its new fields.
+
+    A factored plan runs _block_phases block by block; each block's phases,
+    gather and scale run before the next block starts, and its gather is
+    hi[phase >> s] * lo[phase & (m - 1)], m = 2**s (see TransformPlan).
+    With counters, the phases come from the counted recurrence instead,
+    which gives the same integers and so the same output.
     """
     if counters is not None:
         return _gather(pl, phase_indices_recurrence(pl, counters))
     p = pl.params.p
-    if p < 2 * _BLOCK:
-        return _gather(pl, _block_phases(pl, 0, p))
+    if pl.logs is not None:
+        logs, exps = pl.logs
+        s = (1 - 2 * pl.params.u * pl.fs) % p
+        lr = logs[(-pl.iu * (p + 1) // 2) % p]
+        out = np.take(exps[lr:], np.add(logs[:p], logs[s : s + p]))
+        out *= pl.const_factor
+        out[0] = out[-s] = pl.const_factor
+        return out
     m = pl.split
+    lo, hi = pl.twiddles[:m], pl.twiddles[m:]
+    s = m.bit_length() - 1
     out = np.empty(p, dtype=np.complex128)
     phases = np.empty(2 * _BLOCK, dtype=np.int64)
     tmp = np.empty(2 * _BLOCK, dtype=np.int64)
-    if m:
-        lo, hi = pl.twiddles[:m], pl.twiddles[m:]
-        s = m.bit_length() - 1
-        scratch = np.empty(2 * _BLOCK, dtype=np.complex128)
+    scratch = np.empty(2 * _BLOCK, dtype=np.complex128)
     for k0, k1 in _block_bounds(p):
         n = k1 - k0
         block = out[k0:k1]
         r = _block_phases(pl, k0, n, phases[:n], tmp[:n])
         # every index is in range, so "clip" never clips; unlike "raise" it
         # writes into the output directly instead of through a buffer
-        if m:
-            np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
-            b = np.bitwise_and(r, m - 1, out=r)
-            block *= np.take(lo, b, out=scratch[:n], mode="clip")
-        else:
-            np.take(pl.twiddles, r, out=block, mode="clip")
+        np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
+        b = np.bitwise_and(r, m - 1, out=r)
+        block *= np.take(lo, b, out=scratch[:n], mode="clip")
         block *= pl.const_factor
     return out
 

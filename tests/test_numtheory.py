@@ -9,8 +9,11 @@ from zcdft.numtheory import (
     legendre,
     mod_inverse,
     odd_primes,
+    power_table,
+    primitive_root,
     triangular_mod,
 )
+from zcdft.transform import _log_tables, _twiddle_table
 
 from conftest import ODD_PRIMES_199, ODD_PRIMES_61, trial_division_is_prime
 
@@ -129,3 +132,28 @@ def test_odd_primes_matches_trial_division():
     assert odd_primes(199) == ODD_PRIMES_199
     assert odd_primes(2) == []
     assert odd_primes(61) == ODD_PRIMES_61
+
+
+def _order(g: int, p: int) -> int:
+    e, x = 1, g % p
+    while x != 1:
+        e, x = e + 1, x * g % p
+    return e
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_199 + [32749])
+def test_primitive_root_powers_and_logs(p):
+    g = primitive_root(p)
+    if p <= 199:
+        # brute force: g has order p - 1 and no smaller candidate does
+        assert _order(g, p) == p - 1
+        assert all(_order(h, p) < p - 1 for h in range(2, g))
+    pw = power_table(g, p)
+    assert pw.dtype == np.int64
+    assert np.array_equal(np.sort(pw), np.arange(1, p))
+    assert pw[1] == g and all(pw[e] == pow(g, e, p) for e in (0, p // 3, p - 2))
+    # L inverts the power table, and L2 is L twice
+    logs = _log_tables(p, _twiddle_table(p))[0]
+    assert np.array_equal(logs[pw], np.arange(p - 1))
+    assert np.array_equal(logs[:p], logs[p:])
+    assert 0 <= logs[0] < p - 1

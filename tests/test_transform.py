@@ -69,12 +69,14 @@ def fresh_store(monkeypatch):
 def test_kept_length_shares_one_read_only_table(fresh_store):
     a = plan(ZcParams(p=839, u=25), DFT)
     b = plan(ZcParams(p=839, u=3, ts=7), IDFT)
-    assert a.twiddles is b.twiddles
-    table = fresh_store.peek(839)
-    assert table is a.twiddles
-    for array in (table, table.base):
+    table, logs, exps = fresh_store.peek(839)
+    assert a.twiddles is b.twiddles is table
+    assert a.logs[0] is b.logs[0] is logs and a.logs[1] is b.logs[1] is exps
+    for array in (table, table.base, logs, exps):
         with pytest.raises(ValueError):
             array[0] = 1
+    assert logs.base is None and exps.base is None
+    assert fresh_store.nbytes == table.base.nbytes + logs.nbytes + exps.nbytes
 
 
 def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
@@ -89,8 +91,11 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
             assert fresh_store.nbytes == before
             assert pl.split == transform._split(p)
         else:
-            assert pl.split == 0 and pl.twiddles is fresh_store.peek(p)
-        held = sum(table.base.nbytes for table in fresh_store._entries.values())
+            table, logs, exps = fresh_store.peek(p)
+            assert pl.split == 0 and pl.twiddles is table
+            assert pl.logs[0] is logs and pl.logs[1] is exps
+        entries = fresh_store._entries.values()
+        held = sum(table.base.nbytes + logs.nbytes + exps.nbytes for table, logs, exps in entries)
         assert fresh_store.nbytes == held <= budget
     assert list(fresh_store._entries) == [16411]
 
@@ -126,7 +131,7 @@ def test_threads_match_serial_results(monkeypatch):
 
     def run(params, direction):
         pl = plan(params, direction)
-        return pl.twiddles, execute(pl)
+        return (pl.twiddles, *pl.logs), execute(pl)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -137,9 +142,9 @@ def test_threads_match_serial_results(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     tables = {}
-    for (params, _), ref, (table, out) in zip(cases * 4, serial * 4, got):
+    for (params, _), ref, (entry, out) in zip(cases * 4, serial * 4, got):
         assert np.array_equal(out, ref)
-        tables.setdefault(params.p, set()).add(id(table))
+        tables.setdefault(params.p, set()).add(tuple(map(id, entry)))
     assert all(len(ids) == 1 for ids in tables.values())
     assert store.nbytes == sum(transform._entry_bytes(p) for p in PRACH_LENGTHS)
 
@@ -320,6 +325,45 @@ def test_block_kernel_is_exact_at_the_prime_cap():
     for lo, hi in picked.values():
         expect = [(k * pl.fs - pl.iu * (k * (k + 1) // 2)) % p for k in range(lo, hi)]
         assert transform._block_phases(pl, lo, hi - lo).tolist() == expect
+
+
+def _kept_plans():
+    """Plans of lengths the store keeps, with ts = (p-1)/2 (s = 0) among them."""
+    rng = np.random.default_rng(1301)
+    cases = [(p, u, ts) for p in ODD_PRIMES_61 for u in range(1, p) for ts in {0, 1, (p - 1) // 2}]
+    for p in PRACH_LENGTHS:
+        roots = rng.choice(range(1, p), 8, replace=False)
+        cases += [(p, int(u), int(rng.integers(p))) for u in roots]
+    for p in (3, 8191, 32749):
+        cases += [(p, u, ts) for u in {1, p - 1, 25 % p or 1} for ts in {0, 1, (p - 1) // 2}]
+    for p, u, ts in cases:
+        for direction in (DFT, IDFT):
+            yield plan(ZcParams(p=p, u=u, ts=ts), direction)
+
+
+def test_kept_execute_equals_table_gather():
+    # the log-domain gather reads E3, the table's own entries: bit-identical
+    # to gathering the table at the closed-form phases and scaling, also for
+    # a plan whose shift was changed after planning
+    for pl in _kept_plans():
+        assert pl.logs is not None
+        for q in (pl, dataclasses.replace(pl, fs=(pl.fs + 1) % pl.params.p)):
+            assert np.array_equal(execute(q), pl.twiddles[phase_indices(q)] * q.const_factor)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_61 + PRACH_LENGTHS + [32749, 65537])
+def test_phases_are_a_product_of_two_linear_factors(p):
+    # phase_k = r*k*(k + s) mod p, r = -iu/2 and s = +-u(1 + 2ts) (+ for the
+    # DFT), both factors reduced before the product so int64 stays exact
+    k = np.arange(p, dtype=np.int64)
+    for u in {1, 2, p - 1, 25 % p or 1}:
+        for ts in {0, 1, (p - 1) // 2}:
+            for direction, sign in ((DFT, 1), (IDFT, -1)):
+                pl = plan(ZcParams(p=p, u=u, ts=ts), direction)
+                r = -pl.iu * (p + 1) // 2 % p
+                s = sign * u * (1 + 2 * ts) % p
+                assert s == (1 - 2 * u * pl.fs) % p
+                assert np.array_equal(phase_indices(pl), r * k % p * ((k + s) % p) % p)
 
 
 # 32771 is the first length whose table the store does not keep
