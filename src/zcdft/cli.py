@@ -240,12 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time plan and the fast, reference and naive paths",
         description="Print median timings and the operation counts of the counted "
-        "recurrence as one JSON line per --p. fast_ns is execute; phase_ns and "
-        "gather_ns time the closed-form phase indices and the scaled gather "
-        "from the plan's table or factors, each over the whole length. For a "
-        "length the store does not keep, execute runs these two block by "
-        "block; for a kept one it runs neither, and reads the same table "
-        "entries through the length's discrete-log tables. plan_ns is a "
+        "recurrence as one JSON line per --p. fast_ns is execute; phase_ns "
+        "times the closed-form phase indices, and gather_ns the scaled gather "
+        "at given phases that the counted path runs. For a length the store "
+        "does not keep, that is the blocked gather execute runs; for a kept "
+        "one it is a gather from the whole table, and execute reads the same "
+        "entries through the length's discrete-log tables instead. plan_ns is a "
         "median over reps, so it times a kept table whenever p fits the "
         "per-length store. exp_evaluations counts the p table lookups of the "
         "gather, not calls to exp. table_bytes is what the plan holds: the "

@@ -30,16 +30,10 @@ The root enters only through iu and fs. The twiddle table and its log
 tables depend on p alone, so they are kept per length in one bounded store
 (_LengthStore) and shared by every root, shift and direction of p. A length
 whose entry the store does not keep (p > 32749) would use its p entries
-once, so its plan holds only the two sqrt(p)-length factors of the table,
-and execute runs the closed form in blocks of _BLOCK to 2*_BLOCK bins
-(_block_phases) and gathers hi[a] * lo[b] per block, a = phase >> s and
-b = phase & (m - 1) for the power of two m = 2**s: p bins cost m +
-ceil(p/m) < 2.5*sqrt(p) + 1 exps and no p-entry table, and the spectra stay
-bit-identical to a gather from the whole table. A block's phases, gather
-and scale are done while its arrays stay in L2, instead of as whole-length
-passes; within a block the closed form needs only j and T(j) for j <
-2*_BLOCK, two read-only module arrays that do not depend on p. _BLOCK =
-2**14 won a sweep of 2**12 to 2**15 (see TransformPlan).
+once, so its plan holds only the table's two sqrt(p)-length factors, hi and
+lo, and _gather forms the phases and gathers hi[a] * lo[b] in blocks of
+_BLOCK to 2*_BLOCK bins whose arrays stay in L2. The spectra stay
+bit-identical to a gather from the whole table (see TransformPlan).
 """
 
 from __future__ import annotations
@@ -81,7 +75,7 @@ class TransformPlan:
 
     Immutable after construction; a plan may be shared freely across threads
     and executed concurrently. The table of roots is
-    twiddles[j] = exp(-i*2*pi*j/p), held whole or as two factors (split,
+    twiddles[j] = exp(-i*2*pi*j/p), held whole or as two factors (logs,
     below), and const_factor = sqrt(p) * exp(i*2*pi*QPo/p). The frequency
     shift fs is (p+1)/2*(iu-1) - ts for the DFT and (p+1)/2*(iu+1) + ts for
     the IDFT, reduced into [0, p-1]; the two directions differ by nothing
@@ -97,20 +91,21 @@ class TransformPlan:
     and r - m*(r // m) take three; kept tables use the same m, so both
     forms hold the same products.
 
-    split says which form the plan holds, and the store's keep rule decides
-    it (_LengthStore). split = 0: twiddles is the whole p-entry table, shared
-    by every plan of p while the store keeps it, and logs holds the length's
-    log tables (L2, E3) that execute reads it through (see execute). split =
-    m: p's entry is too large to keep, logs is None, twiddles is lo followed
-    by hi, m + ceil(p/m) entries, and the table is never formed; the gather
-    reads hi[phase >> s] and lo[phase & (m - 1)] and multiplies them. Each
-    product is one complex multiply of the same two complex128 values that
-    np.multiply.outer(hi, lo) multiplies for entry a*m + b, and numpy rounds
-    it the same way whether one operand is broadcast (the outer product) or
-    both are arrays (the gather). So it is the table entry bit for bit, and
-    so are the spectra. Every array a plan holds is read-only, and so is its
-    base. A kept entry (table, L2, E3) takes about 80*p bytes, 2.6 MB at
-    32749; a factored plan holds 16*(m + ceil(p/m)) bytes (_LengthStore).
+    logs says which form the plan holds, and the store's keep rule decides
+    it (_LengthStore). With logs = (L2, E3), twiddles is the whole p-entry
+    table, shared by every plan of p while the store keeps it, and L2 and E3
+    are the length's log tables that execute reads it through (see execute).
+    With logs None, p's entry is too large to keep: twiddles is lo followed
+    by hi, m + ceil(p/m) entries with m = _split(p), and the table is never
+    formed; _gather reads hi[phase >> s] and lo[phase & (m - 1)] and
+    multiplies them. Each product is one complex multiply of the same two
+    complex128 values that np.multiply.outer(hi, lo) multiplies for entry
+    a*m + b, and numpy rounds it the same way whether one operand is
+    broadcast (the outer product) or both are arrays (the gather). So it is
+    the table entry bit for bit, and so are the spectra. Every array a plan
+    holds is read-only, and so is its base. A kept entry (table, L2, E3)
+    takes about 80*p bytes, 2.6 MB at 32749; a factored plan holds
+    16*(m + ceil(p/m)) bytes (_LengthStore).
 
     Error of each entry, with eps the float64 epsilon and u = eps/2:
     - argument: each factor's angle 2*pi*n/p takes three roundings (fl(2*pi),
@@ -127,7 +122,7 @@ class TransformPlan:
     In all, |twiddles[j] - exp(-i*2*pi*j/p)| <= (3*pi + 2*sqrt(2)) * eps,
     about 12.3 eps, to first order in eps.
 
-    execute cuts a factored plan's p bins, and phase_indices any p's, into
+    _gather cuts a factored plan's p bins, and phase_indices any p's, into
     n = max(1, p // _BLOCK) blocks at i*p//n, so for p >= 2*_BLOCK each
     block holds between _BLOCK and 2*_BLOCK bins.
     For the bins k0 + j of a block, T(k0 + j) = T(k0) + k0*j + T(j), so
@@ -166,7 +161,6 @@ class TransformPlan:
     qpo_times4: int
     twiddles: np.ndarray
     const_factor: complex
-    split: int = 0
     logs: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -190,9 +184,9 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
     qpo4 = _qpo_times4(p, u, ell)
     entry = _STORE.entry(p)
     if entry is None:
-        twiddles, split, logs = _twiddle_factors(p), _split(p), None
+        twiddles, logs = _twiddle_factors(p), None
     else:
-        twiddles, split, logs = entry[0], 0, entry[1:]
+        twiddles, logs = entry[0], entry[1:]
     return TransformPlan(
         params=params,
         direction=direction,
@@ -202,16 +196,12 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         qpo_times4=qpo4,
         twiddles=twiddles,
         const_factor=const_from_qpo(p, qpo4),
-        split=split,
         logs=logs,
     )
 
 
 def _split(p: int) -> int:
-    """m, the least power of two with m*m >= p: the table is hi[a] * lo[b] at a*m + b.
-
-    A phase r splits as a = r >> s, b = r & (m - 1), m = 2**s (see TransformPlan).
-    """
+    """m, the least power of two with m*m >= p: the table is hi[a] * lo[b] at a*m + b."""
     return 1 << math.isqrt(p - 1).bit_length()
 
 
@@ -276,7 +266,7 @@ class _LengthStore:
     discrete-log tables that execute gathers it through (_log_tables). It is
     kept whole or not at all, and the keep rule also picks the form of a
     plan's twiddles. A length whose entry is larger than the bound is never
-    kept, and its plans hold the table's two factors (split = m, see
+    kept, and its plans hold the table's two factors (logs None, see
     TransformPlan) instead of a p-entry table each: such a table would be
     built for one plan and read once, so forming it costs more than the
     second gather of the factored path. A kept entry is read by every plan
@@ -294,8 +284,8 @@ class _LengthStore:
     is 32749 (2,620,176 bytes; 32771 would need 2,625,680), so no large p is
     ever held (65537 would need 5.2 MB): there lengths rarely repeat, and a
     plan holds 16*(m + ceil(p/m)) bytes of factors, 10 KB at 65537 and
-    1.5 MB at 2**31-1. Every kept length is below 2*_BLOCK, so execute's
-    blocks never read a kept entry.
+    1.5 MB at 2**31-1. Every kept length is below 2*_BLOCK, so it is a
+    single block.
     """
 
     def __init__(self, budget: int):
@@ -358,7 +348,9 @@ def _block_bounds(p: int) -> Iterator[tuple[int, int]]:
 
 
 def _block_phases(
-    pl: TransformPlan,
+    p: int,
+    iu: int,
+    fs: int,
     k0: int,
     n: int,
     out: np.ndarray | None = None,
@@ -368,17 +360,17 @@ def _block_phases(
 
     (base + j*slope - iu*T(j)) mod p from _J and _TJ, exact in int64 (see
     TransformPlan). out and tmp, n-element int64 buffers, are allocated when
-    not given; tmp is left holding scratch. It reads no table, so any block
-    of any p can be checked against Python ints without building one.
+    not given; tmp is left holding scratch. It takes plain ints and reads no
+    table, so any block of any p can be checked against Python ints without
+    building one.
 
     The reduction is x - p*(x // p): numpy divides an int64 array by a
     scalar through libdivide for // but not for %, so on an 8192-bin block
-    the three passes cost about a third of one np.remainder. execute runs
+    the three passes cost about a third of one np.remainder. _gather runs
     this kernel only on plans whose entry the store does not keep, that is
     for p > 32749 (or under a smaller bound); phase_indices runs it at
     every p.
     """
-    p, iu, fs = pl.params.p, pl.iu, pl.fs
     phases = np.multiply(_J[:n], (fs - iu * k0) % p, out=out)
     tmp = np.multiply(_TJ[:n], iu, out=tmp)
     phases -= tmp
@@ -394,17 +386,17 @@ def phase_indices(pl: TransformPlan) -> np.ndarray:
     """int64 phase indices phase_k = (k*fs - iu*T(k)) mod p, k = 0..p-1.
 
     The closed form of the accumulation that phase_indices_recurrence runs,
-    computed block by block as execute does for a factored plan. It equals
+    computed block by block as _gather does for a factored plan. It equals
     r*k*(k + s) mod p with r = -iu*(p+1)/2 and s = 1 - 2*u*fs mod p, the
     product whose discrete logs a kept plan's execute adds instead.
     """
     p = pl.params.p
     if p < 2 * _BLOCK:
-        return _block_phases(pl, 0, p)
+        return _block_phases(p, pl.iu, pl.fs, 0, p)
     phases = np.empty(p, dtype=np.int64)
     tmp = np.empty(2 * _BLOCK, dtype=np.int64)
     for lo, hi in _block_bounds(p):
-        _block_phases(pl, lo, hi - lo, phases[lo:hi], tmp[: hi - lo])
+        _block_phases(p, pl.iu, pl.fs, lo, hi - lo, phases[lo:hi], tmp[: hi - lo])
     return phases
 
 
@@ -447,55 +439,58 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     s are read from the plan's fields, so a plan changed by
     dataclasses.replace gives the spectrum of its new fields.
 
-    A factored plan runs _block_phases block by block; each block's phases,
-    gather and scale run before the next block starts, and its gather is
-    hi[phase >> s] * lo[phase & (m - 1)], m = 2**s (see TransformPlan).
-    With counters, the phases come from the counted recurrence instead,
-    which gives the same integers and so the same output.
+    A factored plan (logs None) runs _gather's blocks. With counters, the
+    phases come from the counted recurrence instead and go through the same
+    _gather; they are the same integers, so the output is the same.
     """
     if counters is not None:
         return _gather(pl, phase_indices_recurrence(pl, counters))
+    if pl.logs is None:
+        return _gather(pl)
     p = pl.params.p
-    if pl.logs is not None:
-        logs, exps = pl.logs
-        s = (1 - 2 * pl.params.u * pl.fs) % p
-        lr = logs[(-pl.iu * (p + 1) // 2) % p]
-        out = np.take(exps[lr:], np.add(logs[:p], logs[s : s + p]))
-        out *= pl.const_factor
-        out[0] = out[-s] = pl.const_factor
-        return out
-    m = pl.split
-    lo, hi = pl.twiddles[:m], pl.twiddles[m:]
-    s = m.bit_length() - 1
-    out = np.empty(p, dtype=np.complex128)
-    phases = np.empty(2 * _BLOCK, dtype=np.int64)
-    tmp = np.empty(2 * _BLOCK, dtype=np.int64)
-    scratch = np.empty(2 * _BLOCK, dtype=np.complex128)
-    for k0, k1 in _block_bounds(p):
-        n = k1 - k0
-        block = out[k0:k1]
-        r = _block_phases(pl, k0, n, phases[:n], tmp[:n])
-        # every index is in range, so "clip" never clips; unlike "raise" it
-        # writes into the output directly instead of through a buffer
-        np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
-        b = np.bitwise_and(r, m - 1, out=r)
-        block *= np.take(lo, b, out=scratch[:n], mode="clip")
-        block *= pl.const_factor
+    logs, exps = pl.logs
+    s = (1 - 2 * pl.params.u * pl.fs) % p
+    lr = logs[(-pl.iu * (p + 1) // 2) % p]
+    out = np.take(exps[lr:], np.add(logs[:p], logs[s : s + p]))
+    out *= pl.const_factor
+    out[0] = out[-s] = pl.const_factor
     return out
 
 
-def _gather(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
-    """const_factor * twiddles[phases], scaled in place; hi[a] * lo[b] if factored.
+def _gather(pl: TransformPlan, phases: np.ndarray | None = None) -> np.ndarray:
+    """const_factor * twiddles[phase_k] for k < p, from the given phases or the closed form.
 
-    A factored plan's phases split as execute's blocks split them, a =
-    phases >> s and b = phases & (m - 1) with m = 2**s: the same integers
-    as phases // m and phases % m.
+    A kept plan gathers its whole table at the given phases; every kept p
+    is a single block. A factored plan runs block by block: each block's
+    phases (phases[k0:k1], or _block_phases when none are given), gather
+    and scale are done before the next block starts, and the gather is
+    hi[phase >> s] * lo[phase & (m - 1)], m = 2**s = _split(p) (see
+    TransformPlan). Given phases are not written to.
     """
-    m = pl.split
-    if m:
-        out = pl.twiddles[m:][phases >> (m.bit_length() - 1)]
-        out *= pl.twiddles[phases & (m - 1)]
-    else:
+    if pl.logs is not None:
         out = pl.twiddles[phases]
-    out *= pl.const_factor
+        out *= pl.const_factor
+        return out
+    p = pl.params.p
+    m = _split(p)
+    lo, hi = pl.twiddles[:m], pl.twiddles[m:]
+    s = m.bit_length() - 1
+    out = np.empty(p, dtype=np.complex128)
+    tmp = np.empty(2 * _BLOCK, dtype=np.int64)
+    scratch = np.empty(2 * _BLOCK, dtype=np.complex128)
+    # the closed form's buffer only when it runs: an unused 256 KB array
+    # still makes the output fault in afresh on every call (glibc mmap)
+    buf = np.empty(2 * _BLOCK, dtype=np.int64) if phases is None else None
+    for k0, k1 in _block_bounds(p):
+        n = k1 - k0
+        block = out[k0:k1]
+        if phases is None:
+            r = _block_phases(p, pl.iu, pl.fs, k0, n, buf[:n], tmp[:n])
+        else:
+            r = phases[k0:k1]
+        # every index is in range, so "clip" never clips; unlike "raise" it
+        # writes into the output directly instead of through a buffer
+        np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
+        block *= np.take(lo, np.bitwise_and(r, m - 1, out=tmp[:n]), out=scratch[:n], mode="clip")
+        block *= pl.const_factor
     return out

@@ -173,9 +173,9 @@ def test_verify_pmax61_under_ten_seconds(capsys):
 
 
 def test_bench_report_schema_and_counts(capsys, monkeypatch):
-    # 8209 is one block whose phases reduce by floor division (from p = 8192
-    # on), and naive_ns is timed up to cli._NAIVE_PMAX; a store bounded to
-    # 139's table keeps 139 and leaves 8209 factored
+    # naive_ns is timed up to cli._NAIVE_PMAX, so 8209 has it; a store
+    # bounded to 139's entry keeps 139 and leaves 8209 factored, one block,
+    # so gather_ns times the table gather at 139 and the blocked one at 8209
     store = transform._LengthStore(transform._entry_bytes(139))
     monkeypatch.setattr(transform, "_STORE", store)
     code, out = run_cli(capsys, "bench", "--p", "139", "--p", "8209", "--u", "25", "--reps", "2")

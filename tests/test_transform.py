@@ -89,10 +89,10 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
         assert (p in fresh_store._entries) == (transform._entry_bytes(p) <= budget)
         if p in (65537, 32771):
             assert fresh_store.nbytes == before
-            assert pl.split == transform._split(p)
+            assert pl.logs is None
         else:
             table, logs, exps = fresh_store.peek(p)
-            assert pl.split == 0 and pl.twiddles is table
+            assert pl.twiddles is table
             assert pl.logs[0] is logs and pl.logs[1] is exps
         entries = fresh_store._entries.values()
         held = sum(table.base.nbytes + logs.nbytes + exps.nbytes for table, logs, exps in entries)
@@ -162,8 +162,8 @@ def test_twiddle_table_error_within_derived_bound(p):
     assert held.base is None or not held.base.flags.writeable
     # 65537 and 1000003 are not kept: their plans hold lo and hi, and the
     # entries are the products the gather forms
-    m = pl.split
-    table = np.multiply.outer(held[m:], held[:m]).ravel()[:p] if m else held
+    m = transform._split(p)
+    table = np.multiply.outer(held[m:], held[:m]).ravel()[:p] if pl.logs is None else held
     assert table.shape == (p,)
     # the long-double reference errs by at most ~(3*pi + sqrt(2)) EPS_LD;
     # 16 EPS_LD covers that and the second-order terms of the bound
@@ -290,29 +290,24 @@ def test_split_is_a_power_of_two_at_least_sqrt_p(p):
     assert m & (m - 1) == 0 and m * m >= p > (m // 2) ** 2
 
 
-# every length here has a factored plan: _gather's whole-length split into
-# phases >> s and phases & (m - 1) against execute's per-block one
+# every length here has a factored plan: _gather's blocks at given phases
+# against the phases it forms per block, and at the multi-block lengths the
+# counted path, which feeds the recurrence's phases through the same blocks
 @pytest.mark.parametrize("p", BLOCKED_PRIMES + [65537, 1000003])
 def test_blocked_execute_equals_whole_length_gather(p):
     for direction in (DFT, IDFT):
         pl = plan(ZcParams(p=p, u=25, ts=(p - 1) // 2), direction)
-        assert np.array_equal(execute(pl), transform._gather(pl, phase_indices(pl)))
+        phases = phase_indices(pl)
+        assert np.array_equal(execute(pl), transform._gather(pl, phases))
+        assert np.array_equal(phases, phase_indices(pl))
+        if p in BLOCKED_PRIMES:
+            assert np.array_equal(execute(pl, OpCounters()), execute(pl))
 
 
 def test_block_kernel_is_exact_at_the_prime_cap():
-    # the largest iu and fs at the largest p the library accepts; a plan with
-    # an empty table, since the kernel never reads it
+    # the largest iu and fs at the largest p the library accepts
     p = 2**31 - 1
-    pl = transform.TransformPlan(
-        params=ZcParams(p=p, u=p - 1),
-        direction=DFT,
-        iu=p - 1,
-        ell=1,
-        fs=p - 1,
-        qpo_times4=0,
-        twiddles=np.empty(0, dtype=np.complex128),
-        const_factor=1 + 0j,
-    )
+    iu = fs = p - 1
     n = p // transform._BLOCK
     picked = {0: None, n // 2: None, n - 1: None}
     end = 0
@@ -323,8 +318,8 @@ def test_block_kernel_is_exact_at_the_prime_cap():
             picked[i] = lo, hi
     assert end == p
     for lo, hi in picked.values():
-        expect = [(k * pl.fs - pl.iu * (k * (k + 1) // 2)) % p for k in range(lo, hi)]
-        assert transform._block_phases(pl, lo, hi - lo).tolist() == expect
+        expect = [(k * fs - iu * (k * (k + 1) // 2)) % p for k in range(lo, hi)]
+        assert transform._block_phases(p, iu, fs, lo, hi - lo).tolist() == expect
 
 
 def _kept_plans():
@@ -372,7 +367,7 @@ def test_factored_execute_equals_table_gather(p):
     table = transform._twiddle_table(p)
     for direction in (DFT, IDFT):
         pl = plan(ZcParams(p=p, u=25, ts=(p - 1) // 2), direction)
-        assert pl.split == transform._split(p)
+        assert pl.logs is None
         assert np.array_equal(execute(pl), table[phase_indices(pl)] * pl.const_factor)
 
 
@@ -380,8 +375,8 @@ def test_plan_at_the_prime_cap_holds_only_factors():
     # ~1.5 MB of factors instead of a 34 GB table; execute is not called
     p = 2**31 - 1
     pl = plan(ZcParams(p=p, u=p - 1, ts=7), DFT)
-    m = pl.split
-    assert m == transform._split(p)
+    m = transform._split(p)
+    assert pl.logs is None
     assert pl.twiddles.nbytes == 16 * (m + -(-p // m))
     assert not pl.twiddles.flags.writeable
     lo, hi = pl.twiddles[:m], pl.twiddles[m:]
@@ -390,10 +385,11 @@ def test_plan_at_the_prime_cap_holds_only_factors():
     for k0, k1 in (bounds[0], bounds[-1]):
         phases = [(k * pl.fs - pl.iu * (k * (k + 1) // 2)) % p for k in range(k0, k1)]
         a, b = [r // m for r in phases], [r % m for r in phases]
-        r = transform._block_phases(pl, k0, k1 - k0)
-        # execute and _gather split by shift and mask
+        r = transform._block_phases(p, pl.iu, pl.fs, k0, k1 - k0)
+        # _gather splits by shift and mask, and its take(mode="clip") relies
+        # on every index being in range
         assert (r >> s).tolist() == a and (r & (m - 1)).tolist() == b
-        assert np.array_equal(transform._gather(pl, r), hi[a] * lo[b] * pl.const_factor)
+        assert max(a) < hi.size and max(b) < lo.size
 
 
 @given(cases, st.sampled_from([DFT, IDFT]))
