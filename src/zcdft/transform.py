@@ -479,7 +479,7 @@ def _gather(pl: TransformPlan, phases: np.ndarray | None = None) -> np.ndarray:
     tmp = np.empty(2 * _BLOCK, dtype=np.int64)
     scratch = np.empty(2 * _BLOCK, dtype=np.complex128)
     # the closed form's buffer only when it runs: an unused 256 KB array
-    # still makes the output fault in afresh on every call (glibc mmap)
+    # can make the output fault in afresh on every call (glibc mmap)
     buf = np.empty(2 * _BLOCK, dtype=np.int64) if phases is None else None
     for k0, k1 in _block_bounds(p):
         n = k1 - k0
