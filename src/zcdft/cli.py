@@ -242,10 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Print median timings and the operation counts of the counted "
         "recurrence as one JSON line per --p. fast_ns is execute; phase_ns "
         "times the closed-form phase indices, and gather_ns the scaled gather "
-        "at given phases that the counted path runs. For a length the store "
-        "does not keep, that is the blocked gather execute runs; for a kept "
-        "one it is a gather from the whole table, and execute reads the same "
-        "entries through the length's discrete-log tables instead. plan_ns is a "
+        "of all p bins at given phases that the counted path runs. For a length "
+        "the store does not keep, that is the full-range blocked gather, while "
+        "execute gathers (p+1)/2 bins and copies the other (p-1)/2 from their "
+        "mirrors; for a kept one it is a gather from the whole table, and "
+        "execute reads the same entries through the length's discrete-log "
+        "tables instead. plan_ns is a "
         "median over reps, so it times a kept table whenever p fits the "
         "per-length store. exp_evaluations counts the p table lookups of the "
         "gather, not calls to exp. table_bytes is what the plan holds: the "

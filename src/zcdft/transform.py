@@ -34,6 +34,11 @@ once, so its plan holds only the table's two sqrt(p)-length factors, hi and
 lo, and _gather forms the phases and gathers hi[a] * lo[b] in blocks of
 _BLOCK to 2*_BLOCK bins whose arrays stay in L2. The spectra stay
 bit-identical to a gather from the whole table (see TransformPlan).
+
+The product r*k*(k + s) is a quadratic in k, symmetric about its vertex:
+bins k and -s - k mod p carry the same phase, and so the same output. So
+for a factored plan _gather forms and gathers only the (p+1)/2 bins of one
+mirror half and copies each other bin from its mirror (see _gather).
 """
 
 from __future__ import annotations
@@ -61,7 +66,10 @@ class OpCounters:
     exp_evaluations counts the p table lookups of the gather, one per output,
     not calls to exp: plan builds the table with m + ceil(p/m) exps, m ~
     sqrt(p) (see TransformPlan). The name stays because the bench reports
-    (zcdft bench, perfbench) use it as a key.
+    (zcdft bench, perfbench) use it as a key. The counted path makes the
+    paper's p lookups; a factored execute without counters makes (p+1)/2
+    and fills the other (p-1)/2 bins by copies from their mirrors (see
+    _gather).
     """
 
     additions: int = 0
@@ -122,20 +130,24 @@ class TransformPlan:
     In all, |twiddles[j] - exp(-i*2*pi*j/p)| <= (3*pi + 2*sqrt(2)) * eps,
     about 12.3 eps, to first order in eps.
 
-    _gather cuts a factored plan's p bins, and phase_indices any p's, into
-    n = max(1, p // _BLOCK) blocks at i*p//n, so for p >= 2*_BLOCK each
-    block holds between _BLOCK and 2*_BLOCK bins.
-    For the bins k0 + j of a block, T(k0 + j) = T(k0) + k0*j + T(j), so
+    _block_bounds cuts a range of n bins into max(1, n // _BLOCK) blocks, so
+    for n >= 2*_BLOCK each block holds between _BLOCK and 2*_BLOCK bins.
+    phase_indices and _gather at given phases cut all p bins; a factored
+    execute cuts the (p+1)/2 bins of one mirror half, which start at any
+    k0 and never wrap (see _gather). Every p the default store does not
+    keep is above 32749, so the half holds at least 16385 bins and every
+    such block holds _BLOCK to 2*_BLOCK bins. For the bins k0 + j of a
+    block, T(k0 + j) = T(k0) + k0*j + T(j), so
         phase_k0+j = (base + j*slope - iu*T(j)) mod p,
         slope = (fs - iu*k0) mod p,  base = (k0*fs - iu*T(k0)) mod p,
     with slope and base taken exactly as Python ints. With j < 2*_BLOCK =
     2**15 and iu, slope, base < p < 2**31, T(j) < 2**29, so iu*T(j) < 2**60
     and j*slope < 2**46: the int64 sum stays exact, and one reduction per
     bin gives the same integers as the counted recurrence. _BLOCK = 2**15
-    would still fit (iu*T(j) < 2**62); at 2**16, iu*T(j) reaches 2**64. Below
-    2*_BLOCK there is one block, k0 = 0, and the phases take two
-    multiplies, a subtract and a reduction; every length the store keeps is
-    below 2*_BLOCK, and execute reads it through its logs instead.
+    would still fit (iu*T(j) < 2**62); at 2**16, iu*T(j) reaches 2**64. A
+    range below 2*_BLOCK bins is one block, and with k0 = 0 its phases take
+    two multiplies, a subtract and a reduction; every length the store keeps
+    is below 2*_BLOCK, and execute reads it through its logs instead.
 
     _BLOCK = 2**14 bins, from a sweep of 2**12 to 2**15 over plan + execute
     at 24 random primes in [2**16, 2**20] with caches evicted between
@@ -150,7 +162,8 @@ class TransformPlan:
     the same numpy complex-multiply loop as one whole-length multiply and
     the spectra are bit-identical to it; with fixed blocks of _BLOCK, the
     1-bin last block at p = 65537 took the other loop and changed that bin
-    in its last bit.
+    in its last bit. A mirror half is never one bin ((p+1)/2 >= 2), so
+    under a smaller store bound too its blocks take the array loop.
     """
 
     params: ZcParams
@@ -336,15 +349,15 @@ _J.setflags(write=False)
 _TJ.setflags(write=False)
 
 
-def _block_bounds(p: int) -> Iterator[tuple[int, int]]:
-    """Bins [lo, hi) of execute's blocks: n = max(1, p // _BLOCK) cuts at i*p//n.
+def _block_bounds(n: int, lo: int = 0) -> Iterator[tuple[int, int]]:
+    """Bins [k0, k1) of the blocks of [lo, lo + n): b = max(1, n // _BLOCK) cuts at lo + i*n//b.
 
-    For p >= 2*_BLOCK every block holds between _BLOCK and 2*_BLOCK bins;
-    below that there is one block of p bins.
+    For n >= 2*_BLOCK every block holds between _BLOCK and 2*_BLOCK bins;
+    below that there is one block of n bins.
     """
-    n = max(1, p // _BLOCK)
-    for i in range(n):
-        yield i * p // n, (i + 1) * p // n
+    b = max(1, n // _BLOCK)
+    for i in range(b):
+        yield lo + i * n // b, lo + (i + 1) * n // b
 
 
 def _block_phases(
@@ -386,9 +399,11 @@ def phase_indices(pl: TransformPlan) -> np.ndarray:
     """int64 phase indices phase_k = (k*fs - iu*T(k)) mod p, k = 0..p-1.
 
     The closed form of the accumulation that phase_indices_recurrence runs,
-    computed block by block as _gather does for a factored plan. It equals
-    r*k*(k + s) mod p with r = -iu*(p+1)/2 and s = 1 - 2*u*fs mod p, the
-    product whose discrete logs a kept plan's execute adds instead.
+    computed block by block over all p bins. It equals r*k*(k + s) mod p
+    with r = -iu*(p+1)/2 and s = 1 - 2*u*fs mod p, the product whose
+    discrete logs a kept plan's execute adds instead, so
+    phase_k == phase_(t-k) with t = -s mod p; a factored execute forms only
+    one mirror half of them (see _gather).
     """
     p = pl.params.p
     if p < 2 * _BLOCK:
@@ -439,9 +454,11 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     s are read from the plan's fields, so a plan changed by
     dataclasses.replace gives the spectrum of its new fields.
 
-    A factored plan (logs None) runs _gather's blocks. With counters, the
-    phases come from the counted recurrence instead and go through the same
-    _gather; they are the same integers, so the output is the same.
+    A factored plan (logs None) runs _gather, which forms and gathers the
+    (p+1)/2 bins of one mirror half in blocks and copies the other (p-1)/2
+    from them: phase_k == phase_(t-k) with t = -s mod p. With counters, the
+    phases come from the counted recurrence instead and go through _gather
+    over all p bins; they are the same integers, so the output is the same.
     """
     if counters is not None:
         return _gather(pl, phase_indices_recurrence(pl, counters))
@@ -466,6 +483,19 @@ def _gather(pl: TransformPlan, phases: np.ndarray | None = None) -> np.ndarray:
     and scale are done before the next block starts, and the gather is
     hi[phase >> s] * lo[phase & (m - 1)], m = 2**s = _split(p) (see
     TransformPlan). Given phases are not written to.
+
+    Given phases are gathered over all p bins. Without them, only the h =
+    (p+1)/2 bins [first, first + h) are formed and gathered, and each of
+    the other two ranges is one reversed copy of its mirror among them.
+    Proof: with t = 2*u*fs - 1 = -s mod p,
+        phase_(t-k) = r*(t - k)*(t - k + s) = r*(-(k + s))*(-k) = phase_k,
+    and equal phases give equal outputs bit for bit, so out[k] ==
+    out[(t - k) mod p]. As 2 is invertible mod p, k -> t - k has the one
+    fixed point c = t*(p+1)/2 mod p, and it pairs every other bin c + d
+    with c - d, 0 < d <= (p-1)/2. So c, c + 1, ..., c + (p-1)/2 hold one
+    bin of each pair, and so do c - (p-1)/2, ..., c. first = c if c <=
+    (p-1)/2, else c - (p-1)/2 >= 1; either way the range ends at or before
+    p - 1 and never wraps.
     """
     if pl.logs is not None:
         out = pl.twiddles[phases]
@@ -478,10 +508,18 @@ def _gather(pl: TransformPlan, phases: np.ndarray | None = None) -> np.ndarray:
     out = np.empty(p, dtype=np.complex128)
     tmp = np.empty(2 * _BLOCK, dtype=np.int64)
     scratch = np.empty(2 * _BLOCK, dtype=np.complex128)
-    # the closed form's buffer only when it runs: an unused 256 KB array
-    # can make the output fault in afresh on every call (glibc mmap)
-    buf = np.empty(2 * _BLOCK, dtype=np.int64) if phases is None else None
-    for k0, k1 in _block_bounds(p):
+    if phases is None:
+        # the closed form's buffer only when it runs: an unused 256 KB array
+        # can make the output fault in afresh on every call (glibc mmap)
+        buf = np.empty(2 * _BLOCK, dtype=np.int64)
+        half = (p + 1) // 2
+        t = (2 * pl.params.u * pl.fs - 1) % p
+        c = t * half % p
+        first = c if c < half else c - half + 1
+        bounds = _block_bounds(half, first)
+    else:
+        bounds = _block_bounds(p)
+    for k0, k1 in bounds:
         n = k1 - k0
         block = out[k0:k1]
         if phases is None:
@@ -493,4 +531,10 @@ def _gather(pl: TransformPlan, phases: np.ndarray | None = None) -> np.ndarray:
         np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
         block *= np.take(lo, np.bitwise_and(r, m - 1, out=tmp[:n]), out=scratch[:n], mode="clip")
         block *= pl.const_factor
+    if phases is None:
+        # out[a + i] = out[top - i], top = (t - a) mod p: source and target
+        # are disjoint slices, so the copy needs no temporary
+        for a, b in ((first + half, p), (0, first)):
+            top = (t - a) % p
+            out[a:b] = out[top - (b - a) + 1 : top + 1][::-1]
     return out

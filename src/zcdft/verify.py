@@ -305,6 +305,23 @@ def check_phase_closed_form_vs_recurrence(cfg: VerifyConfig) -> CheckResult:
     return CheckResult(name, True, 0.0, "integer equality")
 
 
+def check_phase_mirror(cfg: VerifyConfig) -> CheckResult:
+    # phase_k = r*k*(k + s) mod p is the same at k and t - k, t = -s mod p;
+    # a factored execute copies half its bins on the strength of this
+    name = "phase-mirror"
+    for p, roots, shifts in cfg.transform_cases():
+        k = np.arange(p)
+        for u in roots:
+            for ts in shifts:
+                for direction in (transform.DFT, transform.IDFT):
+                    pl = transform.plan(ZcParams(p=p, u=u, ts=ts), direction)
+                    phases = transform.phase_indices(pl)
+                    t = (2 * u * pl.fs - 1) % p
+                    if not np.array_equal(phases, phases[(t - k) % p]):
+                        return CheckResult(name, False, 1.0, f"p={p} u={u} ts={ts} {direction}")
+    return CheckResult(name, True, 0.0, "integer equality")
+
+
 def check_dft_idft_shift_gap(cfg: VerifyConfig) -> CheckResult:
     for p in cfg.primes(199):
         half = (p + 1) // 2
@@ -421,6 +438,7 @@ ALL_CHECKS: list[Callable[[VerifyConfig], CheckResult]] = [
     check_spectrum_magnitude,
     check_operation_counts,
     check_phase_closed_form_vs_recurrence,
+    check_phase_mirror,
     check_dft_idft_shift_gap,
     check_pattern_flip_involution,
     check_pattern_slope_inversion,

@@ -58,6 +58,21 @@ def test_plan_is_immutable():
 PRACH_LENGTHS = [139, 571, 839, 1151]
 
 
+def _mirror_plans(p):
+    """Plans of p, both directions, whose mirror fixed point c (see
+    transform._gather) is 0, inside [1, (p-1)/2] or at its end, or above it,
+    from (p+1)/2 to p - 1; c = 0 is ts = (p-1)/2."""
+    u = 25
+    iu = mod_inverse(u, p)
+    for direction, sign in ((DFT, 1), (IDFT, -1)):
+        for c in (0, (p - 1) // 4, (p - 1) // 2, (p + 1) // 2, 3 * (p // 4), p - 1):
+            # t = -s = -sign*u*(1 + 2*ts) = 2c, solved for ts
+            ts = (-sign * 2 * c * iu - 1) * (p + 1) // 2 % p
+            pl = plan(ZcParams(p=p, u=u, ts=ts), direction)
+            assert (2 * u * pl.fs - 1) * (p + 1) // 2 % p == c
+            yield pl
+
+
 @pytest.fixture
 def fresh_store(monkeypatch):
     """Swap in an empty store with the module's bound; returns it."""
@@ -100,20 +115,23 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
     assert list(fresh_store._entries) == [16411]
 
 
+# with nothing kept, 839's mirror half (420 bins) is one block shorter than
+# _BLOCK; its spectra equal the full-range gather and the kept log-domain path
 @pytest.mark.parametrize("p", [839, 65537])
 def test_kept_entry_gives_the_same_phases_and_spectra(p, monkeypatch):
-    params = ZcParams(p=p, u=25, ts=(p - 1) // 2)
     results = {}
     # nothing kept, the module's store, every length kept
     for budget in (0, transform._STORE_BYTES, 1 << 23):
         store = transform._LengthStore(budget)
         monkeypatch.setattr(transform, "_STORE", store)
-        for direction in (DFT, IDFT):
-            pl = plan(params, direction)
+        for i, pl in enumerate(_mirror_plans(p)):
             assert (p in store._entries) == (transform._entry_bytes(p) <= budget)
-            results[budget, direction] = (phase_indices(pl), execute(pl))
-    for (_, direction), (phases, out) in results.items():
-        ref_phases, ref_out = results[0, direction]
+            phases, out = phase_indices(pl), execute(pl)
+            if pl.logs is None:
+                assert np.array_equal(out, transform._gather(pl, phases))
+            results[budget, i] = (phases, out)
+    for (_, i), (phases, out) in results.items():
+        ref_phases, ref_out = results[0, i]
         assert np.array_equal(phases, ref_phases)
         assert np.array_equal(out, ref_out)
 
@@ -252,6 +270,13 @@ def test_closed_form_phases_equal_recurrence_at_large_p(p):
     expect = u * (triangular_mod(np.int64(ts), p) - triangular_mod(idx, p)) % p
     assert np.array_equal(phases[DFT], expect)
     assert np.array_equal(phases[IDFT], phases[DFT][(-k) % p])
+    # the mirror a factored execute copies half its bins by (phase-mirror
+    # on the acceptance grid): phase_k == phase_(t-k), t = 2*u*fs - 1
+    for direction in (DFT, IDFT):
+        pl = plan(ZcParams(p=p, u=u, ts=7), direction)
+        mirrored = phase_indices(pl)
+        t = (2 * u * pl.fs - 1) % p
+        assert t != 0 and np.array_equal(mirrored, mirrored[(t - k) % p])
 
 
 # 8209 and 12289 had two and three blocks at _BLOCK = 2**12 and are one block
@@ -290,18 +315,19 @@ def test_split_is_a_power_of_two_at_least_sqrt_p(p):
     assert m & (m - 1) == 0 and m * m >= p > (m // 2) ** 2
 
 
-# every length here has a factored plan: _gather's blocks at given phases
-# against the phases it forms per block, and at the multi-block lengths the
-# counted path, which feeds the recurrence's phases through the same blocks
+# every length here has a factored plan: execute's mirrored half-range blocks
+# against _gather's full-range blocks at given phases, for each placement of
+# the mirror, and at the multi-block lengths the counted path, which feeds
+# the recurrence's phases through the full-range blocks
 @pytest.mark.parametrize("p", BLOCKED_PRIMES + [65537, 1000003])
 def test_blocked_execute_equals_whole_length_gather(p):
-    for direction in (DFT, IDFT):
-        pl = plan(ZcParams(p=p, u=25, ts=(p - 1) // 2), direction)
+    for pl in _mirror_plans(p):
         phases = phase_indices(pl)
-        assert np.array_equal(execute(pl), transform._gather(pl, phases))
+        out = execute(pl)
+        assert np.array_equal(out, transform._gather(pl, phases))
         assert np.array_equal(phases, phase_indices(pl))
         if p in BLOCKED_PRIMES:
-            assert np.array_equal(execute(pl, OpCounters()), execute(pl))
+            assert np.array_equal(execute(pl, OpCounters()), out)
 
 
 def test_block_kernel_is_exact_at_the_prime_cap():
@@ -365,8 +391,7 @@ def test_phases_are_a_product_of_two_linear_factors(p):
 @pytest.mark.parametrize("p", [32771, 65537, 131071, 1000003])
 def test_factored_execute_equals_table_gather(p):
     table = transform._twiddle_table(p)
-    for direction in (DFT, IDFT):
-        pl = plan(ZcParams(p=p, u=25, ts=(p - 1) // 2), direction)
+    for pl in _mirror_plans(p):
         assert pl.logs is None
         assert np.array_equal(execute(pl), table[phase_indices(pl)] * pl.const_factor)
 
