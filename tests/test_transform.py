@@ -115,8 +115,8 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
     assert list(fresh_store._entries) == [16411]
 
 
-# with nothing kept, 839's mirror half (420 bins) is one block shorter than
-# _BLOCK; its spectra equal the full-range gather and the kept log-domain path
+# with nothing kept, 839's mirror half (420 bins) is a single block shorter
+# than _BLOCK; its spectra equal the full-range gather and the kept path's
 @pytest.mark.parametrize("p", [839, 65537])
 def test_kept_entry_gives_the_same_phases_and_spectra(p, monkeypatch):
     results = {}
@@ -270,8 +270,8 @@ def test_closed_form_phases_equal_recurrence_at_large_p(p):
     expect = u * (triangular_mod(np.int64(ts), p) - triangular_mod(idx, p)) % p
     assert np.array_equal(phases[DFT], expect)
     assert np.array_equal(phases[IDFT], phases[DFT][(-k) % p])
-    # the mirror a factored execute copies half its bins by (phase-mirror
-    # on the acceptance grid): phase_k == phase_(t-k), t = 2*u*fs - 1
+    # the mirror by which a factored execute copies half its bins, also
+    # checked by the phase-mirror family: phase_k == phase_(t-k), t = 2*u*fs - 1
     for direction in (DFT, IDFT):
         pl = plan(ZcParams(p=p, u=u, ts=7), direction)
         mirrored = phase_indices(pl)
