@@ -146,6 +146,7 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "p": params.p,
         "u": params.u,
         "reps": reps,
+        "params_ns": _median_ns(lambda: ZcParams(params.p, params.u, params.ts), reps),
         "plan_ns": _median_ns(lambda: transform.plan(params, transform.DFT), reps),
         "fast_ns": _median_ns(lambda: transform.execute(pl), reps),
         "phase_ns": _median_ns(lambda: transform.phase_indices(pl), reps),
@@ -240,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time plan and the fast, reference and naive paths",
         description="Print median timings and the operation counts of the counted "
-        "recurrence as one JSON line per --p. fast_ns is execute; phase_ns "
+        "recurrence as one JSON line per --p. params_ns times ZcParams, with "
+        "its validation, and fast_ns execute; phase_ns "
         "times the closed-form phase indices, and gather_ns the scaled gather "
         "of all p bins at given phases that the counted path runs. For a length "
         "the store does not keep, that is the full-range blocked gather, while "

@@ -15,7 +15,7 @@ import numpy as np
 from .numtheory import as_int, centered, require_odd_prime, triangular_mod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ZcParams:
     """A ZC problem instance: prime length p, root u, cyclic shift ts.
 
@@ -29,17 +29,17 @@ class ZcParams:
     u: int
     ts: int = 0
 
-    def __post_init__(self) -> None:
-        p = require_odd_prime(self.p)
-        u = as_int(self.u, "root")
-        ts = as_int(self.ts, "cyclic shift")
+    def __init__(self, p: int, u: int, ts: int = 0) -> None:
+        # by hand: the generated __init__ of a frozen dataclass stores each
+        # field by object.__setattr__, and one dict update costs less
+        p = require_odd_prime(p)
+        u = as_int(u, "root")
+        ts = as_int(ts, "cyclic shift")
         if not 1 <= u <= p - 1:
             raise ValueError(f"root must satisfy 1 <= u <= p-1, got u={u}")
         if not 0 <= ts <= p - 1:
             raise ValueError(f"cyclic shift must satisfy 0 <= ts <= p-1, got ts={ts}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "ts", ts)
+        self.__dict__.update(p=p, u=u, ts=ts)
 
 
 @dataclass(frozen=True)

@@ -149,16 +149,10 @@ class TransformPlan:
     two multiplies, a subtract and a reduction; every length the store keeps
     is below 2*_BLOCK, and execute reads it through its logs instead.
 
-    _BLOCK = 2**14 bins, from a sweep of 2**12 to 2**15 over plan + execute
-    at 24 random primes in [2**16, 2**20] with caches evicted between
-    operations (2-vCPU Xeon, 2 MB of L2 per core, numpy 2.4.6): speed
-    against 2**12, median of per-case ratios, read 1.20-1.21 at 2**13,
-    1.32 at 2**14 and 1.20-1.25 at 2**15. Each block makes about 14 numpy
-    calls of 0.5-1 us fixed cost each, which smaller blocks pay more
-    often; at 2**14 a block's int64 phases and scratch (256 KB each at
-    most), its output slice (512 KB), the j and T(j) it reads (256 KB
-    each) and a factored plan's complex scratch (512 KB) still about fit
-    that L2. No block is shorter than _BLOCK, so every block's scale runs
+    _BLOCK = 2**14 bins won a sweep of 2**12 to 2**15 (CHANGES.md). Each
+    block makes about 14 numpy calls of fixed cost, which smaller blocks
+    pay more often, and a block's arrays still about fit a 2 MB L2. No
+    block is shorter than _BLOCK, so every block's scale runs
     the same numpy complex-multiply loop as one whole-length multiply and
     the spectra are bit-identical to it; with fixed blocks of _BLOCK, the
     1-bin last block at p = 65537 took the other loop and changed that bin
@@ -200,7 +194,9 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         twiddles, logs = _twiddle_factors(p), None
     else:
         twiddles, logs = entry[0], entry[1:]
-    return TransformPlan(
+    # one dict update, not the frozen __init__'s object.__setattr__ per field
+    pl = object.__new__(TransformPlan)
+    pl.__dict__.update(
         params=params,
         direction=direction,
         iu=iu,
@@ -211,6 +207,7 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         const_factor=const_from_qpo(p, qpo4),
         logs=logs,
     )
+    return pl
 
 
 def _split(p: int) -> int:
@@ -468,7 +465,8 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     logs, exps = pl.logs
     s = (1 - 2 * pl.params.u * pl.fs) % p
     lr = logs[(-pl.iu * (p + 1) // 2) % p]
-    out = np.take(exps[lr:], np.add(logs[:p], logs[s : s + p]))
+    # method and operator: np.take and np.add pay __array_function__ dispatch
+    out = exps[lr:].take(logs[:p] + logs[s : s + p])
     out *= pl.const_factor
     out[0] = out[-s] = pl.const_factor
     return out

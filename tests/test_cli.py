@@ -188,6 +188,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
             "p",
             "u",
             "reps",
+            "params_ns",
             "plan_ns",
             "fast_ns",
             "phase_ns",
@@ -205,7 +206,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
         assert report["exp_evaluations"] == p
         assert 0 < report["fast_ns"] < report["naive_ns"]
         assert report["phase_ns"] > 0 and report["gather_ns"] > 0
-        assert report["plan_ns"] > 0
+        assert report["params_ns"] > 0 and report["plan_ns"] > 0
     m = transform._split(8209)
     assert [r["table_bytes"] for r in reports] == [16 * 139, 16 * (m + -(-8209 // m))]
 

@@ -37,6 +37,31 @@ def test_is_prime_matches_trial_division(n):
     assert is_prime(n) == trial_division_is_prime(n)
 
 
+def test_is_prime_matches_a_sieve():
+    # trial division below 2**13 and Miller-Rabin above: both ranges and the
+    # cutoff itself, against a sieve of Eratosthenes
+    limit = 200_000
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, 448):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
+    assert [n for n in range(limit + 1) if is_prime(n)] == [n for n in range(limit + 1) if sieve[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to base 2, each caught by base 7 or 61
+    for n in (2047, 3277, 4033, 4681, 8321):
+        assert not is_prime(n)
+    # 48781 * 97561 passes bases 2, 7 and 61: the least such composite, and
+    # where trial division takes over again
+    n = 4_759_123_141
+    assert n == 48781 * 97561 and not is_prime(n)
+    # the primes next below and above it, one from each test
+    for n in (4_759_123_129, 4_759_123_151):
+        assert is_prime(n) and trial_division_is_prime(n)
+
+
 def test_mod_inverse_examples():
     assert mod_inverse(3, 13) == 9  # 3*9 = 27 = 2*13 + 1
     assert mod_inverse(1, 13) == 1
@@ -71,7 +96,7 @@ def test_legendre_examples():
 
 
 # The legendre-symbol registry family asserts the same for every p <= 199.
-@pytest.mark.parametrize("p", ODD_PRIMES_199[:-8])
+@pytest.mark.parametrize("p", ODD_PRIMES_199[:-18])
 def test_legendre_euler_matches_enumeration(p):
     squares = {(a * a) % p for a in range(1, p)}
     for a in range(p):

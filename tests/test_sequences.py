@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,26 @@ def test_param_validation():
         ZcParams(p=np.int64(13), u=np.int64(13))
     sym = LmfhParams(p=np.int64(13), s=np.int64(-3), fs=np.int16(2))
     assert all(type(v) is int for v in (sym.p, sym.s, sym.fs))
+
+
+def test_params_record_is_frozen_and_revalidated():
+    params = ZcParams(13, np.int64(3), ts=np.uint8(2))
+    assert params == ZcParams(p=13, u=3, ts=2) == ZcParams(13, 3, 2)
+    assert hash(params) == hash(ZcParams(p=13, u=3, ts=2))
+    assert all(type(v) is int for v in (params.p, params.u, params.ts))
+    assert repr(params) == "ZcParams(p=13, u=3, ts=2)"
+    assert ZcParams(13, 3).ts == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.u = 5
+    for bad in ({"u": True}, {"ts": True}, {"ts": np.bool_(False)}):
+        with pytest.raises(ValueError):
+            ZcParams(**{"p": 13, "u": 3, **bad})
+    # replace goes through __init__, so it validates again
+    assert dataclasses.replace(params, u=np.int32(5)) == ZcParams(13, 5, 2)
+    with pytest.raises(ValueError, match="root must satisfy"):
+        dataclasses.replace(params, u=0)
+    with pytest.raises(ValueError, match="odd prime"):
+        dataclasses.replace(params, p=15)
 
 
 def test_zc_time_first_samples():

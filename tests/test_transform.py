@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -53,6 +54,49 @@ def test_plan_is_immutable():
         pl.fs = 0
     with pytest.raises(ValueError):
         pl.twiddles[0] = 0
+
+
+def test_plan_record_keeps_the_dataclass_contract():
+    names = ["params", "direction", "iu", "ell", "fs", "qpo_times4", "twiddles", "const_factor", "logs"]
+    assert [f.name for f in dataclasses.fields(transform.TransformPlan)] == names
+    for p in (13, 65537):  # a kept plan and a factored one
+        pl = plan(ZcParams(p, 3, 1), IDFT)
+        assert type(pl) is transform.TransformPlan and list(vars(pl)) == names
+        assert dataclasses.replace(pl) == pl
+        assert plan(ZcParams(p, 3, 1), DFT) != pl
+
+
+# SHA-1 of phase_indices as little-endian int64, DFT then IDFT. The phases are
+# exact integers and read no libm, so these pin the transform across numpy
+# versions; 139, 839 and 32749 are kept lengths, 65537 a factored one
+GOLDEN_PHASES = {
+    (139, 25, 7): (
+        "b3c69ad721e574012d7c0fdb9c95e925bf90e0db",
+        "8961f4781ea053628cae2c62f1726b5bf0db6143",
+    ),
+    (839, 1, 0): (
+        "a6dab3919dec765a42fda3b5d914b67cd42654a3",
+        "48cc2f9646736dcaf1a43d606c178e3d41745883",
+    ),
+    (32749, 12345, 7): (
+        "ceaa09a78185336996d9adae07c81187e67b10d0",
+        "05c3842287074f5ea5d13faef7960a9a27e458aa",
+    ),
+    (65537, 25, 1000): (
+        "2e9355cb8d3b1d1a76ab9d37a1ed5bae4fedd7ac",
+        "a2fb9f4791dce1bd9e0c11fc059464be64aeffa6",
+    ),
+}
+
+
+@pytest.mark.parametrize("p, u, ts", list(GOLDEN_PHASES))
+def test_phase_indices_match_golden_hashes(p, u, ts):
+    params = ZcParams(p, u, ts)
+    digests = tuple(
+        hashlib.sha1(phase_indices(plan(params, d)).astype("<i8").tobytes()).hexdigest()
+        for d in (DFT, IDFT)
+    )
+    assert digests == GOLDEN_PHASES[p, u, ts]
 
 
 PRACH_LENGTHS = [139, 571, 839, 1151]
