@@ -244,17 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
         "recurrence as one JSON line per --p. params_ns times ZcParams, with "
         "its validation, and fast_ns execute; phase_ns "
         "times the closed-form phase indices, and gather_ns the scaled gather "
-        "of all p bins at given phases that the counted path runs. For a length "
-        "the store does not keep, that is the full-range blocked gather, while "
-        "execute gathers (p+1)/2 bins and copies the other (p-1)/2 from their "
-        "mirrors; for a kept one it is a gather from the whole table, and "
-        "execute reads the same entries through the length's discrete-log "
-        "tables instead. plan_ns is a "
-        "median over reps, so it times a kept table whenever p fits the "
+        "of all p bins at given phases that the counted path runs: at every p "
+        "the blocked gather from the table's two sqrt(p)-length factors. "
+        "execute instead reads a kept length's entries through its "
+        "discrete-log tables, and for any other length gathers (p+1)/2 bins "
+        "and copies the other (p-1)/2 from their mirrors. plan_ns is a "
+        "median over reps, so it times a kept entry whenever p fits the "
         "per-length store. exp_evaluations counts the p table lookups of the "
-        "gather, not calls to exp. table_bytes is what the plan holds: the "
-        "whole table of a kept length, or the two sqrt(p)-length factors of "
-        "one too large to keep. naive_ns times the O(p^2) oracle only up to "
+        "gather, not calls to exp. table_bytes is what the plan holds of the "
+        "table of roots, its two factors at every p; a kept length's log "
+        "tables are not counted. naive_ns times the O(p^2) oracle only up to "
         f"p = {_NAIVE_PMAX} and is null above it.",
     )
     sp.set_defaults(handler=cmd_bench)

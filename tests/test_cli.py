@@ -174,8 +174,8 @@ def test_verify_pmax61_under_ten_seconds(capsys):
 
 def test_bench_report_schema_and_counts(capsys, monkeypatch):
     # naive_ns is timed up to cli._NAIVE_PMAX, so 8209 has it; a store
-    # bounded to 139's entry keeps 139 and leaves 8209 factored, one block,
-    # so gather_ns times the table gather at 139 and the blocked one at 8209
+    # bounded to 139's entry keeps 139 and leaves 8209 factored, one block;
+    # gather_ns times the blocked factored gather at both
     store = transform._LengthStore(transform._entry_bytes(139))
     monkeypatch.setattr(transform, "_STORE", store)
     code, out = run_cli(capsys, "bench", "--p", "139", "--p", "8209", "--u", "25", "--reps", "2")
@@ -208,7 +208,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
         assert report["phase_ns"] > 0 and report["gather_ns"] > 0
         assert report["params_ns"] > 0 and report["plan_ns"] > 0
     m = transform._split(8209)
-    assert [r["table_bytes"] for r in reports] == [16 * 139, 16 * (m + -(-8209 // m))]
+    assert [r["table_bytes"] for r in reports] == [400, 16 * (m + -(-8209 // m))]
 
 
 def test_bench_report_keeps_naive_key_as_null_above_its_limit(capsys, monkeypatch):

@@ -66,6 +66,15 @@ def test_plan_record_keeps_the_dataclass_contract():
         assert plan(ZcParams(p, 3, 1), DFT) != pl
 
 
+def test_equal_plans_compare_and_hash_equal():
+    # twiddles and logs depend on p alone and are left out of == and hash,
+    # so a factored length's plans, each with its own factors, compare too
+    for p in (139, 65537):
+        a, b = plan(ZcParams(p, 3, 1), DFT), plan(ZcParams(p, 3, 1), DFT)
+        assert a == b and hash(a) == hash(b)
+        assert dataclasses.replace(a, fs=(a.fs + 1) % p) != a
+
+
 # SHA-1 of phase_indices as little-endian int64, DFT then IDFT. The phases are
 # exact integers and read no libm, so these pin the transform across numpy
 # versions; 139, 839 and 32749 are kept lengths, 65537 a factored one
@@ -128,33 +137,36 @@ def fresh_store(monkeypatch):
 def test_kept_length_shares_one_read_only_table(fresh_store):
     a = plan(ZcParams(p=839, u=25), DFT)
     b = plan(ZcParams(p=839, u=3, ts=7), IDFT)
-    table, logs, exps = fresh_store.peek(839)
-    assert a.twiddles is b.twiddles is table
+    factors, logs, exps = fresh_store.peek(839)
+    assert a.twiddles is b.twiddles is factors
     assert a.logs[0] is b.logs[0] is logs and a.logs[1] is b.logs[1] is exps
-    for array in (table, table.base, logs, exps):
+    for array in (factors, logs, exps):
         with pytest.raises(ValueError):
             array[0] = 1
-    assert logs.base is None and exps.base is None
-    assert fresh_store.nbytes == table.base.nbytes + logs.nbytes + exps.nbytes
+    assert factors.base is None and logs.base is None and exps.base is None
+    m = transform._split(839)
+    assert factors.size == m + -(-839 // m)
+    assert fresh_store.nbytes == factors.nbytes + logs.nbytes + exps.nbytes
 
 
 def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
     budget = transform._STORE_BYTES
-    # 32749 is the longest length whose entry fits; 16381 fills half the
-    # bound, so it and 32749 cannot be kept together
-    for p in PRACH_LENGTHS + ODD_PRIMES_199 + [65537, 16381, 32749, 32771, 16411]:
+    # 40853 is the longest length whose entry fits and 40867 the first that
+    # does not; 16381 fills 40% of the bound, so it and 32749 or 40853
+    # cannot be kept together
+    for p in PRACH_LENGTHS + ODD_PRIMES_199 + [65537, 16381, 32749, 40853, 40867, 16411]:
         before = fresh_store.nbytes
         pl = plan(ZcParams(p=p, u=1), DFT)
         assert (p in fresh_store._entries) == (transform._entry_bytes(p) <= budget)
-        if p in (65537, 32771):
+        if p in (65537, 40867):
             assert fresh_store.nbytes == before
             assert pl.logs is None
         else:
-            table, logs, exps = fresh_store.peek(p)
-            assert pl.twiddles is table
+            factors, logs, exps = fresh_store.peek(p)
+            assert pl.twiddles is factors
             assert pl.logs[0] is logs and pl.logs[1] is exps
         entries = fresh_store._entries.values()
-        held = sum(table.base.nbytes + logs.nbytes + exps.nbytes for table, logs, exps in entries)
+        held = sum(factors.nbytes + logs.nbytes + exps.nbytes for factors, logs, exps in entries)
         assert fresh_store.nbytes == held <= budget
     assert list(fresh_store._entries) == [16411]
 
@@ -171,8 +183,7 @@ def test_kept_entry_gives_the_same_phases_and_spectra(p, monkeypatch):
         for i, pl in enumerate(_mirror_plans(p)):
             assert (p in store._entries) == (transform._entry_bytes(p) <= budget)
             phases, out = phase_indices(pl), execute(pl)
-            if pl.logs is None:
-                assert np.array_equal(out, transform._gather(pl, phases))
+            assert np.array_equal(out, transform._gather(pl, phases))
             results[budget, i] = (phases, out)
     for (_, i), (phases, out) in results.items():
         ref_phases, ref_out = results[0, i]
@@ -222,10 +233,11 @@ def test_twiddle_table_error_within_derived_bound(p):
     held = pl.twiddles
     assert not held.flags.writeable
     assert held.base is None or not held.base.flags.writeable
-    # 65537 and 1000003 are not kept: their plans hold lo and hi, and the
-    # entries are the products the gather forms
+    # every plan holds lo and hi, and the entries are the products the
+    # gather and the log tables form
     m = transform._split(p)
-    table = np.multiply.outer(held[m:], held[:m]).ravel()[:p] if pl.logs is None else held
+    assert held.shape == (m + -(-p // m),)
+    table = np.multiply.outer(held[m:], held[:m]).ravel()[:p]
     assert table.shape == (p,)
     # the long-double reference errs by at most ~(3*pi + sqrt(2)) EPS_LD;
     # 16 EPS_LD covers that and the second-order terms of the bound
@@ -324,14 +336,16 @@ def test_closed_form_phases_equal_recurrence_at_large_p(p):
 
 
 # 8209 and 12289 had two and three blocks at _BLOCK = 2**12 and are one block
-# now, reduced by floor division like 32749, the longest one-block length the
-# store keeps; 32771 is the first prime >= 2 * _BLOCK, the first with two
-# blocks, and 49157, the first prime >= 3 * _BLOCK, has three of unequal length
+# now, reduced by floor division like 32749, the longest one-block length;
+# 32771 is the first prime >= 2 * _BLOCK, the first with two blocks, 40853 the
+# longest length the store keeps, and 49157, the first prime >= 3 * _BLOCK,
+# has three of unequal length
 BLOCK_LENGTHS = {
     8209: [8209],
     12289: [12289],
     32749: [32749],
     32771: [16385, 16386],
+    40853: [20426, 20427],
     49157: [16385, 16386, 16386],
 }
 BLOCKED_PRIMES = [p for p, lengths in BLOCK_LENGTHS.items() if len(lengths) > 1]
@@ -359,13 +373,14 @@ def test_split_is_a_power_of_two_at_least_sqrt_p(p):
     assert m & (m - 1) == 0 and m * m >= p > (m // 2) ** 2
 
 
-# every length here has a factored plan: execute's mirrored half-range blocks
-# against _gather's full-range blocks at given phases, for each placement of
-# the mirror, and at the multi-block lengths the counted path, which feeds
-# the recurrence's phases through the full-range blocks
+# execute, the log gather at the kept 32771 and 40853 and mirrored half-range
+# blocks above, against _gather's full-range blocks at given phases, for each
+# placement of the mirror, and at the multi-block lengths the counted path,
+# which feeds the recurrence's phases through the full-range blocks
 @pytest.mark.parametrize("p", BLOCKED_PRIMES + [65537, 1000003])
 def test_blocked_execute_equals_whole_length_gather(p):
     for pl in _mirror_plans(p):
+        assert (pl.logs is None) == (p > 40853)
         phases = phase_indices(pl)
         out = execute(pl)
         assert np.array_equal(out, transform._gather(pl, phases))
@@ -407,13 +422,18 @@ def _kept_plans():
 
 
 def test_kept_execute_equals_table_gather():
-    # the log-domain gather reads E3, the table's own entries: bit-identical
-    # to gathering the table at the closed-form phases and scaling, also for
-    # a plan whose shift was changed after planning
+    # the log-domain gather reads E3, products of the factors: bit-identical
+    # to gathering the whole table at the closed-form phases and scaling,
+    # also for a plan whose shift was changed after planning
+    tables = {}
     for pl in _kept_plans():
         assert pl.logs is not None
-        for q in (pl, dataclasses.replace(pl, fs=(pl.fs + 1) % pl.params.p)):
-            assert np.array_equal(execute(q), pl.twiddles[phase_indices(q)] * q.const_factor)
+        p = pl.params.p
+        if p not in tables:
+            tables[p] = transform._twiddle_table(p)
+        table = tables[p]
+        for q in (pl, dataclasses.replace(pl, fs=(pl.fs + 1) % p)):
+            assert np.array_equal(execute(q), table[phase_indices(q)] * q.const_factor)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_61 + PRACH_LENGTHS + [32749, 65537])
@@ -431,8 +451,8 @@ def test_phases_are_a_product_of_two_linear_factors(p):
                 assert np.array_equal(phase_indices(pl), r * k % p * ((k + s) % p) % p)
 
 
-# 32771 is the first length whose table the store does not keep
-@pytest.mark.parametrize("p", [32771, 65537, 131071, 1000003])
+# 40867 is the first length whose entry the store does not keep
+@pytest.mark.parametrize("p", [40867, 65537, 131071, 1000003])
 def test_factored_execute_equals_table_gather(p):
     table = transform._twiddle_table(p)
     for pl in _mirror_plans(p):
