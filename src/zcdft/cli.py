@@ -165,7 +165,10 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
 
 
 def cmd_bench(parser, args) -> int:
-    cases = [_zc_params(parser, p, args.u, args.ts) for p in args.p or [839]]
+    cases = [
+        _zc_params(parser, p, min(25, p - 1) if args.u is None else args.u, args.ts)
+        for p in args.p or [839]
+    ]
     if args.reps < 1:
         parser.error("--reps must be positive")
     for params in cases:
@@ -263,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="prime sequence length; repeat for several (default 839)",
     )
-    sp.add_argument("--u", type=int, default=25, help="root, in [1, p-1]")
+    sp.add_argument(
+        "--u", type=int, default=None, help="root, in [1, p-1] (default min(25, p-1) per --p)"
+    )
     sp.add_argument("--ts", type=int, default=0, help="cyclic shift, in [0, p-1]")
     sp.add_argument("--reps", type=int, default=100, help="repetitions per path")
 

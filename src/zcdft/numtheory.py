@@ -16,9 +16,28 @@ import numpy as np
 PRIME_CAP = 1 << 31
 
 
-# below this, trial division (at most 45 odd divisors) is faster than three
-# modular exponentiations
-_TRIAL_BELOW = 1 << 13
+def _sieve(limit: int) -> bytearray:
+    """Sieve of Eratosthenes: flags[n] = 1 iff n is prime, for 0 <= n <= limit."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
+    return sieve
+
+
+def odd_primes(limit: int) -> list[int]:
+    """Ascending odd primes in [3, limit], by sieve of Eratosthenes."""
+    if limit < 3:
+        return []
+    sieve = _sieve(limit)
+    return [n for n in range(3, limit + 1, 2) if sieve[n]]
+
+
+# below this, is_prime reads one byte of a flag table that a sieve builds once
+# at import (8 KB, about 0.1 ms); a lookup costs less than one trial division
+_TABLE_BELOW = 1 << 13
+_PRIME_FLAGS = bytes(_sieve(_TABLE_BELOW - 1))
 # no odd composite below this is a strong probable prime to bases 2, 7 and
 # 61 (G. Jaeschke, On strong pseudoprimes to several bases, Math. Comp. 61,
 # 1993); 4759123141 = 48781 * 97561 is the least one
@@ -26,20 +45,19 @@ _MILLER_RABIN_BELOW = 4_759_123_141
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for every n >= 0.
+    """Deterministic primality test, exact for every integer n.
 
-    Trial division below _TRIAL_BELOW and from _MILLER_RABIN_BELOW on;
-    between them, the Miller-Rabin test to bases 2, 7 and 61, which is
-    exact there. So every modulus below 2**31 takes at most 45 divisions or
-    three modular exponentiations, not up to ~23k divisions.
+    A table lookup below _TABLE_BELOW; from there to _MILLER_RABIN_BELOW,
+    the Miller-Rabin test to bases 2, 7 and 61, which is exact there; trial
+    division above. So every modulus below 2**31 takes one lookup or three
+    modular exponentiations, not up to ~23k divisions.
     """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+    if n < _TABLE_BELOW:
+        # n < 2 first: a negative index would read from the table's end
+        return n > 1 and _PRIME_FLAGS[n] == 1
     if n % 2 == 0:
         return False
-    if _TRIAL_BELOW <= n < _MILLER_RABIN_BELOW:
+    if n < _MILLER_RABIN_BELOW:
         # n - 1 = d * 2**r with d odd
         r = ((n - 1) & (1 - n)).bit_length() - 1
         d = (n - 1) >> r
@@ -64,6 +82,9 @@ def is_prime(n: int) -> bool:
 
 def as_int(x, name: str) -> int:
     """x as a Python int, accepting numpy integers; ValueError for bool or non-integers."""
+    # an exact int is returned at once; bool and other int subclasses are not
+    if type(x) is int:
+        return x
     if isinstance(x, bool):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     try:
@@ -158,15 +179,3 @@ def power_table(g: int, p: int) -> np.ndarray:
         np.remainder(out[n : n + k], p, out=out[n : n + k])
         n += k
     return out
-
-
-def odd_primes(limit: int) -> list[int]:
-    """Ascending odd primes in [3, limit], by sieve of Eratosthenes."""
-    if limit < 3:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [n for n in range(3, limit + 1, 2) if sieve[n]]

@@ -151,8 +151,15 @@ def naive_idft(x: np.ndarray) -> np.ndarray:
 
 
 def zc_time_direct(params: ZcParams) -> np.ndarray:
-    """zc_time from its defining integer, u*(k+ts)(k+ts+1) mod 2p, for p below 2**20."""
+    """zc_time from its defining integer, u*(k+ts)(k+ts+1) mod 2p, for p below 2**20.
+
+    With u < p and k + ts < 2p the product is below 4*p**3, which is below
+    2**62 for p < 2**20; a larger p raises ValueError (from about 1.32e6 on,
+    the int64 product would wrap).
+    """
     p = params.p
+    if p >= 1 << 20:
+        raise ValueError(f"zc_time_direct needs p < 2**20 to stay within int64, got p={p}")
     m = np.arange(params.ts, p + params.ts, dtype=np.int64)
     return np.exp((-1j * np.pi / p) * (params.u * m * (m + 1) % (2 * p)).astype(np.float64))
 

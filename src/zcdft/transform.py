@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -75,22 +74,29 @@ def require_direction(direction: str) -> None:
 
 
 def plan(params: ZcParams, direction: str) -> TransformPlan:
-    """Build the immutable plan: inverse, Legendre sign, shift, constant, twiddles."""
+    """Build the immutable plan: inverse, Legendre sign, shift, constant, twiddles.
+
+    For a length the store keeps, the Legendre sign l_2u is read off the
+    entry's discrete logs: 2u is a square mod p iff its log L2[2u mod p] is
+    even (g**e is a square iff e is even, g a primitive root). Otherwise it
+    is legendre(2u, p), Euler's criterion.
+    """
     require_direction(direction)
     p, u, ts = params.p, params.u, params.ts
     iu = mod_inverse(u, p)
-    ell = legendre(2 * u, p)
+    entry = _STORE.entry(p)
+    if entry is None:
+        twiddles, logs = _twiddle_factors(p), None
+        ell = legendre(2 * u, p)
+    else:
+        twiddles, logs = entry[0], entry[1:]
+        ell = -1 if logs[0][2 * u % p] & 1 else 1
     half = (p + 1) // 2
     if direction == DFT:
         fs = (half * (iu - 1) - ts) % p
     else:
         fs = (half * (iu + 1) + ts) % p
     qpo4 = _qpo_times4(p, u, ell)
-    entry = _STORE.entry(p)
-    if entry is None:
-        twiddles, logs = _twiddle_factors(p), None
-    else:
-        twiddles, logs = entry[0], entry[1:]
     # one dict update, not the frozen __init__'s object.__setattr__ per field
     pl = object.__new__(TransformPlan)
     pl.__dict__.update(
@@ -181,14 +187,21 @@ _Entry = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _LengthStore:
-    """LRU of read-only per-length entries by p, bounded in total bytes.
+    """Read-only per-length entries by p, bounded in total bytes, oldest out first.
 
     An entry is (factors, L2, E3) (_twiddle_factors, _log_tables):
     16*(m + ceil(p/m)) + 16*p + 48*(p-1) bytes, about 64*p (_entry_bytes).
     It is kept whole iff it fits the bound, which decides whether p's plans
     get logs: every plan of a kept p reads its E3, while a larger p would
-    build log tables for one plan. Building is outside the lock; if two
-    threads build one p, the first insert wins.
+    build log tables for one plan. A larger p is never inserted.
+
+    A hit is one dict.get, without the lock and without reordering: an
+    entry is a tuple of read-only arrays, inserted whole, so a reader sees
+    all of it or nothing. Building is outside the lock; inserting and
+    evicting are under it, and if two threads build one p, the first insert
+    wins. Entries leave in insertion order once a new one would pass the
+    bound. The order matters only when the lengths in use overflow it, and
+    there least-recently-used order would thrash as well.
 
     The bound, 5*2**19 = 2.5 MiB, holds the PRACH lengths (139, 571, 839,
     1151: 176 KB) and the grid 5 <= p <= 199 (282 KB), small next to
@@ -200,20 +213,12 @@ class _LengthStore:
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
-        self._entries: OrderedDict[int, _Entry] = OrderedDict()
+        self._entries: dict[int, _Entry] = {}
         self._lock = threading.Lock()
-
-    def peek(self, p: int) -> _Entry | None:
-        """p's kept entry, marked as recently used, or None; builds nothing."""
-        with self._lock:
-            entry = self._entries.get(p)
-            if entry is not None:
-                self._entries.move_to_end(p)
-            return entry
 
     def entry(self, p: int) -> _Entry | None:
         """p's entry (factors, L2, E3), built and kept if it fits the bound, else None."""
-        entry = self.peek(p)
+        entry = self._entries.get(p)
         if entry is not None:
             return entry
         size = _entry_bytes(p)
@@ -224,10 +229,10 @@ class _LengthStore:
         with self._lock:
             kept = self._entries.get(p)
             if kept is not None:
-                self._entries.move_to_end(p)
                 return kept
             while self.nbytes + size > self.budget:
-                old, _ = self._entries.popitem(last=False)
+                old = next(iter(self._entries))
+                del self._entries[old]
                 self.nbytes -= _entry_bytes(old)
             self._entries[p] = entry
             self.nbytes += size

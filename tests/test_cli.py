@@ -211,6 +211,13 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
     assert [r["table_bytes"] for r in reports] == [400, 16 * (m + -(-8209 // m))]
 
 
+def test_bench_default_root_fits_every_length(capsys):
+    # the default root is min(25, p - 1) per --p, so lengths below 26 run
+    code, out = run_cli(capsys, "bench", "--p", "5", "--p", "13", "--reps", "1")
+    assert code == 0
+    assert [json.loads(line)["u"] for line in out.splitlines()] == [4, 12]
+
+
 def test_bench_report_keeps_naive_key_as_null_above_its_limit(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_NAIVE_PMAX", 100)
     code, out = run_cli(capsys, "bench", "--p", "97", "--p", "139", "--reps", "1")

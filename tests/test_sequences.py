@@ -82,6 +82,16 @@ def test_zc_time_equals_direct_integer_route_at_large_p():
         assert np.array_equal(zc_time(params), zc_time_direct(params))
 
 
+def test_zc_time_direct_refuses_p_past_its_int64_limit():
+    # u*m*(m+1) < 4*p**3 with m < 2p stays in int64 at the largest prime below
+    # 2**20; 1048583 is the first prime above. Unchecked, u = ts = p - 1 read
+    # 0.52 off zc_time at 1400017 and 1.99 at 2000003, where the product wraps
+    params = ZcParams(p=1048573, u=1048572, ts=1048572)
+    assert np.array_equal(zc_time(params), zc_time_direct(params))
+    with pytest.raises(ValueError, match=r"p < 2\*\*20"):
+        zc_time_direct(ZcParams(p=1048583, u=1048582, ts=1048582))
+
+
 def test_zc_cyclic_shift_is_exact_rotation():
     base = zc_time(ZcParams(p=13, u=3))
     shifted = zc_time(ZcParams(p=13, u=3, ts=5))

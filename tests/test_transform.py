@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -137,7 +138,7 @@ def fresh_store(monkeypatch):
 def test_kept_length_shares_one_read_only_table(fresh_store):
     a = plan(ZcParams(p=839, u=25), DFT)
     b = plan(ZcParams(p=839, u=3, ts=7), IDFT)
-    factors, logs, exps = fresh_store.peek(839)
+    factors, logs, exps = fresh_store._entries[839]
     assert a.twiddles is b.twiddles is factors
     assert a.logs[0] is b.logs[0] is logs and a.logs[1] is b.logs[1] is exps
     for array in (factors, logs, exps):
@@ -162,7 +163,7 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
             assert fresh_store.nbytes == before
             assert pl.logs is None
         else:
-            factors, logs, exps = fresh_store.peek(p)
+            factors, logs, exps = fresh_store._entries[p]
             assert pl.twiddles is factors
             assert pl.logs[0] is logs and pl.logs[1] is exps
         entries = fresh_store._entries.values()
@@ -220,6 +221,49 @@ def test_threads_match_serial_results(monkeypatch):
         tables.setdefault(params.p, set()).add(tuple(map(id, entry)))
     assert all(len(ids) == 1 for ids in tables.values())
     assert store.nbytes == sum(transform._entry_bytes(p) for p in PRACH_LENGTHS)
+
+
+def test_threads_match_serial_results_while_the_store_evicts(monkeypatch):
+    cases = [(ZcParams(p=p, u=25, ts=7), direction) for p in PRACH_LENGTHS for direction in (DFT, IDFT)]
+    serial = {case: execute(plan(*case)) for case in cases}
+    # any two of the four entries fit and all four do not, so inserts keep
+    # evicting entries that other threads are reading without the lock
+    budget = transform._entry_bytes(839) + transform._entry_bytes(1151)
+    store = transform._LengthStore(budget)
+    monkeypatch.setattr(transform, "_STORE", store)
+
+    def run(seed):
+        order = cases * 40
+        random.Random(seed).shuffle(order)
+        return [case for case in order if not np.array_equal(execute(plan(*case)), serial[case])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, seed) for seed in range(4)]
+            mismatches = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == [[]] * 4
+    held = sum(array.nbytes for entry in store._entries.values() for array in entry)
+    assert store.nbytes == held <= budget
+
+
+def test_kept_plan_fields_equal_factored_plans(fresh_store, monkeypatch):
+    # a kept length takes ell from the parity of L2[2u mod p], any other from
+    # legendre; every field must agree at every root, in both directions
+    cases = [
+        (ZcParams(p=p, u=u, ts=u * u % p), direction)
+        for p in PRACH_LENGTHS + ODD_PRIMES_199
+        for u in range(1, p)
+        for direction in (DFT, IDFT)
+    ]
+    kept = [plan(*case) for case in cases]
+    monkeypatch.setattr(transform, "_STORE", transform._LengthStore(0))
+    factored = [plan(*case) for case in cases]
+    assert all(pl.logs is not None for pl in kept) and all(pl.logs is None for pl in factored)
+    assert kept == factored
 
 
 EPS = np.finfo(np.float64).eps
