@@ -136,8 +136,17 @@ def _median_ns(fn, reps: int) -> int:
 _NAIVE_PMAX = 10_000
 
 
+def _entry_build_ns(p: int) -> int:
+    """One build of p's entry into a fresh store with the module store's bound."""
+    store = transform._LengthStore(transform._STORE.budget)
+    t0 = time.perf_counter_ns()
+    store.entry(p)
+    return time.perf_counter_ns() - t0
+
+
 def _bench_report(params: ZcParams, reps: int) -> dict:
     pl = transform.plan(params, transform.DFT)
+    entry = transform._STORE.entry(params.p)
     phases = transform.phase_indices(pl)
     x = zc_time(params)
     counters = transform.OpCounters()
@@ -161,6 +170,8 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "modulo_reductions": counters.modulo_reductions,
         "exp_evaluations": counters.exp_evaluations,
         "table_bytes": pl.twiddles.nbytes,
+        "entry_bytes": None if entry is None else transform._entry_bytes(params.p),
+        "entry_build_ns": None if entry is None else _entry_build_ns(params.p),
     }
 
 
@@ -256,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         "per-length store. exp_evaluations counts the p table lookups of the "
         "gather, not calls to exp. table_bytes is what the plan holds of the "
         "table of roots, its two factors at every p; a kept length's log "
-        "tables are not counted. naive_ns times the O(p^2) oracle only up to "
+        "tables and root rows are not counted. entry_bytes is what the "
+        "per-length store holds for p and entry_build_ns one build of that "
+        "entry into an empty store; both are null when p is not kept. naive_ns times the O(p^2) oracle only up to "
         f"p = {_NAIVE_PMAX} and is null above it.",
     )
     sp.set_defaults(handler=cmd_bench)

@@ -86,7 +86,9 @@ def const_from_qpo(p: int, qpo_times4: int) -> complex:
 
     Reduces 4*QPo mod 4p first, keeping the trig argument in [0, 2*pi).
     math.sqrt and cmath.exp round as np.sqrt and np.exp do, bit for bit, at
-    a fraction of the cost of numpy's scalar calls; plan calls this once.
+    a fraction of the cost of numpy's scalar calls. plan calls this once
+    for a length the store does not keep; a kept length's entry holds the
+    same bits for every root (transform._root_scalars).
     """
     q4 = qpo_times4 % (4 * p)
     return math.sqrt(p) * cmath.exp(2j * math.pi * q4 / (4 * p))

@@ -9,7 +9,9 @@ the phases stay integer and the table of roots has p entries. Every plan
 holds that table as two sqrt(p)-length factors (_twiddle_factors).
 execute reads it through discrete-log tables for a length the store keeps
 (_LengthStore), else by _gather's blocked, mirrored gather; each output is
-the same product hi[a] * lo[b], so the spectra are bit-identical.
+the same product hi[a] * lo[b], so the spectra are bit-identical. A kept
+length's entry also holds every root's inverse, Legendre sign, 4*QPo and
+constant (_root_scalars), which plan reads instead of deriving them.
 """
 
 from __future__ import annotations
@@ -76,27 +78,30 @@ def require_direction(direction: str) -> None:
 def plan(params: ZcParams, direction: str) -> TransformPlan:
     """Build the immutable plan: inverse, Legendre sign, shift, constant, twiddles.
 
-    For a length the store keeps, the Legendre sign l_2u is read off the
-    entry's discrete logs: 2u is a square mod p iff its log L2[2u mod p] is
-    even (g**e is a square iff e is even, g a primitive root). Otherwise it
-    is legendre(2u, p), Euler's criterion.
+    For a length the store keeps, iu, ell, 4*QPo and the constant are read
+    off the entry's row for u (_root_scalars), each with one .item(u), which
+    gives an exact int or complex. Otherwise they are mod_inverse(u, p),
+    legendre(2u, p) (Euler's criterion), _qpo_times4 and const_from_qpo.
+    Both routes give the same values, bit for bit.
     """
     require_direction(direction)
     p, u, ts = params.p, params.u, params.ts
-    iu = mod_inverse(u, p)
     entry = _STORE.entry(p)
     if entry is None:
         twiddles, logs = _twiddle_factors(p), None
+        iu = mod_inverse(u, p)
         ell = legendre(2 * u, p)
+        qpo4 = _qpo_times4(p, u, ell)
+        const = const_from_qpo(p, qpo4)
     else:
-        twiddles, logs = entry[0], entry[1:]
-        ell = -1 if logs[0][2 * u % p] & 1 else 1
+        twiddles, logs = entry[0], entry[1:3]
+        ius, ells, qpo4s, consts = entry[3]
+        iu, ell, qpo4, const = ius.item(u), ells.item(u), qpo4s.item(u), consts.item(u)
     half = (p + 1) // 2
     if direction == DFT:
         fs = (half * (iu - 1) - ts) % p
     else:
         fs = (half * (iu + 1) + ts) % p
-    qpo4 = _qpo_times4(p, u, ell)
     # one dict update, not the frozen __init__'s object.__setattr__ per field
     pl = object.__new__(TransformPlan)
     pl.__dict__.update(
@@ -107,7 +112,7 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         fs=fs,
         qpo_times4=qpo4,
         twiddles=twiddles,
-        const_factor=const_from_qpo(p, qpo4),
+        const_factor=const,
         logs=logs,
     )
     return pl
@@ -175,25 +180,63 @@ def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logs, exps
 
 
+def _root_scalars(p: int, logs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """iu, ell, 4*QPo and the constant of every root u of p, read-only, indexed by u.
+
+    Slot 0 is unused. With L = L2[:p] and pw[L(x)] = x its inverse,
+    iu[u] = g**(-L(u)) = pw[-L(u) mod (p-1)]. ell[u] = l_2u is +1 iff
+    L2[2u] = L(2u mod p) is even: g**e is a square iff e is even. 4*QPo is
+    gauss._qpo_times4's ((3 - 2*l_2u - p mod 4)*p + u*(p+1)**3)/2, written
+    as u*((p+1)**3/2) + ((3 - p mod 4)/2 - l_2u)*p since both halvings are
+    exact. The constant is const_from_qpo's sqrt(p)*exp(i*2*pi*q4/(4p)),
+    q4 = 4*QPo mod 4p, with the same roundings (the angle (2*pi*q4)/(4p),
+    a real part of 0, libm's exp, then the scale): the same bits.
+    """
+    u = np.arange(p)
+    pw = np.empty(p - 1, dtype=np.int64)
+    pw[logs[1:p]] = u[1:]
+    # numpy reads the index -e as p-1-e, so -L(u) mod (p-1) needs no reduction
+    iu = pw[-logs[:p]]
+    ell = 1 - 2 * (logs[: 2 * p : 2] & 1)
+    # u*(p+1)**3/2 < (p-1)*(p+1)**3 < 2**63 for p <= 55108, so int64 is exact
+    # at every length the module's store keeps (at 40853, u*(p+1)**3 <=
+    # 0.31*2**63); a store with a larger bound gets Python ints above that
+    if (p - 1) * (p + 1) ** 3 >= 1 << 63:
+        u = u.astype(object)
+    qpo4 = u * ((p + 1) ** 3 // 2)
+    qpo4 += ((3 - p % 4) // 2 - ell) * p
+    const = np.zeros(p, dtype=np.complex128)
+    np.multiply(2 * np.pi, (qpo4 % (4 * p)).astype(np.int64, copy=False), out=const.imag)
+    const.imag /= 4 * p
+    np.exp(const, out=const)
+    const *= math.sqrt(p)
+    roots = (iu, ell.astype(np.int8), qpo4, const)
+    for array in roots:
+        array.setflags(write=False)
+    return roots
+
+
 def _entry_bytes(p: int) -> int:
-    """Bytes of p's kept entry: its factors, L2 and E3 (see _LengthStore)."""
+    """Bytes of p's kept entry: its factors, L2, E3 and root rows (see _LengthStore)."""
     m = _split(p)
-    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 48 * (p - 1)
+    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 48 * (p - 1) + 33 * p
 
 
-_STORE_BYTES = 5 << 19
+_STORE_BYTES = 3_970_000
 
-_Entry = tuple[np.ndarray, np.ndarray, np.ndarray]
+_Entry = tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]
 
 
 class _LengthStore:
     """Read-only per-length entries by p, bounded in total bytes, oldest out first.
 
-    An entry is (factors, L2, E3) (_twiddle_factors, _log_tables):
-    16*(m + ceil(p/m)) + 16*p + 48*(p-1) bytes, about 64*p (_entry_bytes).
-    It is kept whole iff it fits the bound, which decides whether p's plans
-    get logs: every plan of a kept p reads its E3, while a larger p would
-    build log tables for one plan. A larger p is never inserted.
+    An entry is (factors, L2, E3, roots) (_twiddle_factors, _log_tables,
+    _root_scalars): 16*(m + ceil(p/m)) + 16*p + 48*(p-1) + 33*p bytes, about
+    97*p (_entry_bytes). roots is iu (int64), ell (int8), 4*QPo (int64) and
+    the constant (complex128) of every root. An entry is kept whole iff it
+    fits the bound, which decides whether p's plans get logs: every plan of
+    a kept p reads its E3 and its row of roots, while a larger p would build
+    all of them for one plan. A larger p is never inserted.
 
     A hit is one dict.get, without the lock and without reordering: an
     entry is a tuple of read-only arrays, inserted whole, so a reader sees
@@ -203,11 +246,11 @@ class _LengthStore:
     bound. The order matters only when the lengths in use overflow it, and
     there least-recently-used order would thrash as well.
 
-    The bound, 5*2**19 = 2.5 MiB, holds the PRACH lengths (139, 571, 839,
-    1151: 176 KB) and the grid 5 <= p <= 199 (282 KB), small next to
-    numpy's ~27 MB import. The longest length kept is 40853 (2,621,200
-    bytes; 40867 needs 2,622,096), so no large p, where lengths rarely
-    repeat, is ever held.
+    The bound, 3,970,000 bytes, holds the PRACH lengths (139, 571, 839,
+    1151: 265,164 bytes) and the grid 5 <= p <= 199 (421,534 bytes), small
+    next to numpy's ~27 MB import. The longest length kept is 40853
+    (3,969,349 bytes; 40867 needs 3,970,707), so no large p, where lengths
+    rarely repeat, is ever held.
     """
 
     def __init__(self, budget: int):
@@ -217,7 +260,7 @@ class _LengthStore:
         self._lock = threading.Lock()
 
     def entry(self, p: int) -> _Entry | None:
-        """p's entry (factors, L2, E3), built and kept if it fits the bound, else None."""
+        """p's entry (factors, L2, E3, roots), built and kept if it fits the bound, else None."""
         entry = self._entries.get(p)
         if entry is not None:
             return entry
@@ -225,7 +268,8 @@ class _LengthStore:
         if size > self.budget:
             return None
         factors = _twiddle_factors(p)
-        entry = (factors, *_log_tables(p, factors))
+        logs, exps = _log_tables(p, factors)
+        entry = (factors, logs, exps, _root_scalars(p, logs))
         with self._lock:
             kept = self._entries.get(p)
             if kept is not None:

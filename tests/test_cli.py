@@ -174,8 +174,9 @@ def test_verify_pmax61_under_ten_seconds(capsys):
 
 def test_bench_report_schema_and_counts(capsys, monkeypatch):
     # naive_ns is timed up to cli._NAIVE_PMAX, so 8209 has it; a store
-    # bounded to 139's entry keeps 139 and leaves 8209 factored, one block;
-    # gather_ns times the blocked factored gather at both
+    # bounded to 139's entry keeps 139 and leaves 8209 factored, one block,
+    # with no entry_bytes or entry_build_ns; gather_ns times the blocked
+    # factored gather at both
     store = transform._LengthStore(transform._entry_bytes(139))
     monkeypatch.setattr(transform, "_STORE", store)
     code, out = run_cli(capsys, "bench", "--p", "139", "--p", "8209", "--u", "25", "--reps", "2")
@@ -199,6 +200,8 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
             "modulo_reductions",
             "exp_evaluations",
             "table_bytes",
+            "entry_bytes",
+            "entry_build_ns",
         ]
         assert report["u"] == 25 and report["reps"] == 2
         assert report["additions"] == 2 * (p - 1)
@@ -209,6 +212,8 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
         assert report["params_ns"] > 0 and report["plan_ns"] > 0
     m = transform._split(8209)
     assert [r["table_bytes"] for r in reports] == [400, 16 * (m + -(-8209 // m))]
+    assert [r["entry_bytes"] for r in reports] == [transform._entry_bytes(139), None]
+    assert reports[0]["entry_build_ns"] > 0 and reports[1]["entry_build_ns"] is None
 
 
 def test_bench_default_root_fits_every_length(capsys):

@@ -97,18 +97,6 @@ def test_legendre_examples():
     assert legendre(26, 13) == 0
 
 
-# The legendre-symbol registry family asserts the same for every p <= 199, and
-# test_kept_plan_fields_equal_factored_plans ties plan.ell to legendre at
-# every root of the PRACH lengths and of p <= 199.
-@pytest.mark.parametrize("p", ODD_PRIMES_199[:7])
-def test_legendre_euler_matches_enumeration(p):
-    squares = {(a * a) % p for a in range(1, p)}
-    for a in range(p):
-        expect = 0 if a == 0 else (1 if a in squares else -1)
-        assert legendre(a, p) == expect
-    assert sum(legendre(a, p) == 1 for a in range(1, p)) == (p - 1) // 2
-
-
 @given(
     st.sampled_from(ODD_PRIMES_199),
     st.integers(min_value=1, max_value=10**6),

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zcdft import transform
-from zcdft.numtheory import PRIME_CAP, mod_inverse, triangular_mod
+from zcdft.gauss import const_from_qpo, quasi_phase_offset4
+from zcdft.numtheory import PRIME_CAP, legendre, mod_inverse, triangular_mod
 from zcdft.oracle import naive_dft, naive_idft, shifted_dft_identity
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import (
@@ -135,19 +136,26 @@ def fresh_store(monkeypatch):
     return store
 
 
+def _entry_nbytes(entry):
+    """Bytes held by a store entry: factors, L2, E3 and the four root rows."""
+    factors, logs, exps, roots = entry
+    return factors.nbytes + logs.nbytes + exps.nbytes + sum(row.nbytes for row in roots)
+
+
 def test_kept_length_shares_one_read_only_table(fresh_store):
     a = plan(ZcParams(p=839, u=25), DFT)
     b = plan(ZcParams(p=839, u=3, ts=7), IDFT)
-    factors, logs, exps = fresh_store._entries[839]
+    factors, logs, exps, roots = fresh_store._entries[839]
     assert a.twiddles is b.twiddles is factors
     assert a.logs[0] is b.logs[0] is logs and a.logs[1] is b.logs[1] is exps
-    for array in (factors, logs, exps):
+    for array in (factors, logs, exps, *roots):
         with pytest.raises(ValueError):
             array[0] = 1
     assert factors.base is None and logs.base is None and exps.base is None
+    assert all(row.base is None and row.shape == (839,) for row in roots)
     m = transform._split(839)
     assert factors.size == m + -(-839 // m)
-    assert fresh_store.nbytes == factors.nbytes + logs.nbytes + exps.nbytes
+    assert fresh_store.nbytes == _entry_nbytes(fresh_store._entries[839]) == transform._entry_bytes(839)
 
 
 def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
@@ -163,11 +171,11 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
             assert fresh_store.nbytes == before
             assert pl.logs is None
         else:
-            factors, logs, exps = fresh_store._entries[p]
+            factors, logs, exps, roots = fresh_store._entries[p]
             assert pl.twiddles is factors
             assert pl.logs[0] is logs and pl.logs[1] is exps
-        entries = fresh_store._entries.values()
-        held = sum(factors.nbytes + logs.nbytes + exps.nbytes for factors, logs, exps in entries)
+            assert pl.iu == roots[0].item(1) == 1
+        held = sum(_entry_nbytes(entry) for entry in fresh_store._entries.values())
         assert fresh_store.nbytes == held <= budget
     assert list(fresh_store._entries) == [16411]
 
@@ -246,7 +254,7 @@ def test_threads_match_serial_results_while_the_store_evicts(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert mismatches == [[]] * 4
-    held = sum(array.nbytes for entry in store._entries.values() for array in entry)
+    held = sum(_entry_nbytes(entry) for entry in store._entries.values())
     assert store.nbytes == held <= budget
 
 
@@ -264,6 +272,33 @@ def test_kept_plan_fields_equal_factored_plans(fresh_store, monkeypatch):
     factored = [plan(*case) for case in cases]
     assert all(pl.logs is not None for pl in kept) and all(pl.logs is None for pl in factored)
     assert kept == factored
+
+
+def test_kept_root_rows_match_the_scalar_routines(monkeypatch):
+    # every root of the PRACH lengths and p <= 199, and at 8191, 32749, 40853
+    # and 65537 four edge roots and 64 seeded ones; a bound of 2**23 keeps
+    # 65537 too, past the int64 limit of 4*QPo, where the row holds Python ints
+    store = transform._LengthStore(1 << 23)
+    monkeypatch.setattr(transform, "_STORE", store)
+    rng = random.Random(2020)
+    lengths = [(p, range(1, p)) for p in PRACH_LENGTHS + ODD_PRIMES_199]
+    for p in (8191, 32749, 40853, 65537):
+        lengths.append((p, [1, 2, (p - 1) // 2, p - 1] + [rng.randrange(1, p) for _ in range(64)]))
+    for p, roots in lengths:
+        rows = store.entry(p)[3]
+        assert not any(row.flags.writeable for row in rows)
+        ius, ells, qpo4s, consts = rows
+        for u in roots:
+            assert ius.item(u) == mod_inverse(u, p)
+            assert ells.item(u) == legendre(2 * u, p)
+            qpo4 = qpo4s.item(u)
+            assert type(qpo4) is int and qpo4 == quasi_phase_offset4(p, u)
+            got = np.array([consts.item(u), const_from_qpo(p, qpo4)])
+            assert got[:1].view(np.uint64).tolist() == got[1:].view(np.uint64).tolist()
+            pl = plan(ZcParams(p, u), DFT)
+            assert pl.logs is not None
+            fields = (pl.iu, pl.ell, pl.qpo_times4, pl.const_factor)
+            assert tuple(map(type, fields)) == (int, int, int, complex)
 
 
 EPS = np.finfo(np.float64).eps
