@@ -146,7 +146,7 @@ def _entry_build_ns(p: int) -> int:
 
 def _bench_report(params: ZcParams, reps: int) -> dict:
     pl = transform.plan(params, transform.DFT)
-    entry = transform._STORE.entry(params.p)
+    kept = pl.logs is not None
     phases = transform.phase_indices(pl)
     x = zc_time(params)
     counters = transform.OpCounters()
@@ -170,8 +170,8 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "modulo_reductions": counters.modulo_reductions,
         "exp_evaluations": counters.exp_evaluations,
         "table_bytes": pl.twiddles.nbytes,
-        "entry_bytes": None if entry is None else transform._entry_bytes(params.p),
-        "entry_build_ns": None if entry is None else _entry_build_ns(params.p),
+        "entry_bytes": transform._entry_bytes(params.p) if kept else None,
+        "entry_build_ns": _entry_build_ns(params.p) if kept else None,
     }
 
 
