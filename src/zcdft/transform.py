@@ -160,12 +160,13 @@ def _twiddle_table(p: int) -> np.ndarray:
     return full.ravel()[:p]
 
 
-def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L2 and E3 of p for the log-domain gather, read-only, each its own base.
+def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L2 and E3 of p for the log-domain gather, read-only, each its own base, and pw.
 
-    With g the least primitive root of p, L2 = [L, L], L[g**e mod p] = e and
-    L[0] = 0, and E3[e] = hi[a] * lo[b] at a*m + b = g**(e mod (p-1)) mod p
-    for e < 3(p - 1), the product _gather forms (see execute).
+    With g the least primitive root of p, pw[e] = g**e mod p for e < p - 1,
+    L2 = [L, L], L[g**e mod p] = e and L[0] = 0, and E3[e] = hi[a] * lo[b]
+    at a*m + b = pw[e mod (p-1)] for e < 3(p - 1), the product _gather forms
+    (see execute). pw, writable, is what _root_scalars inverts through.
     """
     m = _split(p)
     pw = power_table(primitive_root(p), p)
@@ -177,36 +178,35 @@ def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exps = np.concatenate((w, w, w))
     logs.setflags(write=False)
     exps.setflags(write=False)
-    return logs, exps
+    return logs, exps, pw
 
 
-def _root_scalars(p: int, logs: np.ndarray) -> tuple[np.ndarray, ...]:
+# 4*QPo < u*(p+1)**3 <= (p-1)*(p+1)**3 < 2**63 for p <= 55108, so a row is
+# exact in int64 up to this length (at 40853, u*(p+1)**3 <= 0.31*2**63);
+# no store keeps a longer one, whatever its bound
+_ROW_PMAX = 55108
+
+
+def _root_scalars(p: int, logs: np.ndarray, pw: np.ndarray) -> tuple[np.ndarray, ...]:
     """iu, ell, 4*QPo and the constant of every root u of p, read-only, indexed by u.
 
-    Slot 0 is unused. With L = L2[:p] and pw[L(x)] = x its inverse,
-    iu[u] = g**(-L(u)) = pw[-L(u) mod (p-1)]. ell[u] = l_2u is +1 iff
-    L2[2u] = L(2u mod p) is even: g**e is a square iff e is even. 4*QPo is
-    gauss._qpo_times4's ((3 - 2*l_2u - p mod 4)*p + u*(p+1)**3)/2, written
-    as u*((p+1)**3/2) + ((3 - p mod 4)/2 - l_2u)*p since both halvings are
-    exact. The constant is const_from_qpo's sqrt(p)*exp(i*2*pi*q4/(4p)),
-    q4 = 4*QPo mod 4p, with the same roundings (the angle (2*pi*q4)/(4p),
-    a real part of 0, libm's exp, then the scale): the same bits.
+    Slot 0 is unused; p <= _ROW_PMAX. With L = L2[:p] and pw[L(x)] = x
+    (_log_tables), iu[u] = g**(-L(u)) = pw[-L(u) mod (p-1)]. ell[u] = l_2u
+    is +1 iff L2[2u] = L(2u mod p) is even: g**e is a square iff e is even.
+    4*QPo is gauss._qpo_times4's ((3 - 2*l_2u - p mod 4)*p + u*(p+1)**3)/2,
+    written as u*((p+1)**3/2) + ((3 - p mod 4)/2 - l_2u)*p since both
+    halvings are exact. The constant is const_from_qpo's
+    sqrt(p)*exp(i*2*pi*q4/(4p)), q4 = 4*QPo mod 4p, with the same roundings
+    (the angle (2*pi*q4)/(4p), a real part of 0, libm's exp, then the
+    scale): the same bits.
     """
-    u = np.arange(p)
-    pw = np.empty(p - 1, dtype=np.int64)
-    pw[logs[1:p]] = u[1:]
     # numpy reads the index -e as p-1-e, so -L(u) mod (p-1) needs no reduction
     iu = pw[-logs[:p]]
     ell = 1 - 2 * (logs[: 2 * p : 2] & 1)
-    # u*(p+1)**3/2 < (p-1)*(p+1)**3 < 2**63 for p <= 55108, so int64 is exact
-    # at every length the module's store keeps (at 40853, u*(p+1)**3 <=
-    # 0.31*2**63); a store with a larger bound gets Python ints above that
-    if (p - 1) * (p + 1) ** 3 >= 1 << 63:
-        u = u.astype(object)
-    qpo4 = u * ((p + 1) ** 3 // 2)
+    qpo4 = np.arange(p, dtype=np.int64) * ((p + 1) ** 3 // 2)
     qpo4 += ((3 - p % 4) // 2 - ell) * p
     const = np.zeros(p, dtype=np.complex128)
-    np.multiply(2 * np.pi, (qpo4 % (4 * p)).astype(np.int64, copy=False), out=const.imag)
+    np.multiply(2 * np.pi, qpo4 % (4 * p), out=const.imag)
     const.imag /= 4 * p
     np.exp(const, out=const)
     const *= math.sqrt(p)
@@ -222,7 +222,8 @@ def _entry_bytes(p: int) -> int:
     return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 48 * (p - 1) + 33 * p
 
 
-_STORE_BYTES = 3_970_000
+# _entry_bytes grows with p, so this keeps exactly the lengths p <= 40853
+_STORE_BYTES = _entry_bytes(40853)
 
 _Entry = tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]
 
@@ -236,7 +237,8 @@ class _LengthStore:
     the constant (complex128) of every root. An entry is kept whole iff it
     fits the bound, which decides whether p's plans get logs: every plan of
     a kept p reads its E3 and its row of roots, while a larger p would build
-    all of them for one plan. A larger p is never inserted.
+    all of them for one plan. A larger p is never inserted, nor one past
+    _ROW_PMAX, whose row would not be exact in int64, whatever the bound.
 
     A hit is one dict.get, without the lock and without reordering: an
     entry is a tuple of read-only arrays, inserted whole, so a reader sees
@@ -246,11 +248,10 @@ class _LengthStore:
     bound. The order matters only when the lengths in use overflow it, and
     there least-recently-used order would thrash as well.
 
-    The bound, 3,970,000 bytes, holds the PRACH lengths (139, 571, 839,
+    The bound, _entry_bytes(40853), holds the PRACH lengths (139, 571, 839,
     1151: 265,164 bytes) and the grid 5 <= p <= 199 (421,534 bytes), small
-    next to numpy's ~27 MB import. The longest length kept is 40853
-    (3,969,349 bytes; 40867 needs 3,970,707), so no large p, where lengths
-    rarely repeat, is ever held.
+    next to numpy's ~27 MB import. The longest length kept is 40853, so no
+    large p, where lengths rarely repeat, is ever held.
     """
 
     def __init__(self, budget: int):
@@ -265,11 +266,11 @@ class _LengthStore:
         if entry is not None:
             return entry
         size = _entry_bytes(p)
-        if size > self.budget:
+        if size > self.budget or p > _ROW_PMAX:
             return None
         factors = _twiddle_factors(p)
-        logs, exps = _log_tables(p, factors)
-        entry = (factors, logs, exps, _root_scalars(p, logs))
+        logs, exps, pw = _log_tables(p, factors)
+        entry = (factors, logs, exps, _root_scalars(p, logs, pw))
         with self._lock:
             kept = self._entries.get(p)
             if kept is not None:

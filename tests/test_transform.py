@@ -185,12 +185,13 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
 @pytest.mark.parametrize("p", [839, 65537])
 def test_kept_entry_gives_the_same_phases_and_spectra(p, monkeypatch):
     results = {}
-    # nothing kept, the module's store, every length kept
+    # nothing kept, the module's store, every length up to _ROW_PMAX kept
     for budget in (0, transform._STORE_BYTES, 1 << 23):
         store = transform._LengthStore(budget)
         monkeypatch.setattr(transform, "_STORE", store)
         for i, pl in enumerate(_mirror_plans(p)):
-            assert (p in store._entries) == (transform._entry_bytes(p) <= budget)
+            fits = transform._entry_bytes(p) <= budget and p <= transform._ROW_PMAX
+            assert (p in store._entries) == fits
             phases, out = phase_indices(pl), execute(pl)
             assert np.array_equal(out, transform._gather(pl, phases))
             results[budget, i] = (phases, out)
@@ -275,14 +276,13 @@ def test_kept_plan_fields_equal_factored_plans(fresh_store, monkeypatch):
 
 
 def test_kept_root_rows_match_the_scalar_routines(monkeypatch):
-    # every root of the PRACH lengths and p <= 199, and at 8191, 32749, 40853
-    # and 65537 four edge roots and 64 seeded ones; a bound of 2**23 keeps
-    # 65537 too, past the int64 limit of 4*QPo, where the row holds Python ints
-    store = transform._LengthStore(1 << 23)
+    # every root of the PRACH lengths and p <= 199, and at 8191, 32749 and
+    # 40853 four edge roots and 64 seeded ones
+    store = transform._LengthStore(transform._STORE_BYTES)
     monkeypatch.setattr(transform, "_STORE", store)
     rng = random.Random(2020)
     lengths = [(p, range(1, p)) for p in PRACH_LENGTHS + ODD_PRIMES_199]
-    for p in (8191, 32749, 40853, 65537):
+    for p in (8191, 32749, 40853):
         lengths.append((p, [1, 2, (p - 1) // 2, p - 1] + [rng.randrange(1, p) for _ in range(64)]))
     for p, roots in lengths:
         rows = store.entry(p)[3]
@@ -299,6 +299,17 @@ def test_kept_root_rows_match_the_scalar_routines(monkeypatch):
             assert pl.logs is not None
             fields = (pl.iu, pl.ell, pl.qpo_times4, pl.const_factor)
             assert tuple(map(type, fields)) == (int, int, int, complex)
+    # _ROW_PMAX is the last length whose 4*QPo bound (p-1)*(p+1)**3 is below
+    # 2**63; 65537, past it, fits a bound of 2**23 and is still not kept
+    pmax = transform._ROW_PMAX
+    assert (pmax - 1) * (pmax + 1) ** 3 < 1 << 63 <= pmax * (pmax + 2) ** 3
+    monkeypatch.setattr(transform, "_STORE", transform._LengthStore(1 << 23))
+    assert transform._entry_bytes(65537) <= 1 << 23
+    for u in (1, 2, 32768, 65536):
+        pl = plan(ZcParams(65537, u), DFT)
+        assert pl.logs is None and transform._STORE.nbytes == 0
+        scalars = (mod_inverse(u, 65537), legendre(2 * u, 65537), quasi_phase_offset4(65537, u))
+        assert (pl.iu, pl.ell, pl.qpo_times4) == scalars
 
 
 EPS = np.finfo(np.float64).eps
