@@ -130,23 +130,25 @@ def _median_ns(fn, reps: int) -> int:
     return int(statistics.median(times))
 
 
-# naive_ns times the O(p^2) oracle --reps times: 0.8-0.9 s per rep at
-# p = 8209, 3.3-6.7 s at 16381 and, growing as p^2, about a minute at 65537,
-# so above this length it is null
+# naive_ns is the median of --reps calls of the O(p^2) oracle, the first of
+# which builds p's oracle entry unless the store already keeps it: about
+# 0.4-0.5 s per call at p = 8209 and, growing as p^2, half a minute at 65537, so
+# above this length it and naive_build_ns are null
 _NAIVE_PMAX = 10_000
 
 
-def _entry_build_ns(p: int) -> int:
-    """One build of p's entry into a fresh store with the module store's bound."""
-    store = transform._LengthStore(transform._STORE.budget)
+def _build_ns(store: transform._LengthStore, p: int) -> int:
+    """One build of p's entry into a fresh store with store's bound, build and size."""
+    fresh = transform._LengthStore(store.budget, store.build, store.size)
     t0 = time.perf_counter_ns()
-    store.entry(p)
+    fresh.entry(p)
     return time.perf_counter_ns() - t0
 
 
 def _bench_report(params: ZcParams, reps: int) -> dict:
     pl = transform.plan(params, transform.DFT)
     kept = pl.logs is not None
+    naive = params.p <= _NAIVE_PMAX
     phases = transform.phase_indices(pl)
     x = zc_time(params)
     counters = transform.OpCounters()
@@ -163,15 +165,14 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "reference_ns": _median_ns(
             lambda: oracle.shifted_dft_identity(params, transform.DFT), reps
         ),
-        "naive_ns": (
-            _median_ns(lambda: oracle.naive_dft(x), reps) if params.p <= _NAIVE_PMAX else None
-        ),
+        "naive_ns": _median_ns(lambda: oracle.naive_dft(x), reps) if naive else None,
         "additions": counters.additions,
         "modulo_reductions": counters.modulo_reductions,
         "exp_evaluations": counters.exp_evaluations,
         "table_bytes": pl.twiddles.nbytes,
         "entry_bytes": transform._entry_bytes(params.p) if kept else None,
-        "entry_build_ns": _entry_build_ns(params.p) if kept else None,
+        "entry_build_ns": _build_ns(transform._STORE, params.p) if kept else None,
+        "naive_build_ns": _build_ns(oracle._STORE, params.p) if naive else None,
     }
 
 
@@ -269,8 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
         "table of roots, its two factors at every p; a kept length's log "
         "tables and root rows are not counted. entry_bytes is what the "
         "per-length store holds for p and entry_build_ns one build of that "
-        "entry into an empty store; both are null when p is not kept. naive_ns times the O(p^2) oracle only up to "
-        f"p = {_NAIVE_PMAX} and is null above it.",
+        "entry into an empty store; both are null when p is not kept. naive_ns is "
+        "the median of reps calls of the O(p^2) oracle, the first of which "
+        "builds p's oracle entry unless it is already kept, and "
+        "naive_build_ns one build of that entry into an empty store; both "
+        f"are timed only up to p = {_NAIVE_PMAX} and are null above it.",
     )
     sp.set_defaults(handler=cmd_bench)
     sp.add_argument(

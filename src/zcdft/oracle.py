@@ -19,6 +19,17 @@ batch axes, (..., p); the output does not depend on the chunk size or the
 batch shape, so a stack of cases summed in one call equals one call per
 case.
 
+What depends on p alone is built once per length and kept, read-only, in
+_STORE, a second transform._LengthStore: both directions' tables of roots,
+each written twice, the index block j*k mod p of one chunk and the
+increment that moves a chunk's offset row to the next (_entry), 72*p +
+8*rows*p bytes, at most about 80 KB on the grid. The store's bound is the
+sum of those bytes over the grid 5 <= p <= 199 (2,184,544 bytes), so a
+sweep of the grid keeps every length of it; a longer length is kept while
+it fits, and one that does not fit is built by the same function and
+dropped. The entry holds the same tables and indices a call built before
+it was kept, so kept or not, every output is the same, bit for bit.
+
 Error bound, with eps the float64 epsilon, for each bin of each case, where
 sum|x| is the sum of the case's sample moduli and g = 2**(e - _SCALE) its
 grid (2**(e-1) <= max component of |x| < 2**e):
@@ -47,9 +58,9 @@ import math
 import numpy as np
 
 from .gauss import gauss_sum_closed
-from .numtheory import mod_inverse
+from .numtheory import mod_inverse, odd_primes
 from .sequences import ZcParams, zc_time
-from .transform import DFT, require_direction
+from .transform import DFT, _LengthStore, require_direction
 
 
 # Terms per chunk of _exact_transform, for one case at a time. The product
@@ -59,6 +70,7 @@ from .transform import DFT, require_direction
 # At 2**14 terms every call did (115 faults and 1.9 times the time at
 # p = 139), and so did a stack with its cases side by side (3.3 times at 199).
 # rows*p <= _CHUNK and rows <= p give rows <= sqrt(_CHUNK) < 91 <= _CARRY_ROWS.
+# A kept entry's index block is rows*p int64 as well, at most 64 KB.
 _CHUNK = 1 << 13
 
 # A case is scaled so that its largest component is below 2**_SCALE. A term's
@@ -67,6 +79,49 @@ _CHUNK = 1 << 13
 _SCALE = 54
 _CARRY_ROWS = 2 ** (62 - _SCALE) - 1
 _LOW = (1 << 32) - 1
+
+
+def _rows(p: int) -> int:
+    """Rows of terms per chunk at length p: rows*p close to _CHUNK, at least 1, at most p."""
+    return min(p, max(1, _CHUNK // p))
+
+
+def _entry(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """p's set-up, read-only: the DFT's and the IDFT's doubled table, step and inc.
+
+    Each table is exp(sign*2*pi*i*k/p) for k < p, written twice, so that
+    any sum of two residues below p indexes it without a reduction. step is
+    the int64 block j*k mod p for j < rows (_rows), shared by both signs,
+    and inc is rows*k mod p, which moves a chunk's offset row n0*k mod p to
+    the next chunk's. 72*p + 8*rows*p bytes (_entry_bytes).
+    """
+    k = np.arange(p, dtype=np.int64)
+    tables = []
+    for sign in (-1, +1):
+        wrapped = np.exp(sign * 2j * np.pi * k / p)
+        tables.append(np.concatenate((wrapped, wrapped)))
+    rows = _rows(p)
+    # j*k mod p by floor division, which numpy runs through libdivide, at
+    # half the cost of %
+    step = np.multiply.outer(np.arange(rows, dtype=np.int64), k)
+    step -= step // p * p
+    inc = rows * k % p
+    entry = (*tables, step, inc)
+    for array in entry:
+        array.setflags(write=False)
+    return entry
+
+
+def _entry_bytes(p: int) -> int:
+    """Bytes of p's set-up (_entry): two tables of 2p complex128, step and inc."""
+    return 64 * p + 8 * _rows(p) * p + 8 * p
+
+
+# bounded by the entries of the grid 5 <= p <= 199 that zcdft verify and
+# the acceptance tests sweep: 2,184,544 bytes, next to numpy's ~27 MB import
+_STORE = _LengthStore(
+    sum(_entry_bytes(p) for p in odd_primes(199) if p >= 5), _entry, _entry_bytes
+)
 
 
 def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
@@ -78,22 +133,25 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     power of two, so the scaling is exact, and np.ldexp applies it where the
     factor itself would not be a float (2**1050 for inputs near 1e-300).
 
-    x has shape (..., p); leading axes are independent cases. The terms are
-    built for `rows` consecutive n at a time, rows*p close to _CHUNK and at
-    least one: the indices n*k mod p of a chunk are its first row's
-    (n0*k mod p) plus j*k mod p for j < rows, computed once per call, and
-    their sum, below 2p, indexes the table written twice, so no term needs
-    its own reduction. Each case gathers its own chunk of factors and
+    x has shape (..., p); leading axes are independent cases. The table and
+    the index block come from p's entry (_entry), kept in _STORE or, for a
+    length that does not fit, built for this call. The terms are built for
+    `rows` consecutive n at a time (_rows): the indices n*k mod p of a
+    chunk are its offset row (n0*k mod p) plus the block step's rows j*k
+    mod p, and their sum, below 2p, indexes the doubled table, so no term
+    needs its own reduction; the offset row moves on by adding inc and
+    taking the unsigned minimum of it and it less p. Each case gathers its own chunk of factors and
     multiplies them by x[n], with x as the first operand: numpy's complex
     multiply is not bitwise commutative here, and the per-sample reference
     in the tests computes x[n] * W^(n*k). The terms' float64 components are
     rounded to integers, cast to int64 and summed over the chunk's rows in
-    one call; the chunk sum is added to a low word whose bits from 32 up
-    are carried into a high word at least every _CARRY_ROWS rows, so no p
-    can overflow. hi*2**32 + lo, lo < 2**32 after the last carry, is the
-    exact sum of the rounded terms; it is rounded once
-    (hi*2**32 is exact in float64 while |hi| < 2**53, which holds for
-    p < 2**30) and scaled back exactly, unless it underflows.
+    one call (a one-row chunk is added as it is); the chunk sum is added to
+    a low word whose bits from 32 up are carried into a high word at least
+    every _CARRY_ROWS rows, so no p can overflow. hi*2**32 + lo,
+    lo < 2**32 after the last carry, is the exact sum of the rounded terms;
+    it is rounded once (hi*2**32 is exact in float64 while |hi| < 2**53,
+    which holds for p < 2**30) and scaled back exactly, unless it
+    underflows.
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     p = x.shape[-1]
@@ -103,32 +161,35 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
         raise ValueError("the O(p^2) transforms need finite input")
     shift = _SCALE - np.frexp(top)[1]
     scaled = np.ldexp(parts, shift).view(np.complex128)
-    k = np.arange(p)
-    wrapped = np.exp(sign * 2j * np.pi * k / p)
-    wrapped = np.concatenate((wrapped, wrapped))
-    rows = min(p, max(1, _CHUNK // p))
-    # j*k mod p by floor division, which numpy runs through libdivide, at
-    # half the cost of % (which took a third of a one-row chunk at p = 4099)
-    step = np.multiply.outer(np.arange(rows), k)
-    step -= step // p * p
+    entry = _STORE.entry(p)
+    if entry is None:
+        entry = _entry(p)
+    wrapped = entry[sign > 0]
+    step, inc = entry[2:]
+    rows = len(step)
+    base = np.zeros(p, dtype=np.int64)
+    # base + inc < 2p: read as uint64, base - p wraps past 2**63 where
+    # base < p, so the minimum of the two is base mod p
+    unsigned = base.view(np.uint64)
     hi = np.zeros(parts.shape, dtype=np.int64)
     lo = np.zeros_like(hi)
     added = 0
     for n0 in range(0, p, rows):
         c = min(rows, p - n0)
-        base = n0 * k
-        base -= base // p * p
         idx = step[:c] + base
         for case, case_lo in zip(scaled, lo):
             terms = wrapped[idx]
             terms = np.multiply(case[n0 : n0 + c, None], terms, out=terms).view(np.float64)
-            case_lo += np.rint(terms, out=terms).astype(np.int64).sum(axis=0)
+            values = np.rint(terms, out=terms).astype(np.int64)
+            case_lo += values[0] if c == 1 else values.sum(axis=0)
         added += c
         # before the next chunk could overflow lo, and before lo is rounded
         if added + rows > _CARRY_ROWS or n0 + c == p:
             hi += lo >> 32
             lo &= _LOW
             added = 0
+        base += inc
+        np.minimum(unsigned, unsigned - p, out=unsigned)
     out = np.ldexp(hi.astype(np.float64), 32)
     out += lo
     return np.ldexp(out, -shift).view(np.complex128).reshape(x.shape)

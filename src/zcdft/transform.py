@@ -130,8 +130,8 @@ def _twiddle_factors(p: int) -> np.ndarray:
     hi[a] * lo[b]: m + ceil(p/m) < 2.5*sqrt(p) + 1 complex exps. A power of
     two splits a phase into a = r >> s, b = r & (m - 1). Every reader forms
     an entry as hi[a] * lo[b], in that order, which numpy rounds the same
-    way whether one operand is broadcast (_twiddle_table) or both are
-    arrays (_gather, _log_tables): the same bits everywhere.
+    way whether one operand is broadcast or both are arrays (_gather,
+    _log_tables): the same bits everywhere.
 
     To first order in eps, the float64 epsilon, each entry is within
     (3*pi + 2*sqrt(2)) * eps ~ 12.3 eps of the root, for any m: each
@@ -146,18 +146,6 @@ def _twiddle_factors(p: int) -> np.ndarray:
     factors = np.concatenate((np.exp(w * np.arange(m)), np.exp(w * np.arange(0, p, m))))
     factors.setflags(write=False)
     return factors
-
-
-def _twiddle_table(p: int) -> np.ndarray:
-    """exp(-i*2*pi*j/p) for j < p as hi[a] * lo[b], read-only with its base.
-
-    No library path builds it; it is the reference the tests gather from.
-    """
-    m = _split(p)
-    factors = _twiddle_factors(p)
-    full = np.multiply.outer(factors[m:], factors[:m])
-    full.setflags(write=False)
-    return full.ravel()[:p]
 
 
 def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,28 +205,45 @@ def _root_scalars(p: int, logs: np.ndarray, pw: np.ndarray) -> tuple[np.ndarray,
 
 
 def _entry_bytes(p: int) -> int:
-    """Bytes of p's kept entry: its factors, L2, E3 and root rows (see _LengthStore)."""
+    """Bytes of p's kept entry: its factors, L2, E3 and root rows (see _build_entry)."""
     m = _split(p)
     return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 48 * (p - 1) + 33 * p
 
 
-# _entry_bytes grows with p, so this keeps exactly the lengths p <= 40853
-_STORE_BYTES = _entry_bytes(40853)
+def _kept_bytes(p: int) -> float:
+    """The transform's size rule: _entry_bytes(p), or inf past _ROW_PMAX, which no bound keeps."""
+    return _entry_bytes(p) if p <= _ROW_PMAX else math.inf
 
-_Entry = tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]
+
+def _build_entry(p: int) -> tuple:
+    """p's entry (factors, L2, E3, roots): _twiddle_factors, _log_tables, _root_scalars.
+
+    16*(m + ceil(p/m)) + 16*p + 48*(p-1) + 33*p bytes, about 97*p
+    (_entry_bytes). roots is iu (int64), ell (int8), 4*QPo (int64) and the
+    constant (complex128) of every root. Every plan of a kept p reads its E3
+    and its row of roots, while a length not kept would build all of them
+    for one plan, so plan takes the factored path there instead.
+    """
+    factors = _twiddle_factors(p)
+    logs, exps, pw = _log_tables(p, factors)
+    return factors, logs, exps, _root_scalars(p, logs, pw)
+
+
+# _entry_bytes grows with p, so this keeps exactly the lengths p <= 40853:
+# the PRACH lengths (139, 571, 839, 1151: 265,164 bytes) and the grid
+# 5 <= p <= 199 (421,534 bytes), small next to numpy's ~27 MB import, and no
+# large p, where lengths rarely repeat
+_STORE_BYTES = _entry_bytes(40853)
 
 
 class _LengthStore:
     """Read-only per-length entries by p, bounded in total bytes, oldest out first.
 
-    An entry is (factors, L2, E3, roots) (_twiddle_factors, _log_tables,
-    _root_scalars): 16*(m + ceil(p/m)) + 16*p + 48*(p-1) + 33*p bytes, about
-    97*p (_entry_bytes). roots is iu (int64), ell (int8), 4*QPo (int64) and
-    the constant (complex128) of every root. An entry is kept whole iff it
-    fits the bound, which decides whether p's plans get logs: every plan of
-    a kept p reads its E3 and its row of roots, while a larger p would build
-    all of them for one plan. A larger p is never inserted, nor one past
-    _ROW_PMAX, whose row would not be exact in int64, whatever the bound.
+    build(p) makes p's entry, a tuple of read-only arrays or of tuples of
+    them, and size(p) gives its bytes. The defaults are the transform's
+    (_build_entry, _kept_bytes); the oracle keeps its set-up in a second
+    store (oracle._STORE). An entry is kept whole iff it fits the bound, so
+    a length whose size exceeds the bound, or is inf, is never built here.
 
     A hit is one dict.get, without the lock and without reordering: an
     entry is a tuple of read-only arrays, inserted whole, so a reader sees
@@ -247,30 +252,25 @@ class _LengthStore:
     wins. Entries leave in insertion order once a new one would pass the
     bound. The order matters only when the lengths in use overflow it, and
     there least-recently-used order would thrash as well.
-
-    The bound, _entry_bytes(40853), holds the PRACH lengths (139, 571, 839,
-    1151: 265,164 bytes) and the grid 5 <= p <= 199 (421,534 bytes), small
-    next to numpy's ~27 MB import. The longest length kept is 40853, so no
-    large p, where lengths rarely repeat, is ever held.
     """
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, build=_build_entry, size=_kept_bytes):
         self.budget = budget
+        self.build = build
+        self.size = size
         self.nbytes = 0
-        self._entries: dict[int, _Entry] = {}
+        self._entries: dict[int, tuple] = {}
         self._lock = threading.Lock()
 
-    def entry(self, p: int) -> _Entry | None:
-        """p's entry (factors, L2, E3, roots), built and kept if it fits the bound, else None."""
+    def entry(self, p: int) -> tuple | None:
+        """p's entry, built and kept if it fits the bound, else None."""
         entry = self._entries.get(p)
         if entry is not None:
             return entry
-        size = _entry_bytes(p)
-        if size > self.budget or p > _ROW_PMAX:
+        size = self.size(p)
+        if size > self.budget:
             return None
-        factors = _twiddle_factors(p)
-        logs, exps, pw = _log_tables(p, factors)
-        entry = (factors, logs, exps, _root_scalars(p, logs, pw))
+        entry = self.build(p)
         with self._lock:
             kept = self._entries.get(p)
             if kept is not None:
@@ -278,7 +278,7 @@ class _LengthStore:
             while self.nbytes + size > self.budget:
                 old = next(iter(self._entries))
                 del self._entries[old]
-                self.nbytes -= _entry_bytes(old)
+                self.nbytes -= self.size(old)
             self._entries[p] = entry
             self.nbytes += size
         return entry

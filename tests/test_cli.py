@@ -173,10 +173,10 @@ def test_verify_pmax61_under_ten_seconds(capsys):
 
 
 def test_bench_report_schema_and_counts(capsys, monkeypatch):
-    # naive_ns is timed up to cli._NAIVE_PMAX, so 8209 has it; a store
-    # bounded to 139's entry keeps 139 and leaves 8209 factored, one block,
-    # with no entry_bytes or entry_build_ns; gather_ns times the blocked
-    # factored gather at both
+    # naive_ns and naive_build_ns are timed up to cli._NAIVE_PMAX, so 8209
+    # has them; a store bounded to 139's entry keeps 139 and leaves 8209
+    # factored, one block, with no entry_bytes or entry_build_ns; gather_ns
+    # times the blocked factored gather at both
     store = transform._LengthStore(transform._entry_bytes(139))
     monkeypatch.setattr(transform, "_STORE", store)
     code, out = run_cli(capsys, "bench", "--p", "139", "--p", "8209", "--u", "25", "--reps", "2")
@@ -202,6 +202,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
             "table_bytes",
             "entry_bytes",
             "entry_build_ns",
+            "naive_build_ns",
         ]
         assert report["u"] == 25 and report["reps"] == 2
         assert report["additions"] == 2 * (p - 1)
@@ -214,6 +215,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
     assert [r["table_bytes"] for r in reports] == [400, 16 * (m + -(-8209 // m))]
     assert [r["entry_bytes"] for r in reports] == [transform._entry_bytes(139), None]
     assert reports[0]["entry_build_ns"] > 0 and reports[1]["entry_build_ns"] is None
+    assert all(r["naive_build_ns"] > 0 for r in reports)
 
 
 def test_bench_default_root_fits_every_length(capsys):
@@ -227,8 +229,9 @@ def test_bench_report_keeps_naive_key_as_null_above_its_limit(capsys, monkeypatc
     monkeypatch.setattr(cli, "_NAIVE_PMAX", 100)
     code, out = run_cli(capsys, "bench", "--p", "97", "--p", "139", "--reps", "1")
     assert code == 0
-    naive = [json.loads(line)["naive_ns"] for line in out.splitlines()]
-    assert naive[0] > 0 and naive[1] is None
+    for key in ("naive_ns", "naive_build_ns"):
+        naive = [json.loads(line)[key] for line in out.splitlines()]
+        assert naive[0] > 0 and naive[1] is None
 
 
 def test_cli_outputs_are_deterministic(capsys):

@@ -1,12 +1,17 @@
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from zcdft import oracle, transform
 from zcdft.oracle import _SCALE, brute_gauss_sum, naive_dft, naive_idft, shifted_dft_identity
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import DFT, IDFT
 
+from conftest import ODD_PRIMES_199
 from test_gauss import BRUTE_13_3, BRUTE_7_1
 
 
@@ -30,13 +35,6 @@ def test_kernel_sign_convention():
     expect = np.zeros(p, complex)
     expect[m] = p
     assert out == pytest.approx(expect, abs=1e-9)
-
-
-def test_round_trip_on_random_input(rng):
-    p = 13
-    x = rng.normal(size=p) + 1j * rng.normal(size=p)
-    back = naive_idft(naive_dft(x))
-    assert np.abs(back - p * x).max() <= 1e-8 * p
 
 
 def test_matches_numpy_fft(rng):
@@ -66,12 +64,103 @@ def _per_sample_exact(x, sign):
     return np.array([math.ldexp(float(v), -s) for v in acc]).view(np.complex128)
 
 
-@pytest.mark.parametrize("p", [5, 61, 839])
+# 199, the grid's top length, sums five chunks of 41 rows; 839 sums 94
+@pytest.mark.parametrize("p", [5, 61, 199, 839])
 def test_chunked_sum_equals_per_sample_loop(p):
     for u, ts in ((1, 0), (p - 1, (p - 1) // 2)):
         x = zc_time(ZcParams(p=p, u=u, ts=ts))
         assert np.array_equal(naive_dft(x), _per_sample_exact(x, -1))
         assert np.array_equal(naive_idft(x), _per_sample_exact(x, +1))
+
+
+def _oracle_store(budget):
+    return transform._LengthStore(budget, oracle._entry, oracle._entry_bytes)
+
+
+def _zc_and_random(p, rng):
+    # a ZC case and a random one, stacked
+    x = rng.normal(size=p) + 1j * rng.normal(size=p)
+    return np.stack([zc_time(ZcParams(p=p, u=p - 1, ts=(p - 1) // 2)), x])
+
+
+def test_cold_call_equals_warm_call_and_the_grid_fills_the_bound(monkeypatch, rng):
+    # the bound is the grid 5 <= p <= 199's entries: one sweep keeps every
+    # length of it and fills the bound exactly; 839 and 4099 then evict the
+    # oldest lengths
+    store = _oracle_store(oracle._STORE.budget)
+    monkeypatch.setattr(oracle, "_STORE", store)
+    grid = [p for p in ODD_PRIMES_199 if p >= 5]
+    for p in grid + [839, 4099]:
+        x = _zc_and_random(p, rng) if p < 4099 else zc_time(ZcParams(p=p, u=25, ts=7))
+        cold = naive_dft(x), naive_idft(x)
+        assert p in store._entries
+        assert sum(array.nbytes for array in store._entries[p]) == oracle._entry_bytes(p)
+        warm = naive_dft(x), naive_idft(x)
+        assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
+        if p == grid[-1]:
+            assert list(store._entries) == grid and store.nbytes == store.budget
+    assert store.nbytes == sum(map(oracle._entry_bytes, store._entries)) <= store.budget
+    assert list(store._entries)[-2:] == [839, 4099]
+
+
+def test_store_below_one_entry_keeps_nothing_yet_gives_the_same_bits(monkeypatch, rng):
+    cases = [_zc_and_random(p, rng) for p in (3, 5, 61, 199, 839)]
+    kept = [(naive_dft(x), naive_idft(x)) for x in cases]
+    store = _oracle_store(oracle._entry_bytes(3) - 1)
+    monkeypatch.setattr(oracle, "_STORE", store)
+    for x, (dft, idft) in zip(cases, kept):
+        assert np.array_equal(naive_dft(x), dft) and np.array_equal(naive_idft(x), idft)
+    assert store._entries == {} and store.nbytes == 0
+
+
+def test_kept_entry_is_read_only_and_holds_the_set_up(monkeypatch):
+    store = _oracle_store(oracle._STORE.budget)
+    monkeypatch.setattr(oracle, "_STORE", store)
+    p = 199
+    naive_dft(np.ones(p))
+    entry = store._entries[p]
+    for array in entry:
+        assert array.base is None
+        with pytest.raises(ValueError):
+            array[0] = 1
+    dft_table, idft_table, step, inc = entry
+    k = np.arange(p)
+    assert np.array_equal(dft_table, np.tile(np.exp(-2j * np.pi * k / p), 2))
+    assert np.array_equal(idft_table, np.tile(np.exp(2j * np.pi * k / p), 2))
+    assert step.dtype == inc.dtype == np.int64
+    assert np.array_equal(step, np.multiply.outer(np.arange(41), k) % p)
+    assert np.array_equal(inc, 41 * k % p)
+
+
+def test_threads_match_serial_results_while_the_store_evicts(monkeypatch):
+    lengths = [p for p in ODD_PRIMES_199 if p > 100]
+    cases = [(p, naive) for p in lengths for naive in (naive_dft, naive_idft)]
+    xs = {p: zc_time(ZcParams(p=p, u=25, ts=7)) for p in lengths}
+    serial = {case: case[1](xs[case[0]]) for case in cases}
+    # any two of the entries fit and no three do, so inserts keep evicting
+    # entries that other threads are reading without the lock
+    sizes = sorted(map(oracle._entry_bytes, lengths))
+    budget = sizes[-1] + sizes[-2]
+    assert 3 * sizes[0] > budget
+    store = _oracle_store(budget)
+    monkeypatch.setattr(oracle, "_STORE", store)
+
+    def run(seed):
+        order = cases * 3
+        random.Random(seed).shuffle(order)
+        return [(p, naive) for p, naive in order if not np.array_equal(naive(xs[p]), serial[p, naive])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, seed) for seed in range(4)]
+            mismatches = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == [[]] * 4
+    held = sum(array.nbytes for entry in store._entries.values() for array in entry)
+    assert store.nbytes == held <= budget
 
 
 def test_sum_past_the_int64_range_is_exact():
@@ -211,13 +300,3 @@ def test_shifted_identity_bin0_is_gauss_constant(p):
             out = shifted_dft_identity(ZcParams(p=p, u=u, ts=ts), DFT)
             assert out[0] == pytest.approx(f0, abs=1e-12)
 
-
-def test_dft_idft_adjointness(rng):
-    for p in (13, 31):
-        x = rng.normal(size=p) + 1j * rng.normal(size=p)
-        y = rng.normal(size=p) + 1j * rng.normal(size=p)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        lhs = np.vdot(y, naive_dft(x))
-        rhs = np.vdot(naive_idft(y), x)
-        assert abs(lhs - rhs) <= 1e-9 * p

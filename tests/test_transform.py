@@ -511,6 +511,13 @@ def _kept_plans():
             yield plan(ZcParams(p=p, u=u, ts=ts), direction)
 
 
+def _twiddle_table(p):
+    """exp(-i*2*pi*j/p) for j < p as hi[a] * lo[b], the products every gather forms."""
+    m = transform._split(p)
+    factors = transform._twiddle_factors(p)
+    return np.multiply.outer(factors[m:], factors[:m]).ravel()[:p]
+
+
 def test_kept_execute_equals_table_gather():
     # the log-domain gather reads E3, products of the factors: bit-identical
     # to gathering the whole table at the closed-form phases and scaling,
@@ -520,7 +527,7 @@ def test_kept_execute_equals_table_gather():
         assert pl.logs is not None
         p = pl.params.p
         if p not in tables:
-            tables[p] = transform._twiddle_table(p)
+            tables[p] = _twiddle_table(p)
         table = tables[p]
         for q in (pl, dataclasses.replace(pl, fs=(pl.fs + 1) % p)):
             assert np.array_equal(execute(q), table[phase_indices(q)] * q.const_factor)
@@ -544,7 +551,7 @@ def test_phases_are_a_product_of_two_linear_factors(p):
 # 40867 is the first length whose entry the store does not keep
 @pytest.mark.parametrize("p", [40867, 65537, 131071, 1000003])
 def test_factored_execute_equals_table_gather(p):
-    table = transform._twiddle_table(p)
+    table = _twiddle_table(p)
     for pl in _mirror_plans(p):
         assert pl.logs is None
         assert np.array_equal(execute(pl), table[phase_indices(pl)] * pl.const_factor)
