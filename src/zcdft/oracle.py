@@ -176,7 +176,13 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     added = 0
     for n0 in range(0, p, rows):
         c = min(rows, p - n0)
-        idx = step[:c] + base
+        if n0:
+            base += inc
+            np.minimum(unsigned, unsigned - p, out=unsigned)
+            idx = step[:c] + base
+        else:
+            # the first chunk's offset row is 0: its indices are step
+            idx = step
         for case, case_lo in zip(scaled, lo):
             terms = wrapped[idx]
             terms = np.multiply(case[n0 : n0 + c, None], terms, out=terms).view(np.float64)
@@ -188,8 +194,6 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
             hi += lo >> 32
             lo &= _LOW
             added = 0
-        base += inc
-        np.minimum(unsigned, unsigned - p, out=unsigned)
     out = np.ldexp(hi.astype(np.float64), 32)
     out += lo
     return np.ldexp(out, -shift).view(np.complex128).reshape(x.shape)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,7 +254,12 @@ class _LengthStore:
     there least-recently-used order would thrash as well.
     """
 
-    def __init__(self, budget: int, build=_build_entry, size=_kept_bytes):
+    def __init__(
+        self,
+        budget: int,
+        build: Callable[[int], tuple] = _build_entry,
+        size: Callable[[int], float] = _kept_bytes,
+    ):
         self.budget = budget
         self.build = build
         self.size = size
