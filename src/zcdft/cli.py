@@ -131,9 +131,9 @@ def _median_ns(fn, reps: int) -> int:
 
 
 # naive_ns is the median of --reps calls of the O(p^2) oracle, the first of
-# which builds p's oracle entry unless the store already keeps it: about
-# 0.4-0.5 s per call at p = 8209 and, growing as p^2, half a minute at 65537, so
-# above this length it and naive_build_ns are null
+# which builds p's oracle entry unless the store already keeps it: 0.4-0.5 s
+# per call at p = 8209 and, growing as p^2, half a minute at 65537, so above
+# this length it and naive_build_ns are null
 _NAIVE_PMAX = 10_000
 
 

@@ -19,16 +19,14 @@ batch axes, (..., p); the output does not depend on the chunk size or the
 batch shape, so a stack of cases summed in one call equals one call per
 case.
 
-What depends on p alone is built once per length and kept, read-only, in
-_STORE, a second transform._LengthStore: both directions' tables of roots,
-each written twice, the index block j*k mod p of one chunk and the
-increment that moves a chunk's offset row to the next (_entry), 72*p +
-8*rows*p bytes, at most about 80 KB on the grid. The store's bound is the
-sum of those bytes over the grid 5 <= p <= 199 (2,184,544 bytes), so a
-sweep of the grid keeps every length of it; a longer length is kept while
-it fits, and one that does not fit is built by the same function and
-dropped. The entry holds the same tables and indices a call built before
-it was kept, so kept or not, every output is the same, bit for bit.
+What depends on p alone, both directions' doubled tables of roots, one
+chunk's index block and the step between chunks' offset rows (_entry),
+is built once per length and kept read-only in _STORE, a second
+transform._LengthStore. Its bound is those bytes summed over the grid
+5 <= p <= 199, 2,184,544 bytes, so a sweep of the grid keeps all of it; a
+length that does not fit is built by the same function for its call and
+dropped. Kept or built for one call, the entry is the same, so every
+output is the same, bit for bit.
 
 Error bound, with eps the float64 epsilon, for each bin of each case, where
 sum|x| is the sum of the case's sample moduli and g = 2**(e - _SCALE) its
@@ -117,8 +115,8 @@ def _entry_bytes(p: int) -> int:
     return 64 * p + 8 * _rows(p) * p + 8 * p
 
 
-# bounded by the entries of the grid 5 <= p <= 199 that zcdft verify and
-# the acceptance tests sweep: 2,184,544 bytes, next to numpy's ~27 MB import
+# the grid that zcdft verify and the acceptance tests sweep; 2,184,544 bytes,
+# next to numpy's ~27 MB import
 _STORE = _LengthStore(
     sum(_entry_bytes(p) for p in odd_primes(199) if p >= 5), _entry, _entry_bytes
 )
@@ -139,8 +137,8 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     `rows` consecutive n at a time (_rows): the indices n*k mod p of a
     chunk are its offset row (n0*k mod p) plus the block step's rows j*k
     mod p, and their sum, below 2p, indexes the doubled table, so no term
-    needs its own reduction; the offset row moves on by adding inc and
-    taking the unsigned minimum of it and it less p. Each case gathers its own chunk of factors and
+    needs its own reduction; the offset row moves on by inc, reduced by an
+    unsigned minimum. Each case gathers its own chunk of factors and
     multiplies them by x[n], with x as the first operand: numpy's complex
     multiply is not bitwise commutative here, and the per-sample reference
     in the tests computes x[n] * W^(n*k). The terms' float64 components are
