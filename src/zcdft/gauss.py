@@ -15,7 +15,6 @@ is stored exactly as the integer 4*QPo.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,10 +37,13 @@ class GaussSumResult:
     value: complex
 
 
-def _qpo_times4(p: int, u: int, ell: int) -> int:
-    """4*QPo for a validated (p, u) whose Legendre sign l_2u = ell is known."""
+def _qpo_times4(p: int, u: int | np.ndarray, ell: int | np.ndarray) -> int | np.ndarray:
+    """4*QPo for a validated (p, u) whose Legendre sign l_2u = ell is known, elementwise.
+
+    Exact for Python ints; an int64 numerator must stay below 2**63 (transform._ROW_PMAX).
+    """
     num = (3 - 2 * ell - (p % 4)) * p + u * (p + 1) ** 3
-    if num % 2 != 0:
+    if np.count_nonzero(num % 2):
         raise AssertionError(f"4*QPo not integral for p={p}, u={u}")
     return num // 2
 
@@ -81,14 +83,15 @@ def gauss_sum_closed(p: int, u: int) -> GaussSumResult:
     )
 
 
-def const_from_qpo(p: int, qpo_times4: int) -> complex:
-    """sqrt(p) * exp(i*2*pi*QPo/p) computed from the exact integer 4*QPo.
+def const_from_qpo(p: int, qpo_times4: int | np.ndarray) -> complex | np.ndarray:
+    """sqrt(p) * exp(i*2*pi*QPo/p) from the exact integer 4*QPo, elementwise.
 
-    Reduces 4*QPo mod 4p first, keeping the trig argument in [0, 2*pi).
-    math.sqrt and cmath.exp round as np.sqrt and np.exp do, bit for bit, at
-    a fraction of the cost of numpy's scalar calls. plan calls this once
-    for a length the store does not keep; a kept length's entry holds the
-    same bits for every root (transform._root_scalars).
+    A Python int gives a Python complex, an int64 array a complex128 array,
+    by the same roundings: q4 = 4*QPo mod 4p, reduced before any int64
+    conversion (4*QPo is about 2**123 near p = 2**31), the angle
+    (2*pi*q4)/(4p) times 1j (a real part of exactly 0), np.exp, then the
+    scale. plan and transform._root_scalars both call this: the same bits.
     """
-    q4 = qpo_times4 % (4 * p)
-    return math.sqrt(p) * cmath.exp(2j * math.pi * q4 / (4 * p))
+    angle = 2 * np.pi * (qpo_times4 % (4 * p)) / (4 * p)
+    const = np.exp(1j * angle) * math.sqrt(p)
+    return const if np.ndim(const) else complex(const)

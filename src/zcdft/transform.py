@@ -11,7 +11,8 @@ execute reads it through discrete-log tables for a length the store keeps
 (_LengthStore), else by _gather's blocked, mirrored gather; each output is
 the same product hi[a] * lo[b], so the spectra are bit-identical. A kept
 length's entry also holds every root's inverse, Legendre sign, 4*QPo and
-constant (_root_scalars), which plan reads instead of deriving them.
+constant (_root_scalars), which plan reads instead of deriving them; both
+branches of plan take 4*QPo and the constant from gauss.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
     For a length the store keeps, iu, ell, 4*QPo and the constant are read
     off the entry's row for u (_root_scalars), each with one .item(u), which
     gives an exact int or complex. Otherwise they are mod_inverse(u, p),
-    legendre(2u, p) (Euler's criterion), _qpo_times4 and const_from_qpo.
-    Both routes give the same values, bit for bit.
+    legendre(2u, p) (Euler's criterion), and gauss's _qpo_times4 and
+    const_from_qpo, which the rows call too: the same values, bit for bit.
     """
     require_direction(direction)
     p, u, ts = params.p, params.u, params.ts
@@ -169,9 +170,9 @@ def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return logs, exps, pw
 
 
-# 4*QPo < u*(p+1)**3 <= (p-1)*(p+1)**3 < 2**63 for p <= 55108, so a row is
-# exact in int64 up to this length (at 40853, u*(p+1)**3 <= 0.31*2**63);
-# no store keeps a longer one, whatever its bound
+# _qpo_times4 forms (3 - 2*l_2u - p mod 4)*p + u*(p+1)**3 <= (p-1)*(p+1)**3 + 4p
+# in int64, below 2**63 for p <= 55108 (under 0.31*2**63 at 40853), so a row is
+# exact up to this length; no store keeps a longer one, whatever its bound
 _ROW_PMAX = 55108
 
 
@@ -181,24 +182,13 @@ def _root_scalars(p: int, logs: np.ndarray, pw: np.ndarray) -> tuple[np.ndarray,
     Slot 0 is unused; p <= _ROW_PMAX. With L = L2[:p] and pw[L(x)] = x
     (_log_tables), iu[u] = g**(-L(u)) = pw[-L(u) mod (p-1)]. ell[u] = l_2u
     is +1 iff L2[2u] = L(2u mod p) is even: g**e is a square iff e is even.
-    4*QPo is gauss._qpo_times4's ((3 - 2*l_2u - p mod 4)*p + u*(p+1)**3)/2,
-    written as u*((p+1)**3/2) + ((3 - p mod 4)/2 - l_2u)*p since both
-    halvings are exact. The constant is const_from_qpo's
-    sqrt(p)*exp(i*2*pi*q4/(4p)), q4 = 4*QPo mod 4p, with the same roundings
-    (the angle (2*pi*q4)/(4p), a real part of 0, libm's exp, then the
-    scale): the same bits.
+    4*QPo and the constant are gauss's, as on plan's other branch.
     """
     # numpy reads the index -e as p-1-e, so -L(u) mod (p-1) needs no reduction
     iu = pw[-logs[:p]]
     ell = 1 - 2 * (logs[: 2 * p : 2] & 1)
-    qpo4 = np.arange(p, dtype=np.int64) * ((p + 1) ** 3 // 2)
-    qpo4 += ((3 - p % 4) // 2 - ell) * p
-    const = np.zeros(p, dtype=np.complex128)
-    np.multiply(2 * np.pi, qpo4 % (4 * p), out=const.imag)
-    const.imag /= 4 * p
-    np.exp(const, out=const)
-    const *= math.sqrt(p)
-    roots = (iu, ell.astype(np.int8), qpo4, const)
+    qpo4 = _qpo_times4(p, np.arange(p, dtype=np.int64), ell)
+    roots = (iu, ell.astype(np.int8), qpo4, const_from_qpo(p, qpo4))
     for array in roots:
         array.setflags(write=False)
     return roots

@@ -51,19 +51,26 @@ class VerifyConfig:
         return odd_primes(min(self.pmax, cap))
 
     def transform_cases(self):
-        """(p, roots, shifts) grid for the transform-oracle comparisons."""
+        """(p, [(u, ts), ...]) for the transform families: _cases(p), then 32 roots of 839."""
         for p in self.primes(self.pmax):
-            shifts = sorted({0, 1, (p - 1) // 2})
-            yield p, range(1, p), shifts
+            yield p, _cases(p)
         if self.include_839:
             p = 839
             step = (p - 1) // 32
-            roots = sorted({1 + j * step for j in range(32)})
-            yield p, roots, [0, 1, (p - 1) // 2]
+            yield p, [(1 + j * step, ts) for j in range(32) for ts in (0, 1, (p - 1) // 2)]
 
     def spot_primes(self, *primes: int) -> list[int]:
         """The given primes up to pmax, then 839 when include_839 is set."""
         return [p for p in primes if p <= self.pmax] + ([839] if self.include_839 else [])
+
+
+def _cases(p: int) -> list[tuple[int, int]]:
+    """(u, ts) for every root u of p, ts in {0, 1, (p-1)/2} and, at p <= 61, ts = u.
+
+    Over the roots, ts = u puts every nonzero shift on every length p <= 61.
+    """
+    small = p <= 61
+    return [(u, ts) for u in range(1, p) for ts in sorted({0, 1, (p - 1) // 2, u if small else 0})]
 
 
 # Wall-time bound on each fast-vs-naive family over the full grid.
@@ -124,9 +131,9 @@ def check_centered_residues(cfg: VerifyConfig) -> CheckResult:
 def check_constant_amplitude(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
     for p in cfg.primes(61):
-        for u in range(1, p):
-            z = zc_time(ZcParams(p=p, u=u, ts=u % p))
-            sym = lmfh_symbol(LmfhParams(p=p, s=-u, fs=u, po=0.3))
+        for u, ts in _cases(p):
+            z = zc_time(ZcParams(p=p, u=u, ts=ts))
+            sym = lmfh_symbol(LmfhParams(p=p, s=-u, fs=ts, po=0.3))
             worst = max(worst, np.abs(np.abs(z) - 1.0).max(), np.abs(np.abs(sym) - 1.0).max())
     return CheckResult("constant-amplitude", worst <= 1e-12, worst)
 
@@ -144,19 +151,19 @@ def check_lmfh_zc_conjugacy(cfg: VerifyConfig) -> CheckResult:
 def check_zc_autocorrelation(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
     for p in cfg.primes(61):
-        for u in range(1, p, max(1, (p - 1) // 8)):
+        # row d - 1 of z[lags] is np.roll(z, -d), d = 1..p-1
+        lags = (np.arange(1, p)[:, None] + np.arange(p)) % p
+        for u in range(1, p):
             z = zc_time(ZcParams(p=p, u=u))
-            for d in range(1, p):
-                corr = abs(np.vdot(np.roll(z, -d), z))
-                worst = max(worst, corr / p)
+            worst = max(worst, np.abs(z[lags].conj() @ z).max() / p)
     return CheckResult("zc-autocorrelation", worst <= 1e-9, worst)
 
 
 def check_cyclic_shift_rotation(cfg: VerifyConfig) -> CheckResult:
     for p in cfg.primes(61):
-        for u in (1, 2, p - 1):
+        for u in range(1, p):
             base = zc_time(ZcParams(p=p, u=u))
-            for ts in (1, (p - 1) // 2, p - 1):
+            for ts in sorted({0, 1, (p - 1) // 2, u, p - 1}):
                 shifted = zc_time(ZcParams(p=p, u=u, ts=ts))
                 if not np.array_equal(shifted, np.roll(base, -ts)):
                     return CheckResult("cyclic-shift-rotation", False, 1.0, f"p={p} u={u} ts={ts}")
@@ -203,17 +210,16 @@ def _fast_vs_naive(cfg: VerifyConfig, direction: str) -> CheckResult:
     start = time.perf_counter()
     worst_rel = 0.0
     fault_pending = cfg.inject_fault and direction == transform.DFT
-    for p, roots, shifts in cfg.transform_cases():
+    for p, cases in cfg.transform_cases():
         fast, signals = [], []
-        for u in roots:
-            for ts in shifts:
-                params = ZcParams(p=p, u=u, ts=ts)
-                pl = transform.plan(params, direction)
-                if fault_pending:
-                    pl = dataclasses.replace(pl, fs=(pl.fs + 1) % p)
-                    fault_pending = False
-                fast.append(transform.execute(pl))
-                signals.append(zc_time(params))
+        for u, ts in cases:
+            params = ZcParams(p=p, u=u, ts=ts)
+            pl = transform.plan(params, direction)
+            if fault_pending:
+                pl = dataclasses.replace(pl, fs=(pl.fs + 1) % p)
+                fault_pending = False
+            fast.append(transform.execute(pl))
+            signals.append(zc_time(params))
         # one oracle call per length, row for row the same as one per case
         ref = _naive(np.stack(signals), direction)
         worst_rel = max(worst_rel, np.abs(np.stack(fast) - ref).max() / _tol(p))
@@ -257,21 +263,23 @@ def check_shifted_dft_identity(cfg: VerifyConfig) -> CheckResult:
 
 def check_transform_round_trip(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
-    for p in cfg.primes(61) + cfg.spot_primes(139):
-        for u in sorted({1, 2, 25 % p or 1, p - 2, p - 1}):
-            params = ZcParams(p=p, u=u)
-            spectrum = transform.execute(transform.plan(params, transform.DFT))
-            back = oracle.naive_idft(spectrum)
-            worst = max(worst, np.abs(back - p * zc_time(params)).max() / (1e-8 * p))
+    cases = [(p, u, ts) for p in cfg.primes(61) for u, ts in _cases(p)]
+    cases += [(p, u, 0) for p in cfg.spot_primes(139) for u in (1, 2, 25, p - 2, p - 1)]
+    for p, u, ts in cases:
+        params = ZcParams(p=p, u=u, ts=ts)
+        spectrum = transform.execute(transform.plan(params, transform.DFT))
+        back = oracle.naive_idft(spectrum)
+        worst = max(worst, np.abs(back - p * zc_time(params)).max() / (1e-8 * p))
     return CheckResult("transform-round-trip", worst <= 1.0, worst, "error / (1e-8*p)")
 
 
 def check_spectrum_magnitude(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
-    for p in cfg.primes(199):
-        for u in range(1, p, max(1, (p - 1) // 16)):
-            out = transform.execute(transform.plan(ZcParams(p=p, u=u), transform.DFT))
-            worst = max(worst, np.abs(np.abs(out) - np.sqrt(p)).max())
+    for p, cases in cfg.transform_cases():
+        for u, ts in cases:
+            for direction in (transform.DFT, transform.IDFT):
+                out = transform.execute(transform.plan(ZcParams(p=p, u=u, ts=ts), direction))
+                worst = max(worst, np.abs(np.abs(out) - np.sqrt(p)).max())
     return CheckResult("spectrum-magnitude", worst <= 1e-9, worst)
 
 
@@ -291,17 +299,16 @@ def check_operation_counts(cfg: VerifyConfig) -> CheckResult:
 
 def check_phase_closed_form_vs_recurrence(cfg: VerifyConfig) -> CheckResult:
     name = "phase-closed-form-vs-recurrence"
-    for p, roots, shifts in cfg.transform_cases():
-        for u in roots:
-            for ts in shifts:
-                params = ZcParams(p=p, u=u, ts=ts)
-                if not np.array_equal(zc_time(params), oracle.zc_time_direct(params)):
-                    return CheckResult(name, False, 1.0, f"zc_time p={p} u={u} ts={ts}")
-                for direction in (transform.DFT, transform.IDFT):
-                    pl = transform.plan(params, direction)
-                    ref = transform.phase_indices_recurrence(pl, transform.OpCounters())
-                    if not np.array_equal(transform.phase_indices(pl), ref):
-                        return CheckResult(name, False, 1.0, f"p={p} u={u} ts={ts} {direction}")
+    for p, cases in cfg.transform_cases():
+        for u, ts in cases:
+            params = ZcParams(p=p, u=u, ts=ts)
+            if not np.array_equal(zc_time(params), oracle.zc_time_direct(params)):
+                return CheckResult(name, False, 1.0, f"zc_time p={p} u={u} ts={ts}")
+            for direction in (transform.DFT, transform.IDFT):
+                pl = transform.plan(params, direction)
+                ref = transform.phase_indices_recurrence(pl, transform.OpCounters())
+                if not np.array_equal(transform.phase_indices(pl), ref):
+                    return CheckResult(name, False, 1.0, f"p={p} u={u} ts={ts} {direction}")
     return CheckResult(name, True, 0.0, "integer equality")
 
 
@@ -309,16 +316,15 @@ def check_phase_mirror(cfg: VerifyConfig) -> CheckResult:
     # phase_k = r*k*(k + s) mod p is the same at k and t - k, t = -s mod p;
     # a factored execute copies half its bins on the strength of this
     name = "phase-mirror"
-    for p, roots, shifts in cfg.transform_cases():
+    for p, cases in cfg.transform_cases():
         k = np.arange(p)
-        for u in roots:
-            for ts in shifts:
-                for direction in (transform.DFT, transform.IDFT):
-                    pl = transform.plan(ZcParams(p=p, u=u, ts=ts), direction)
-                    phases = transform.phase_indices(pl)
-                    t = (2 * u * pl.fs - 1) % p
-                    if not np.array_equal(phases, phases[(t - k) % p]):
-                        return CheckResult(name, False, 1.0, f"p={p} u={u} ts={ts} {direction}")
+        for u, ts in cases:
+            for direction in (transform.DFT, transform.IDFT):
+                pl = transform.plan(ZcParams(p=p, u=u, ts=ts), direction)
+                phases = transform.phase_indices(pl)
+                t = (2 * u * pl.fs - 1) % p
+                if not np.array_equal(phases, phases[(t - k) % p]):
+                    return CheckResult(name, False, 1.0, f"p={p} u={u} ts={ts} {direction}")
     return CheckResult(name, True, 0.0, "integer equality")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import zcdft.numtheory
-from zcdft.gauss import const_from_qpo, gauss_sum_closed, quasi_phase_offset4
+from zcdft.gauss import _qpo_times4, const_from_qpo, gauss_sum_closed, quasi_phase_offset4
 from zcdft.numtheory import legendre
 from zcdft.oracle import brute_gauss_sum
 from zcdft.sequences import ZcParams
@@ -78,6 +78,31 @@ def test_two_phase_forms_agree(p):
     for u in range(1, p):
         g = gauss_sum_closed(p, u)
         assert abs(g.value - const_from_qpo(p, g.qpo_times4)) <= 1e-12
+
+
+def test_array_calls_equal_scalar_calls_bit_for_bit():
+    # a kept length's root rows call the routines on int64 arrays, plan at any
+    # other length on Python ints; u = p - 1 at 55103 is the int64 edge
+    for p, roots in ((139, range(1, 139)), (40853, range(1, 40853)), (55103, [1, 2, 55102])):
+        ells = [legendre(2 * u, p) for u in roots]
+        q4 = _qpo_times4(p, np.array(roots, dtype=np.int64), np.array(ells, dtype=np.int64))
+        scalar_q4 = [_qpo_times4(p, u, ell) for u, ell in zip(roots, ells)]
+        assert q4.dtype == np.int64 and q4.tolist() == scalar_q4
+        consts = const_from_qpo(p, q4)
+        scalar_consts = np.array([const_from_qpo(p, q) for q in scalar_q4])
+        assert consts.view(np.uint64).tolist() == scalar_consts.view(np.uint64).tolist()
+
+
+def test_scalar_calls_stay_exact_past_int64():
+    # at the prime cap 4*QPo is about 2**123: a scalar routed through int64
+    # would overflow
+    p, u = 2**31 - 1, 2**31 - 2
+    coeff = 3 - 2 * legendre(2 * u, p) - p % 4
+    q4 = quasi_phase_offset4(p, u)
+    assert type(q4) is int and q4 > 1 << 122 and 2 * q4 == coeff * p + u * (p + 1) ** 3
+    const = const_from_qpo(p, q4)
+    assert type(const) is complex
+    assert abs(const - gauss_sum_closed(p, u).value) <= 1e-9 * np.sqrt(p)
 
 
 def test_root_validation():

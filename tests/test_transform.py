@@ -299,10 +299,12 @@ def test_kept_root_rows_match_the_scalar_routines(monkeypatch):
             assert pl.logs is not None
             fields = (pl.iu, pl.ell, pl.qpo_times4, pl.const_factor)
             assert tuple(map(type, fields)) == (int, int, int, complex)
-    # _ROW_PMAX is the last length whose 4*QPo bound (p-1)*(p+1)**3 is below
-    # 2**63; 65537, past it, fits a bound of 2**23 and is still not kept
+    # _ROW_PMAX is the last length whose bound (p-1)*(p+1)**3 + 4p on the int64
+    # numerator of 4*QPo is below 2**63; 65537, past it, fits a bound of 2**23
+    # and is still not kept
     pmax = transform._ROW_PMAX
-    assert (pmax - 1) * (pmax + 1) ** 3 < 1 << 63 <= pmax * (pmax + 2) ** 3
+    bound = [(q - 1) * (q + 1) ** 3 + 4 * q for q in (pmax, pmax + 1)]
+    assert bound[0] < 1 << 63 <= bound[1]
     monkeypatch.setattr(transform, "_STORE", transform._LengthStore(1 << 23))
     assert transform._entry_bytes(65537) <= 1 << 23
     for u in (1, 2, 32768, 65536):
@@ -578,15 +580,6 @@ def test_plan_at_the_prime_cap_holds_only_factors():
         assert max(a) < hi.size and max(b) < lo.size
 
 
-@given(cases, st.sampled_from([DFT, IDFT]))
-@settings(max_examples=60, deadline=None)
-def test_fast_path_matches_oracle(params, direction):
-    fast = execute(plan(params, direction))
-    x = zc_time(params)
-    oracle = naive_dft(x) if direction == DFT else naive_idft(x)
-    assert np.abs(fast - oracle).max() <= 1e-9 * np.sqrt(params.p)
-
-
 @pytest.mark.parametrize("direction", [DFT, IDFT])
 def test_identity_examples(direction):
     naive = naive_dft if direction == DFT else naive_idft
@@ -605,18 +598,3 @@ def test_conjugate_form_equivalence():
         a = np.conj(zc_time(ZcParams(p=p, u=iu)))
         b = zc_time(ZcParams(p=p, u=p - iu))
         assert np.abs(a - b).max() <= 1e-15
-
-
-@given(cases)
-@settings(max_examples=40, deadline=None)
-def test_round_trip(params):
-    spectrum = execute(plan(params, DFT))
-    back = naive_idft(spectrum)
-    assert np.abs(back - params.p * zc_time(params)).max() <= 1e-8 * params.p
-
-
-@given(cases, st.sampled_from([DFT, IDFT]))
-@settings(max_examples=40)
-def test_spectrum_is_cazac(params, direction):
-    out = execute(plan(params, direction))
-    assert np.abs(np.abs(out) - np.sqrt(params.p)).max() <= 1e-9
