@@ -16,6 +16,11 @@ import statistics
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import __version__, oracle, pattern, transform
@@ -131,17 +136,27 @@ def _median_ns(fn, reps: int) -> int:
 
 
 # naive_ns is the median of --reps calls of the O(p^2) oracle, the first of
-# which builds p's oracle entry unless the store already keeps it: 0.4-0.5 s
-# per call at p = 8209 and, growing as p^2, half a minute at 65537, so above
-# this length it and naive_build_ns are null
+# which builds p's oracle entry unless the store already keeps it: 0.23-0.32 s
+# per call at p = 8209 and, growing as p^2, some 15 s at 65537, so above this
+# length it, naive_build_ns and naive_faults are null
 _NAIVE_PMAX = 10_000
 
 
+def _faults_per_call(fn, reps: int) -> float | None:
+    """Minor page faults (getrusage ru_minflt) per call of fn over reps warm calls."""
+    if resource is None:
+        return None
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(reps):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / reps
+
+
 def _build_ns(store: transform._LengthStore, p: int) -> int:
-    """One build of p's entry into a fresh store with store's bound, build and size."""
-    fresh = transform._LengthStore(store.budget, store.build, store.size)
+    """One build of p's entry by store's build function, whether or not the store keeps p."""
     t0 = time.perf_counter_ns()
-    fresh.entry(p)
+    store.build(p)
     return time.perf_counter_ns() - t0
 
 
@@ -173,6 +188,7 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "entry_bytes": transform._entry_bytes(params.p) if kept else None,
         "entry_build_ns": _build_ns(transform._STORE, params.p) if kept else None,
         "naive_build_ns": _build_ns(oracle._STORE, params.p) if naive else None,
+        "naive_faults": _faults_per_call(lambda: oracle.naive_dft(x), reps) if naive else None,
     }
 
 
@@ -270,11 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
         "table of roots, its two factors at every p; a kept length's log "
         "tables and root rows are not counted. entry_bytes is what the "
         "per-length store holds for p and entry_build_ns one build of that "
-        "entry into an empty store; both are null when p is not kept. naive_ns is "
+        "entry; both are null when p is not kept. naive_ns is "
         "the median of reps calls of the O(p^2) oracle, the first of which "
         "builds p's oracle entry unless it is already kept, and "
-        "naive_build_ns one build of that entry into an empty store; both "
-        f"are timed only up to p = {_NAIVE_PMAX} and are null above it.",
+        "naive_build_ns one build of that entry, kept or not; "
+        "naive_faults is the minor page faults per warm oracle call over reps "
+        f"calls. All three are measured only up to p = {_NAIVE_PMAX} and are "
+        "null above it; naive_faults is null also where the resource module "
+        "is missing.",
     )
     sp.set_defaults(handler=cmd_bench)
     sp.add_argument(

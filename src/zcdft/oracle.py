@@ -13,20 +13,21 @@ The quadratic-time transforms round each term x[n] * W^(n*k) once to a
 fixed-point grid, add the rounded terms exactly in int64, and round the
 exact sum once to float64 (a long accumulator, after Kulisch, Computer
 Arithmetic and Validity, 2008). An exact sum does not depend on the order
-of its terms, so the terms are built about _CHUNK at a time as a (rows, p)
-block and each block is summed over n in one call. x may carry leading
-batch axes, (..., p); the output does not depend on the chunk size or the
-batch shape, so a stack of cases summed in one call equals one call per
-case.
+of its terms, so they are taken in discrete-log order (Rader, Proc. IEEE
+56(6), 1968), where all but the first row and column form a Hankel matrix,
+a strided view of one table, and summed a block of rows at a time. x may
+carry leading batch axes, (..., p), p prime; the output does not depend on
+the block size or the batch shape, so a stack of cases summed in one call
+equals one call per case.
 
-What depends on p alone, both directions' doubled tables of roots, one
-chunk's index block and the step between chunks' offset rows (_entry),
-is built once per length and kept read-only in _STORE, a second
-transform._LengthStore. Its bound is those bytes summed over the grid
-5 <= p <= 199, 2,184,544 bytes, so a sweep of the grid keeps all of it; a
-length that does not fit is built by the same function for its call and
-dropped. Kept or built for one call, the entry is the same, so every
-output is the same, bit for bit.
+What depends on p alone, the log order [0, g**0, ..., g**(p-2)] of a
+generator g that this module finds itself, its inverse and both
+directions' tables of roots in that order (_entry), is built once per
+length and kept read-only in _STORE, a second transform._LengthStore. Its
+bound is those bytes summed over the grid 5 <= p <= 199, 336,352 bytes, so
+a sweep of the grid keeps all of it; a length that does not fit is built by
+the same function for its call and dropped. Kept or built for one call, the
+entry is the same, so every output is the same, bit for bit.
 
 Error bound, with eps the float64 epsilon, for each bin of each case, where
 sum|x| is the sum of the case's sample moduli and g = 2**(e - _SCALE) its
@@ -52,6 +53,7 @@ p = 61, 139, 199, 839 and 2503.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -61,15 +63,17 @@ from .sequences import ZcParams, zc_time
 from .transform import DFT, _LengthStore, require_direction
 
 
-# Terms per chunk of _exact_transform, for one case at a time. The product
-# overwrites the gathered factors, so a chunk's temporaries are its int64
-# indices (64 KB), terms (128 KB) and their int64 values (128 KB): in L2, and
-# below glibc's 128 KB mmap threshold, so no call page-faults them in afresh.
-# At 2**14 terms every call did (115 faults and 1.9 times the time at
-# p = 139), and so did a stack with its cases side by side (3.3 times at 199).
-# rows*p <= _CHUNK and rows <= p give rows <= sqrt(_CHUNK) < 91 <= _CARRY_ROWS.
-# A kept entry's index block is rows*p int64 as well, at most 64 KB.
-_CHUNK = 1 << 13
+# Terms per block of _exact_transform: the grid's largest, 198**2 at p = 199,
+# so every grid case is one block. A longer length is cut into blocks of
+# whole rows, or of one row cut by columns where p - 1 exceeds this; either
+# way a block has at most 198 rows, and 1 + 198 <= _CARRY_ROWS. The terms
+# (627 KB) and their int64 values (627 KB) live in two buffers per thread,
+# allocated on the thread's first call and kept, so a call allocates only
+# O(p) temporaries. Chunks of 2**13 terms allocated per call (128 KB each)
+# made glibc trim the heap top and fault it back in: 45.6 minor faults per
+# operation in a replay of perfbench's verify operations, 0 with the buffers.
+_GRID_PMAX = 199
+_BLOCK = (_GRID_PMAX - 1) ** 2
 
 # A case is scaled so that its largest component is below 2**_SCALE. A term's
 # components are then at most 2**(_SCALE + 1), so the low word, below 2**32
@@ -78,129 +82,166 @@ _SCALE = 54
 _CARRY_ROWS = 2 ** (62 - _SCALE) - 1
 _LOW = (1 << 32) - 1
 
+_LOCAL = threading.local()
 
-def _rows(p: int) -> int:
-    """Rows of terms per chunk at length p: rows*p close to _CHUNK, at least 1, at most p."""
-    return min(p, max(1, _CHUNK // p))
+
+def _buffers() -> tuple[np.ndarray, np.ndarray]:
+    """This thread's kept block buffers: _BLOCK complex128 terms and their int64 values."""
+    try:
+        return _LOCAL.buffers
+    except AttributeError:
+        _LOCAL.buffers = np.empty(_BLOCK, np.complex128), np.empty(2 * _BLOCK, np.int64)
+        return _LOCAL.buffers
+
+
+def _log_order(p: int) -> np.ndarray:
+    """[0, g**0, ..., g**(p-2)] mod p, for a generator g found by trying 1, 2, ...
+
+    The oracle's own plain loop, so that a fault in the transform's
+    discrete-log tables (numtheory.primitive_root, power_table) cannot also
+    be in its reference. Raises ValueError unless p is prime.
+    """
+    for g in range(1, p):
+        powers = [1]
+        while len(powers) < p and (v := powers[-1] * g % p) != 1:
+            powers.append(v)
+        if len(powers) == p - 1:
+            order = np.array([0, *powers], dtype=np.int64)
+            assert np.array_equal(np.sort(order), np.arange(p)), "powers not a permutation"
+            return order
+    raise ValueError(f"the O(p^2) transforms need a prime length, got {p}")
 
 
 def _entry(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """p's set-up, read-only: the DFT's and the IDFT's doubled table, step and inc.
+    """p's set-up, read-only: the log order, its inverse, and each direction's table.
 
-    Each table is exp(sign*2*pi*i*k/p) for k < p, written twice, so that
-    any sum of two residues below p indexes it without a reduction. step is
-    the int64 block j*k mod p for j < rows (_rows), shared by both signs,
-    and inc is rows*k mod p, which moves a chunk's offset row n0*k mod p to
-    the next chunk's. 72*p + 8*rows*p bytes (_entry_bytes).
+    With W = exp(sign*2*pi*i*k/p) for k < p and order = [0, g**0, ...,
+    g**(p-2)] (_log_order), a direction's table is W[order] followed by
+    W[order[1:]]: W[0], then W[g**c] for c < 2(p-1), so that entry 1 + a + b
+    is W[g**a * g**b mod p] without a reduction. inverse[k] is k's place in
+    order. 16*p + 32*(2p-1) bytes (_entry_bytes).
     """
+    order = _log_order(p)
+    inverse = np.empty(p, dtype=np.int64)
+    inverse[order] = np.arange(p)
     k = np.arange(p, dtype=np.int64)
     tables = []
     for sign in (-1, +1):
-        wrapped = np.exp(sign * 2j * np.pi * k / p)
-        tables.append(np.concatenate((wrapped, wrapped)))
-    rows = _rows(p)
-    # j*k mod p by floor division, which numpy runs through libdivide, at
-    # half the cost of %
-    step = np.multiply.outer(np.arange(rows, dtype=np.int64), k)
-    step -= step // p * p
-    inc = rows * k % p
-    entry = (*tables, step, inc)
+        w = np.exp(sign * 2j * np.pi * k / p)[order]
+        tables.append(np.concatenate((w, w[1:])))
+    entry = (order, inverse, *tables)
     for array in entry:
         array.setflags(write=False)
     return entry
 
 
 def _entry_bytes(p: int) -> int:
-    """Bytes of p's set-up (_entry): two tables of 2p complex128, step and inc."""
-    return 64 * p + 8 * _rows(p) * p + 8 * p
+    """Bytes of p's set-up (_entry): the order and its inverse, two tables of 2p-1 complex128."""
+    return 16 * p + 32 * (2 * p - 1)
 
 
-# the grid that zcdft verify and the acceptance tests sweep; 2,184,544 bytes,
+# the grid that zcdft verify and the acceptance tests sweep; 336,352 bytes,
 # next to numpy's ~27 MB import
 _STORE = _LengthStore(
-    sum(_entry_bytes(p) for p in odd_primes(199) if p >= 5), _entry, _entry_bytes
+    sum(_entry_bytes(p) for p in odd_primes(_GRID_PMAX) if p >= 5), _entry, _entry_bytes
 )
 
 
 def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     """O(p^2) DFT (sign=-1) or unnormalized IDFT (sign=+1), summed exactly.
 
-    Twiddle arguments are reduced as integers (n*k mod p) so every factor is
-    an exact table entry. Each case (each row of the leading axes) is scaled
-    by 2**(_SCALE - e), where 2**(e-1) <= max component of |x| < 2**e: a
-    power of two, so the scaling is exact, and np.ldexp applies it where the
-    factor itself would not be a float (2**1050 for inputs near 1e-300).
+    Each case (each row of the leading axes) is scaled by 2**(_SCALE - e),
+    where 2**(e-1) <= max component of |x| < 2**e: a power of two, so the
+    scaling is exact, and np.ldexp applies it where the factor itself would
+    not be a float (2**1050 for inputs near 1e-300).
 
-    x has shape (..., p); leading axes are independent cases. The table and
-    the index block come from p's entry (_entry), kept in _STORE or, for a
-    length that does not fit, built for this call. The terms are built for
-    `rows` consecutive n at a time (_rows): the indices n*k mod p of a
-    chunk are its offset row (n0*k mod p) plus the block step's rows j*k
-    mod p, and their sum, below 2p, indexes the doubled table, so no term
-    needs its own reduction; the offset row moves on by inc, reduced by an
-    unsigned minimum. Each case gathers its own chunk of factors and
-    multiplies them by x[n], with x as the first operand: numpy's complex
-    multiply is not bitwise commutative here, and the per-sample reference
-    in the tests computes x[n] * W^(n*k). The terms' float64 components are
-    rounded to integers, cast to int64 and summed over the chunk's rows in
-    one call (a one-row chunk is added as it is); the chunk sum is added to
-    a low word whose bits from 32 up are carried into a high word at least
-    every _CARRY_ROWS rows, so no p can overflow. hi*2**32 + lo,
-    lo < 2**32 after the last carry, is the exact sum of the rounded terms;
-    it is rounded once (hi*2**32 is exact in float64 while |hi| < 2**53,
-    which holds for p < 2**30) and scaled back exactly, unless it
-    underflows.
+    x has shape (..., p), p prime; leading axes are independent cases. The
+    order and the table come from p's entry (_entry), kept in _STORE or, for
+    a length that does not fit, built for this call. The samples are taken
+    in log order, xl = x[order], and the bins are summed in that order and
+    put back through the inverse. With n = g**a and k = g**b (Rader, Proc.
+    IEEE 56(6), 1968) the term x[n] * W[n*k mod p] is xl[1+a] * table[1+a+b],
+    so the terms of bins 1..p-1 from rows 1..p-1 form the Hankel matrix
+    H[a, b] = table[1+a+b], a strided view of the table: no index is formed
+    and no factor gathered. Row n = 0 and bin k = 0 take x[n] * W[0],
+    W[0] = table[0]. Every term is x[n] times an exact table entry, with x
+    as the first operand: numpy's complex multiply is not bitwise
+    commutative here, and the per-sample reference in the tests computes
+    x[n] * W^(n*k).
+
+    The terms' float64 components are rounded to integers, cast to int64
+    and added exactly. Row n = 0's term starts every bin's low word, and
+    each block of rows (_BLOCK, in this thread's kept buffers) adds its
+    column sums, bin 0 its part of column k = 0. Bits from 32 up are carried
+    into a high word before a block could take a bin past _CARRY_ROWS
+    terms, so no p can overflow; for p <= _CARRY_ROWS no carry is needed and
+    the low word is the exact sum. Otherwise hi*2**32 + lo, lo < 2**32 after
+    a last carry, is; it is rounded once (hi*2**32 is exact in float64
+    while |hi| < 2**53, which holds for p < 2**30) and scaled back exactly,
+    unless it underflows.
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     p = x.shape[-1]
-    parts = x.view(np.float64).reshape(-1, 2 * p)
-    top = np.abs(parts).max(axis=-1, keepdims=True)
+    top = np.abs(x.view(np.float64).reshape(-1, 2 * p)).max(axis=-1, keepdims=True)
     if not np.isfinite(top).all():
         raise ValueError("the O(p^2) transforms need finite input")
     shift = _SCALE - np.frexp(top)[1]
-    scaled = np.ldexp(parts, shift).view(np.complex128)
     entry = _STORE.entry(p)
     if entry is None:
         entry = _entry(p)
-    wrapped = entry[sign > 0]
-    step, inc = entry[2:]
-    rows = len(step)
-    base = np.zeros(p, dtype=np.int64)
-    # base + inc < 2p: read as uint64, base - p wraps past 2**63 where
-    # base < p, so the minimum of the two is base mod p
-    unsigned = base.view(np.uint64)
-    hi = np.zeros(parts.shape, dtype=np.int64)
-    lo = np.zeros_like(hi)
-    added = 0
-    for n0 in range(0, p, rows):
-        c = min(rows, p - n0)
-        if n0:
-            base += inc
-            np.minimum(unsigned, unsigned - p, out=unsigned)
-            idx = step[:c] + base
-        else:
-            # the first chunk's offset row is 0: its indices are step
-            idx = step
-        for case, case_lo in zip(scaled, lo):
-            terms = wrapped[idx]
-            terms = np.multiply(case[n0 : n0 + c, None], terms, out=terms).view(np.float64)
-            values = np.rint(terms, out=terms).astype(np.int64)
-            case_lo += values[0] if c == 1 else values.sum(axis=0)
-        added += c
-        # before the next chunk could overflow lo, and before lo is rounded
-        if added + rows > _CARRY_ROWS or n0 + c == p:
+    order, inverse, table = entry[0], entry[1], entry[2 + (sign > 0)]
+    xl = x.reshape(-1, p).take(order, axis=1)
+    parts = xl.view(np.float64)
+    np.ldexp(parts, shift, out=parts)
+    # row n = 0 and column k = 0, as x[n] * W[0] rounded, in log order
+    edge = np.multiply(xl, table[:1]).view(np.float64)
+    edge = np.rint(edge, out=edge).astype(np.int64)
+    lo = np.empty_like(edge)
+    lo.reshape(len(lo), p, 2)[:] = edge[:, None, :2]
+    hi = None
+    q = p - 1
+    # as_strided(table[1:], (q, q), (16, 16)), built directly: as_strided
+    # takes about 6 us, a tenth of a call at p = 61
+    hankel = np.ndarray((q, q), np.complex128, table, 16, (16, 16))
+    rows, cols = max(1, min(q, _BLOCK // q)), min(q, _BLOCK)
+    buffer, values = _buffers()
+    added = 1
+    for a0 in range(0, q, rows):
+        a1 = min(a0 + rows, q)
+        # before this block could overflow lo
+        if added + a1 - a0 > _CARRY_ROWS:
+            if hi is None:
+                hi = np.zeros_like(lo)
             hi += lo >> 32
             lo &= _LOW
             added = 0
-    out = np.ldexp(hi.astype(np.float64), 32)
-    out += lo
+        lo[:, :2] += edge[:, 2 + 2 * a0 : 2 + 2 * a1].reshape(len(lo), -1, 2).sum(axis=1)
+        for b0 in range(0, q, cols):
+            b1 = min(b0 + cols, q)
+            terms = buffer[: (a1 - a0) * (b1 - b0)].reshape(a1 - a0, b1 - b0)
+            block = values[: terms.size * 2].reshape(a1 - a0, 2 * (b1 - b0))
+            for case, case_lo in zip(xl, lo):
+                np.multiply(case[1 + a0 : 1 + a1, None], hankel[a0:a1, b0:b1], out=terms)
+                parts = terms.view(np.float64)
+                np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
+                case_lo[2 + 2 * b0 : 2 + 2 * b1] += block.sum(axis=0)
+        added += a1 - a0
+    if hi is None:
+        # lo is the exact sum; ldexp rounds it to float64 once and scales it
+        out = lo
+    else:
+        hi += lo >> 32
+        lo &= _LOW
+        out = np.ldexp(hi.astype(np.float64), 32)
+        out += lo
+    out = out.reshape(len(lo), p, 2).take(inverse, axis=1).reshape(len(lo), 2 * p)
     return np.ldexp(out, -shift).view(np.complex128).reshape(x.shape)
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
     """X[k] = sum_n x[n] * exp(-i*2*pi*n*k/p), by direct summation, over the last axis.
 
-    Raises ValueError unless every sample is finite.
+    Raises ValueError unless every sample is finite and the length is prime.
     """
     return _exact_transform(x, -1)
 
@@ -208,7 +249,7 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
 def naive_idft(x: np.ndarray) -> np.ndarray:
     """X[k] = sum_n x[n] * exp(+i*2*pi*n*k/p), unnormalized, over the last axis.
 
-    Raises ValueError unless every sample is finite.
+    Raises ValueError unless every sample is finite and the length is prime.
     """
     return _exact_transform(x, +1)
 

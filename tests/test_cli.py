@@ -203,6 +203,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
             "entry_bytes",
             "entry_build_ns",
             "naive_build_ns",
+            "naive_faults",
         ]
         assert report["u"] == 25 and report["reps"] == 2
         assert report["additions"] == 2 * (p - 1)
@@ -216,6 +217,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
     assert [r["entry_bytes"] for r in reports] == [transform._entry_bytes(139), None]
     assert reports[0]["entry_build_ns"] > 0 and reports[1]["entry_build_ns"] is None
     assert all(r["naive_build_ns"] > 0 for r in reports)
+    assert all(r["naive_faults"] >= 0 for r in reports)
 
 
 def test_bench_default_root_fits_every_length(capsys):
@@ -229,9 +231,9 @@ def test_bench_report_keeps_naive_key_as_null_above_its_limit(capsys, monkeypatc
     monkeypatch.setattr(cli, "_NAIVE_PMAX", 100)
     code, out = run_cli(capsys, "bench", "--p", "97", "--p", "139", "--reps", "1")
     assert code == 0
-    for key in ("naive_ns", "naive_build_ns"):
+    for key in ("naive_ns", "naive_build_ns", "naive_faults"):
         naive = [json.loads(line)[key] for line in out.splitlines()]
-        assert naive[0] > 0 and naive[1] is None
+        assert naive[0] >= 0 and naive[1] is None
 
 
 def test_cli_outputs_are_deterministic(capsys):

@@ -1,12 +1,13 @@
 import math
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from zcdft import oracle, transform
+from zcdft import numtheory, oracle, transform
 from zcdft.oracle import _SCALE, brute_gauss_sum, naive_dft, naive_idft, shifted_dft_identity
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import DFT, IDFT
@@ -64,8 +65,10 @@ def _per_sample_exact(x, sign):
     return np.array([math.ldexp(float(v), -s) for v in acc]).view(np.complex128)
 
 
-# 199, the grid's top length, sums five chunks of 41 rows; 839 sums 94
-@pytest.mark.parametrize("p", [5, 61, 199, 839])
+# 199, the grid's top length, is one block of 198 rows; 257 and 263, the
+# first lengths with p - 1 > _CARRY_ROWS, take two row blocks and a carry
+# between them; 839 takes 19 blocks of up to 46 rows and a carry every 5
+@pytest.mark.parametrize("p", [5, 61, 199, 257, 263, 839])
 def test_chunked_sum_equals_per_sample_loop(p):
     for u, ts in ((1, 0), (p - 1, (p - 1) // 2)):
         x = zc_time(ZcParams(p=p, u=u, ts=ts))
@@ -85,8 +88,9 @@ def _zc_and_random(p, rng):
 
 def test_cold_call_equals_warm_call_and_the_grid_fills_the_bound(monkeypatch, rng):
     # the bound is the grid 5 <= p <= 199's entries: one sweep keeps every
-    # length of it and fills the bound exactly; 839 and 4099 then evict the
-    # oldest lengths
+    # length of it and fills the bound exactly; 839 then evicts the oldest
+    # lengths, and 4099, whose entry takes 327,888 of the 336,352 bytes, all
+    # the others
     store = _oracle_store(oracle._STORE.budget)
     monkeypatch.setattr(oracle, "_STORE", store)
     grid = [p for p in ODD_PRIMES_199 if p >= 5]
@@ -99,8 +103,10 @@ def test_cold_call_equals_warm_call_and_the_grid_fills_the_bound(monkeypatch, rn
         assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
         if p == grid[-1]:
             assert list(store._entries) == grid and store.nbytes == store.budget
+        if p == 839:
+            assert grid[0] not in store._entries and list(store._entries)[-1] == 839
     assert store.nbytes == sum(map(oracle._entry_bytes, store._entries)) <= store.budget
-    assert list(store._entries)[-2:] == [839, 4099]
+    assert list(store._entries) == [4099]
 
 
 def test_store_below_one_entry_keeps_nothing_yet_gives_the_same_bits(monkeypatch, rng):
@@ -123,17 +129,21 @@ def test_kept_entry_is_read_only_and_holds_the_set_up(monkeypatch):
         assert array.base is None
         with pytest.raises(ValueError):
             array[0] = 1
-    dft_table, idft_table, step, inc = entry
+    order, inverse, dft_table, idft_table = entry
+    # order is 0, then the powers of one generator g, a permutation of 0..p-1
     k = np.arange(p)
-    assert np.array_equal(dft_table, np.tile(np.exp(-2j * np.pi * k / p), 2))
-    assert np.array_equal(idft_table, np.tile(np.exp(2j * np.pi * k / p), 2))
-    assert step.dtype == inc.dtype == np.int64
-    assert np.array_equal(step, np.multiply.outer(np.arange(41), k) % p)
-    assert np.array_equal(inc, 41 * k % p)
+    g = int(order[2])
+    assert order[0] == 0 and order[1] == 1
+    assert np.array_equal(order[2:], order[1:-1] * g % p)
+    assert np.array_equal(np.sort(order), k)
+    assert np.array_equal(inverse[order], k)
+    for table, sign in ((dft_table, -1), (idft_table, +1)):
+        w = np.exp(sign * 2j * np.pi * k / p)
+        assert np.array_equal(table, np.concatenate((w[order], w[order[1:]])))
 
 
 def test_threads_match_serial_results_while_the_store_evicts(monkeypatch):
-    lengths = [p for p in ODD_PRIMES_199 if p > 100]
+    lengths = [p for p in ODD_PRIMES_199 if p > 150]
     cases = [(p, naive) for p in lengths for naive in (naive_dft, naive_idft)]
     xs = {p: zc_time(ZcParams(p=p, u=25, ts=7)) for p in lengths}
     serial = {case: case[1](xs[case[0]]) for case in cases}
@@ -161,6 +171,52 @@ def test_threads_match_serial_results_while_the_store_evicts(monkeypatch):
     assert mismatches == [[]] * 4
     held = sum(array.nbytes for entry in store._entries.values() for array in entry)
     assert store.nbytes == held <= budget
+
+
+def test_warm_calls_allocate_o_p_bytes():
+    # a warm call finds p's entry kept and this thread's block buffers made,
+    # so it allocates O(p) temporaries, and numpy's multiply over the strided
+    # Hankel view takes two ufunc buffers of at most np.getbufsize() terms;
+    # per-call chunks of terms peaked at 471,036 bytes here
+    p = 199
+    x = zc_time(ZcParams(p=p, u=25, ts=7))
+    ufunc_buffers = 2 * 16 * np.getbufsize()
+    for naive in (naive_dft, naive_idft):
+        for case in (x, np.stack([x, x[::-1]])):
+            naive(case)
+            tracemalloc.start()
+            try:
+                naive(case)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * case.nbytes + ufunc_buffers
+
+
+def test_oracle_does_not_call_the_transforms_log_tables(monkeypatch):
+    # a fresh store builds every entry under the patch, with the oracle's own
+    # generator loop
+    cases = {p: _zc_and_random(p, np.random.default_rng(p)) for p in (5, 199, 839)}
+    expected = {p: (naive_dft(x), naive_idft(x)) for p, x in cases.items()}
+
+    def fail(*args):
+        raise AssertionError("the oracle called the transform's log tables")
+
+    for module in (numtheory, transform, oracle):
+        monkeypatch.setattr(module, "primitive_root", fail, raising=module is not oracle)
+        monkeypatch.setattr(module, "power_table", fail, raising=module is not oracle)
+    monkeypatch.setattr(oracle, "_STORE", _oracle_store(oracle._STORE.budget))
+    for p, x in cases.items():
+        dft, idft = expected[p]
+        assert np.array_equal(naive_dft(x), dft) and np.array_equal(naive_idft(x), idft)
+    assert list(oracle._STORE._entries) == [5, 199, 839]
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 15])
+def test_composite_length_is_rejected(p):
+    for naive in (naive_dft, naive_idft):
+        with pytest.raises(ValueError, match="prime length"):
+            naive(np.ones(p))
 
 
 def test_sum_past_the_int64_range_is_exact():
