@@ -95,21 +95,24 @@ def _buffers() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_order(p: int) -> np.ndarray:
-    """[0, g**0, ..., g**(p-2)] mod p, for a generator g found by trying 1, 2, ...
+    """[0, g**0, ..., g**(p-2)] mod p, p prime, for a generator g found by trying 1, 2, ...
 
-    The oracle's own plain loop, so that a fault in the transform's
+    The oracle's own plain loops, so that a fault in the transform's
     discrete-log tables (numtheory.primitive_root, power_table) cannot also
-    be in its reference. Raises ValueError unless p is prime.
+    be in its reference. Raises ValueError unless p is prime, by trial
+    division before any power is taken.
     """
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"the O(p^2) transforms need a prime length, got {p}")
     for g in range(1, p):
         powers = [1]
-        while len(powers) < p and (v := powers[-1] * g % p) != 1:
+        while (v := powers[-1] * g % p) != 1:
             powers.append(v)
         if len(powers) == p - 1:
             order = np.array([0, *powers], dtype=np.int64)
             assert np.array_equal(np.sort(order), np.arange(p)), "powers not a permutation"
             return order
-    raise ValueError(f"the O(p^2) transforms need a prime length, got {p}")
+    raise AssertionError(f"no generator of the units mod {p}")
 
 
 def _entry(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -174,11 +177,10 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     each block of rows (_BLOCK, in this thread's kept buffers) adds its
     column sums, bin 0 its part of column k = 0. Bits from 32 up are carried
     into a high word before a block could take a bin past _CARRY_ROWS
-    terms, so no p can overflow; for p <= _CARRY_ROWS no carry is needed and
-    the low word is the exact sum. Otherwise hi*2**32 + lo, lo < 2**32 after
-    a last carry, is; it is rounded once (hi*2**32 is exact in float64
-    while |hi| < 2**53, which holds for p < 2**30) and scaled back exactly,
-    unless it underflows.
+    terms, so no p can overflow. After a last carry, hi*2**32 + lo with
+    lo < 2**32 is the exact sum; it is rounded once (hi*2**32 is exact in
+    float64 while |hi| < 2**53, which holds for p < 2**30) and scaled back
+    exactly, unless it underflows.
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     p = x.shape[-1]
@@ -198,7 +200,7 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     edge = np.rint(edge, out=edge).astype(np.int64)
     lo = np.empty_like(edge)
     lo.reshape(len(lo), p, 2)[:] = edge[:, None, :2]
-    hi = None
+    hi = np.zeros_like(lo)
     q = p - 1
     # as_strided(table[1:], (q, q), (16, 16)), built directly: as_strided
     # takes about 6 us, a tenth of a call at p = 61
@@ -210,8 +212,6 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
         a1 = min(a0 + rows, q)
         # before this block could overflow lo
         if added + a1 - a0 > _CARRY_ROWS:
-            if hi is None:
-                hi = np.zeros_like(lo)
             hi += lo >> 32
             lo &= _LOW
             added = 0
@@ -226,14 +226,10 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
                 np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
                 case_lo[2 + 2 * b0 : 2 + 2 * b1] += block.sum(axis=0)
         added += a1 - a0
-    if hi is None:
-        # lo is the exact sum; ldexp rounds it to float64 once and scales it
-        out = lo
-    else:
-        hi += lo >> 32
-        lo &= _LOW
-        out = np.ldexp(hi.astype(np.float64), 32)
-        out += lo
+    hi += lo >> 32
+    lo &= _LOW
+    out = np.ldexp(hi, 32)
+    out += lo
     out = out.reshape(len(lo), p, 2).take(inverse, axis=1).reshape(len(lo), 2 * p)
     return np.ldexp(out, -shift).view(np.complex128).reshape(x.shape)
 

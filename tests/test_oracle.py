@@ -143,7 +143,7 @@ def test_kept_entry_is_read_only_and_holds_the_set_up(monkeypatch):
 
 
 def test_threads_match_serial_results_while_the_store_evicts(monkeypatch):
-    lengths = [p for p in ODD_PRIMES_199 if p > 150]
+    lengths = [p for p in ODD_PRIMES_199 if p > 133]
     cases = [(p, naive) for p in lengths for naive in (naive_dft, naive_idft)]
     xs = {p: zc_time(ZcParams(p=p, u=25, ts=7)) for p in lengths}
     serial = {case: case[1](xs[case[0]]) for case in cases}
@@ -212,7 +212,8 @@ def test_oracle_does_not_call_the_transforms_log_tables(monkeypatch):
     assert list(oracle._STORE._entries) == [5, 199, 839]
 
 
-@pytest.mark.parametrize("p", [1, 4, 9, 15])
+# 9999 = 3**2 * 11 * 101 is rejected by trial division, before any power is taken
+@pytest.mark.parametrize("p", [1, 4, 9, 15, 9999])
 def test_composite_length_is_rejected(p):
     for naive in (naive_dft, naive_idft):
         with pytest.raises(ValueError, match="prime length"):
