@@ -27,8 +27,8 @@ from .pattern import (
     read_shift,
     read_slope,
 )
-from .sequences import LmfhParams, ZcParams, frequency_track, lmfh_symbol, zc_time
-from .transform import DFT, IDFT, OpCounters, TransformPlan, execute, plan
+from .sequences import LmfhParams, OpCounters, ZcParams, frequency_track, lmfh_symbol, zc_time
+from .transform import DFT, IDFT, TransformPlan, execute, plan
 
 __version__ = "0.1.0"
 

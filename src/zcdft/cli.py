@@ -176,7 +176,7 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "plan_ns": _median_ns(lambda: transform.plan(params, transform.DFT), reps),
         "fast_ns": _median_ns(lambda: transform.execute(pl), reps),
         "phase_ns": _median_ns(lambda: transform.phase_indices(pl), reps),
-        "gather_ns": _median_ns(lambda: transform._gather(pl, phases), reps),
+        "gather_ns": _median_ns(lambda: transform._gather_phases(pl, phases), reps),
         "reference_ns": _median_ns(
             lambda: oracle.shifted_dft_identity(params, transform.DFT), reps
         ),
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "its validation, and fast_ns execute; phase_ns "
         "times the closed-form phase indices, and gather_ns the scaled gather "
         "of all p bins at given phases that the counted path runs: at every p "
-        "the blocked gather from the table's two sqrt(p)-length factors. "
+        "one unblocked gather from the table's two sqrt(p)-length factors. "
         "execute instead reads a kept length's entries through its "
         "discrete-log tables, and for any other length gathers (p+1)/2 bins "
         "and copies the other (p-1)/2 from their mirrors. plan_ns is a "

@@ -1,15 +1,17 @@
 """Exact modular arithmetic over odd prime moduli.
 
 Everything here is exact for any modulus the library accepts (odd primes
-below 2**31): scalar routines work on Python integers, and triangular_mod
+below 2**31): scalar routines work on Python integers, and quadratic_phases
 and power_table work on int64 arrays whose intermediates provably stay
-below 2**62. primitive_root and power_table give the discrete logs that
-transform reads a kept length's twiddle table through.
+below 2**63. quadratic_phases gives both zc_time's and transform's phases.
+primitive_root and power_table give the discrete logs that transform reads
+a kept length's twiddle table through.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -128,18 +130,74 @@ def centered(x: int, p: int) -> int:
     return (x + half) % p - half
 
 
-def triangular_mod(n: np.ndarray, p: int) -> np.ndarray:
-    """T(n) = n(n+1)/2 mod p, exactly, for int64 n in [0, p) and p < 2**31.
+_BLOCK = 1 << 14
 
-    n(n+1) < 2**62, so the product and its halving are exact in int64. The
-    result is below p, so a caller may multiply it by another residue below
-    p, or add two such products of opposite sign, and still stay below 2**62.
+# j and T(j) = j(j+1)/2 for j < 2*_BLOCK, the same for every p
+_J = np.arange(2 * _BLOCK, dtype=np.int64)
+_TJ = np.cumsum(_J)
+_J.setflags(write=False)
+_TJ.setflags(write=False)
+
+
+def _block_bounds(n: int, lo: int = 0) -> Iterator[tuple[int, int]]:
+    """Bins [k0, k1) of the blocks of [lo, lo + n): b = max(1, n // _BLOCK) cuts at lo + i*n//b.
+
+    For n >= 2*_BLOCK every block holds _BLOCK to 2*_BLOCK bins, below that
+    one block holds n. Callers cut n >= 2, so no block is one bin, which
+    numpy would scale by another loop, off in the last bit. _BLOCK = 2**14
+    won a sweep of 2**12 to 2**15 (CHANGES.md): fewer fixed-cost numpy
+    calls than smaller blocks, and a block's arrays about fit a 2 MB L2.
     """
-    t = n + 1
-    t *= n
-    t //= 2
-    t %= p
-    return t
+    b = max(1, n // _BLOCK)
+    for i in range(b):
+        yield lo + i * n // b, lo + (i + 1) * n // b
+
+
+def _block_phases(
+    p: int,
+    iu: int,
+    fs: int,
+    k0: int,
+    n: int,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
+    """phase_k = (k*fs - iu*T(k)) mod p for the n <= 2*_BLOCK bins k = k0 + j, j < n, into out.
+
+    T(k0 + j) = T(k0) + k0*j + T(j), so phase_k0+j = (base + j*slope -
+    iu*T(j)) mod p with slope = (fs - iu*k0) mod p and base = (k0*fs -
+    iu*T(k0)) mod p exact Python ints for any ints fs and k0, and j, T(j)
+    from _J and _TJ. With j < 2*_BLOCK = 2**15 and 0 <= iu < p < 2**31,
+    iu*T(j) < 2**60 and j*slope < 2**46: the int64 sum is exact (up to
+    _BLOCK = 2**15; 2**16 overflows), so one reduction per bin gives exact
+    integers. out and tmp, n-element int64 buffers, are allocated when not
+    given. The reduction is x - p*(x // p): numpy's // by a scalar uses
+    libdivide and % does not, so it costs about a third of np.remainder.
+    """
+    phases = np.multiply(_J[:n], (fs - iu * k0) % p, out=out)
+    tmp = np.multiply(_TJ[:n], iu, out=tmp)
+    phases -= tmp
+    if k0:
+        phases += (k0 * fs - iu * (k0 * (k0 + 1) // 2)) % p
+    np.floor_divide(phases, p, out=tmp)
+    tmp *= p
+    phases -= tmp
+    return phases
+
+
+def quadratic_phases(p: int, iu: int, fs: int, k0: int) -> np.ndarray:
+    """int64 phase_k = (k*fs - iu*T(k)) mod p for the p bins k0 <= k < k0 + p, block by block.
+
+    transform's phase indices start at k0 = 0, zc_time's at k0 = ts: for
+    odd p, T(k + p) = T(k) + p*(2k + p + 1)/2 = T(k) mod p.
+    """
+    if p < 2 * _BLOCK:
+        return _block_phases(p, iu, fs, k0, p)
+    phases = np.empty(p, dtype=np.int64)
+    tmp = np.empty(2 * _BLOCK, dtype=np.int64)
+    for lo, hi in _block_bounds(p, k0):
+        _block_phases(p, iu, fs, lo, hi - lo, phases[lo - k0 : hi - k0], tmp[: hi - lo])
+    return phases
 
 
 def primitive_root(p: int) -> int:

@@ -2,17 +2,34 @@
 
 A prime-length ZC sequence is a chirp whose phase is a quadratic in the
 sample index. The same waveform can be produced by accumulating the integer
-frequency points of a linear hopping pattern; the two construction routes
-are kept deliberately separate so tests can cross-check them.
+frequency points of a linear hopping pattern. zc_time and lmfh_symbol take
+the two routes, numtheory.quadratic_phases and accumulate_phases, which
+transform's spectra share; tests cross-check them.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import as_int, centered, require_odd_prime, triangular_mod
+from .numtheory import as_int, centered, quadratic_phases, require_odd_prime
+
+
+@dataclass
+class OpCounters:
+    """Tallies of the work done by the counted accumulation; owned by the caller.
+
+    exp_evaluations counts the paper's p table lookups, not calls to exp
+    (see transform._twiddle_factors); the name stays because zcdft bench
+    and perfbench report it as a key.
+    """
+
+    additions: int = 0
+    modulo_reductions: int = 0
+    exp_evaluations: int = 0
 
 
 @dataclass(frozen=True, init=False)
@@ -48,7 +65,7 @@ class LmfhParams:
 
     s is the per-step frequency increment (slope), fs a constant frequency
     shift in bins (1/p turns per time step), po a phase offset in radians
-    applied outside the 2*pi/p scaling.
+    applied outside the 2*pi/p scaling: a finite real, stored as a float.
     """
 
     p: int
@@ -61,23 +78,24 @@ class LmfhParams:
         s = as_int(self.s, "slope")
         if s % p == 0:
             raise ValueError("slope must be nonzero modulo p")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "fs", as_int(self.fs, "frequency shift"))
+        po = self.po
+        if isinstance(po, bool) or not isinstance(po, numbers.Real) or not math.isfinite(po):
+            raise ValueError(f"phase offset must be a finite real number, got {po!r}")
+        fs = as_int(self.fs, "frequency shift")
+        self.__dict__.update(p=p, s=s, fs=fs, po=float(po))
 
 
 def zc_time(params: ZcParams) -> np.ndarray:
     """Time-domain ZC sequence Z(k) = exp(-i*pi*u*(k+ts)(k+ts+1)/p), k = 0..p-1.
 
     The integer numerator u*(k+ts)(k+ts+1) is reduced mod 2p before the float
-    conversion, as 2*(u*T(m) mod p) with m = (k+ts) mod p and T(m) = m(m+1)/2,
-    which is exact in int64 (see triangular_mod). That keeps trig arguments
-    small and makes the samples exactly periodic in the index, so a cyclic
-    shift is a bit-exact rotation.
+    conversion, as 2*(u*T(k+ts) mod p) with T(m) = m(m+1)/2, exact in int64
+    (quadratic_phases with iu = -u mod p, fs = 0 and k0 = ts). That keeps
+    trig arguments small and makes the samples exactly periodic in the
+    index, so a cyclic shift is a bit-exact rotation.
     """
     p, u, ts = params.p, params.u, params.ts
-    m = (np.arange(p, dtype=np.int64) + ts) % p
-    num = 2 * (u * triangular_mod(m, p) % p)
+    num = 2 * quadratic_phases(p, -u % p, 0, ts)
     return np.exp((-1j * np.pi / p) * num.astype(np.float64))
 
 
@@ -85,19 +103,34 @@ def lmfh_symbol(params: LmfhParams) -> np.ndarray:
     """lmFH symbol via integer accumulation of frequency points.
 
     L(k) = exp(i*(2*pi*S(k)/p + po)) with S(k) the mod-p running sum of the
-    frequency points s*t + fs', where fs' is suppressed at t = 0 so the
-    shift introduces no extra initial phase. This is intentionally not the
-    closed-form quadratic: the accumulation route is the cross-check against
-    zc_time.
+    frequency points s*t + fs, t = 1..k, and S(0) = 0, so the shift
+    introduces no extra initial phase: accumulate_phases with iu = -s mod p
+    and start frequency fs. This is intentionally not the closed-form
+    quadratic: the accumulation route is the cross-check against zc_time.
     """
     p, s, fs, po = params.p, params.s, params.fs, params.po
-    phases = [0] * p
-    acc = 0
-    for t in range(1, p):
-        acc = (acc + s * t + fs) % p
-        phases[t] = acc
-    ang = (2.0 * np.pi / p) * np.asarray(phases, dtype=np.float64) + po
+    ang = (2.0 * np.pi / p) * accumulate_phases(p, -s % p, fs, OpCounters()) + po
     return np.exp(1j * ang)
+
+
+def accumulate_phases(p: int, iu: int, fs: int, counters: OpCounters) -> np.ndarray:
+    """phase_k = (k*fs - iu*T(k)) mod p by the paper's counted accumulation, k < p.
+
+    phase starts at 0 and freq at fs; after emitting index k < p - 1,
+    freq <- (freq - iu) mod p and phase <- (phase + freq) mod p: exactly
+    2(p-1) additions and 2(p-1) reductions, plus the gather's p lookups.
+    """
+    phases = [0] * p
+    phase = 0
+    freq = fs
+    for k in range(1, p):
+        freq = (freq - iu) % p
+        phase = (phase + freq) % p
+        counters.additions += 2
+        counters.modulo_reductions += 2
+        phases[k] = phase
+    counters.exp_evaluations += p
+    return np.asarray(phases, dtype=np.int64)
 
 
 def frequency_track(params: ZcParams) -> np.ndarray:

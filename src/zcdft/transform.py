@@ -3,47 +3,36 @@
 The paper accumulates the frequency points fs - iu*k into phase indices
 (2(p-1) additions, 2(p-1) reductions, p table lookups); their closed form
 phase_k = (k*fs - iu*T(k)) mod p, T(k) = k(k+1)/2, is the fast path
-(phase_indices), checked against the counted recurrence. The quasi phase
-offset is folded into one complex constant, sqrt(p)*exp(i*2*pi*QPo/p), so
-the phases stay integer and the table of roots has p entries. Every plan
-holds that table as two sqrt(p)-length factors (_twiddle_factors).
-execute reads it through discrete-log tables for a length the store keeps
-(_LengthStore), else by _gather's blocked, mirrored gather; each output is
-the same product hi[a] * lo[b], so the spectra are bit-identical. A kept
-length's entry also holds every root's inverse, Legendre sign, 4*QPo and
-constant (_root_scalars), which plan reads instead of deriving them; both
-branches of plan take 4*QPo and the constant from gauss.
+(phase_indices, numtheory.quadratic_phases), checked against the counted
+one (sequences.accumulate_phases). The quasi phase offset is folded into
+one complex constant, sqrt(p)*exp(i*2*pi*QPo/p), so the phases stay integer
+and the table of roots has p entries. Every plan holds that table as two
+sqrt(p)-length factors (_twiddle_factors). execute reads it through
+discrete-log tables for a length the store keeps (_LengthStore), else by
+_gather's blocked, mirrored gather; the counted path gathers all p bins
+at once (_gather_phases). Each output is the same product hi[a] * lo[b],
+so the spectra are bit-identical. A kept length's entry also holds every
+root's inverse, Legendre sign, 4*QPo and constant (_root_scalars), which
+plan reads instead of deriving them; both branches of plan take 4*QPo and
+the constant from gauss.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gauss import _qpo_times4, const_from_qpo
+from .numtheory import _BLOCK, _block_bounds, _block_phases, quadratic_phases
 from .numtheory import legendre, mod_inverse, power_table, primitive_root
-from .sequences import ZcParams
+from .sequences import OpCounters, ZcParams, accumulate_phases
 
 DFT = "dft"
 IDFT = "idft"
-
-
-@dataclass
-class OpCounters:
-    """Tallies of the work done by the counted recurrence; owned by the caller.
-
-    exp_evaluations counts the paper's p table lookups, not calls to exp
-    (see _twiddle_factors); the name stays because zcdft bench and
-    perfbench report it as a key.
-    """
-
-    additions: int = 0
-    modulo_reductions: int = 0
-    exp_evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -281,97 +270,14 @@ class _LengthStore:
 
 _STORE = _LengthStore(_STORE_BYTES)
 
-_BLOCK = 1 << 14
-
-# j and T(j) = j(j+1)/2 for j < 2*_BLOCK, the same for every p
-_J = np.arange(2 * _BLOCK, dtype=np.int64)
-_TJ = np.cumsum(_J)
-_J.setflags(write=False)
-_TJ.setflags(write=False)
-
-
-def _block_bounds(n: int, lo: int = 0) -> Iterator[tuple[int, int]]:
-    """Bins [k0, k1) of the blocks of [lo, lo + n): b = max(1, n // _BLOCK) cuts at lo + i*n//b.
-
-    For n >= 2*_BLOCK every block holds _BLOCK to 2*_BLOCK bins, below that
-    one block holds n. Callers cut n >= 2, so no block is one bin, which
-    numpy would scale by another loop, off in the last bit. _BLOCK = 2**14
-    won a sweep of 2**12 to 2**15 (CHANGES.md): fewer fixed-cost numpy
-    calls than smaller blocks, and a block's arrays about fit a 2 MB L2.
-    """
-    b = max(1, n // _BLOCK)
-    for i in range(b):
-        yield lo + i * n // b, lo + (i + 1) * n // b
-
-
-def _block_phases(
-    p: int,
-    iu: int,
-    fs: int,
-    k0: int,
-    n: int,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
-) -> np.ndarray:
-    """phase_k for the n <= 2*_BLOCK bins k = k0 + j, j < n, into out.
-
-    T(k0 + j) = T(k0) + k0*j + T(j), so phase_k0+j = (base + j*slope -
-    iu*T(j)) mod p with slope = (fs - iu*k0) mod p and base = (k0*fs -
-    iu*T(k0)) mod p exact Python ints, and j, T(j) from _J and _TJ. With
-    j < 2*_BLOCK = 2**15 and iu, slope, base < p < 2**31, iu*T(j) < 2**60
-    and j*slope < 2**46: the int64 sum is exact (up to _BLOCK = 2**15;
-    2**16 overflows), so one reduction per bin gives the recurrence's
-    integers. out and tmp, n-element int64 buffers, are allocated when not
-    given. The reduction is x - p*(x // p): numpy's // by a scalar uses
-    libdivide and % does not, so it costs about a third of np.remainder.
-    """
-    phases = np.multiply(_J[:n], (fs - iu * k0) % p, out=out)
-    tmp = np.multiply(_TJ[:n], iu, out=tmp)
-    phases -= tmp
-    if k0:
-        phases += (k0 * fs - iu * (k0 * (k0 + 1) // 2)) % p
-    np.floor_divide(phases, p, out=tmp)
-    tmp *= p
-    phases -= tmp
-    return phases
-
 
 def phase_indices(pl: TransformPlan) -> np.ndarray:
     """int64 phase indices phase_k = (k*fs - iu*T(k)) mod p, k = 0..p-1.
 
-    The closed form of phase_indices_recurrence, block by block
-    (_block_phases); it factors as r*k*(k + s) mod p (see execute).
+    numtheory.quadratic_phases from k0 = 0; it factors as r*k*(k + s) mod p
+    (see execute).
     """
-    p = pl.params.p
-    if p < 2 * _BLOCK:
-        return _block_phases(p, pl.iu, pl.fs, 0, p)
-    phases = np.empty(p, dtype=np.int64)
-    tmp = np.empty(2 * _BLOCK, dtype=np.int64)
-    for lo, hi in _block_bounds(p):
-        _block_phases(p, pl.iu, pl.fs, lo, hi - lo, phases[lo:hi], tmp[: hi - lo])
-    return phases
-
-
-def phase_indices_recurrence(pl: TransformPlan, counters: OpCounters) -> np.ndarray:
-    """The paper's accumulation, one step per output, tallied in counters.
-
-    phase starts at 0 and freq at fs; after emitting index k < p - 1,
-    freq <- (freq - iu) mod p and phase <- (phase + freq) mod p: exactly
-    2(p-1) additions and 2(p-1) reductions, plus the gather's p lookups.
-    """
-    p = pl.params.p
-    iu = pl.iu
-    phases = [0] * p
-    phase = 0
-    freq = pl.fs
-    for k in range(1, p):
-        freq = (freq - iu) % p
-        phase = (phase + freq) % p
-        counters.additions += 2
-        counters.modulo_reductions += 2
-        phases[k] = phase
-    counters.exp_evaluations += p
-    return np.asarray(phases, dtype=np.int64)
+    return quadratic_phases(pl.params.p, pl.iu, pl.fs, 0)
 
 
 def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray:
@@ -389,10 +295,10 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     r and s come from the plan's fields, so dataclasses.replace works.
 
     A factored plan (logs None) runs _gather. With counters, at every p,
-    _gather takes the counted recurrence's phases: the same output.
+    _gather_phases gathers the counted accumulation's phases: the same output.
     """
     if counters is not None:
-        return _gather(pl, phase_indices_recurrence(pl, counters))
+        return _gather_phases(pl, accumulate_phases(pl.params.p, pl.iu, pl.fs, counters))
     if pl.logs is None:
         return _gather(pl)
     p = pl.params.p
@@ -406,15 +312,24 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     return out
 
 
-def _gather(pl: TransformPlan, phases: np.ndarray | None = None) -> np.ndarray:
-    """const_factor * table[phase_k] for k < p, from the given phases or the closed form.
+def _gather_phases(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
+    """const_factor * table[phase_k] for given phases, all p bins at once.
 
-    Block by block (_block_bounds), each block's phases (phases[k0:k1] or
-    _block_phases), gather hi[phase >> s] * lo[phase & (m - 1)] and scale
-    are done before the next starts. Given phases, not written to, are
-    gathered over all p bins. Without them, only the h = (p+1)/2 bins
-    [first, first + h) are formed and gathered, and the other two ranges
-    are reversed copies of their mirrors. Proof: with t = 2*u*fs - 1 = -s,
+    hi[phase >> s] * lo[phase & (m - 1)] * const_factor: _gather's product.
+    """
+    m = _split(pl.params.p)
+    lo, hi = pl.twiddles[:m], pl.twiddles[m:]
+    return hi[phases >> (m.bit_length() - 1)] * lo[phases & (m - 1)] * pl.const_factor
+
+
+def _gather(pl: TransformPlan) -> np.ndarray:
+    """const_factor * table[phase_k] for k < p, from the closed form, mirrored.
+
+    Only the h = (p+1)/2 bins [first, first + h) are formed and gathered,
+    block by block (_block_bounds): each block's phases (_block_phases),
+    gather hi[phase >> s] * lo[phase & (m - 1)] and scale are done before
+    the next starts. The other two ranges are reversed copies of their
+    mirrors. Proof: with t = 2*u*fs - 1 = -s,
         phase_(t-k) = r*(t - k)*(t - k + s) = r*(-(k + s))*(-k) = phase_k,
     and equal phases give equal outputs bit for bit, so out[k] ==
     out[(t - k) mod p]. As 2 is invertible mod p, k -> t - k has the one
@@ -432,33 +347,25 @@ def _gather(pl: TransformPlan, phases: np.ndarray | None = None) -> np.ndarray:
     # no larger than p: above glibc's mmap threshold an unused buffer can
     # make the output fault in afresh on every call
     size = min(p, 2 * _BLOCK)
+    buf = np.empty(size, dtype=np.int64)
     tmp = np.empty(size, dtype=np.int64)
     scratch = np.empty(size, dtype=np.complex128)
-    if phases is None:
-        buf = np.empty(size, dtype=np.int64)
-        half = (p + 1) // 2
-        t = (2 * pl.params.u * pl.fs - 1) % p
-        c = t * half % p
-        first = c if c < half else c - half + 1
-        bounds = _block_bounds(half, first)
-    else:
-        bounds = _block_bounds(p)
-    for k0, k1 in bounds:
+    half = (p + 1) // 2
+    t = (2 * pl.params.u * pl.fs - 1) % p
+    c = t * half % p
+    first = c if c < half else c - half + 1
+    for k0, k1 in _block_bounds(half, first):
         n = k1 - k0
         block = out[k0:k1]
-        if phases is None:
-            r = _block_phases(p, pl.iu, pl.fs, k0, n, buf[:n], tmp[:n])
-        else:
-            r = phases[k0:k1]
+        r = _block_phases(p, pl.iu, pl.fs, k0, n, buf[:n], tmp[:n])
         # every index is in range, so "clip" never clips; unlike "raise" it
         # writes into the output directly instead of through a buffer
         np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
         block *= np.take(lo, np.bitwise_and(r, m - 1, out=tmp[:n]), out=scratch[:n], mode="clip")
         block *= pl.const_factor
-    if phases is None:
-        # out[a + i] = out[top - i], top = (t - a) mod p: source and target
-        # are disjoint slices, so the copy needs no temporary
-        for a, b in ((first + half, p), (0, first)):
-            top = (t - a) % p
-            out[a:b] = out[top - (b - a) + 1 : top + 1][::-1]
+    # out[a + i] = out[top - i], top = (t - a) mod p: source and target
+    # are disjoint slices, so the copy needs no temporary
+    for a, b in ((first + half, p), (0, first)):
+        top = (t - a) % p
+        out[a:b] = out[top - (b - a) + 1 : top + 1][::-1]
     return out

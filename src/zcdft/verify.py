@@ -24,7 +24,7 @@ import numpy as np
 from . import oracle, pattern, transform
 from .gauss import const_from_qpo, gauss_sum_closed, quasi_phase_offset4
 from .numtheory import centered, legendre, mod_inverse, odd_primes
-from .sequences import LmfhParams, ZcParams, lmfh_symbol, zc_time
+from .sequences import LmfhParams, OpCounters, ZcParams, accumulate_phases, lmfh_symbol, zc_time
 
 
 @dataclass
@@ -284,16 +284,17 @@ def check_spectrum_magnitude(cfg: VerifyConfig) -> CheckResult:
 
 
 def check_operation_counts(cfg: VerifyConfig) -> CheckResult:
-    for p in [13] + cfg.spot_primes(199):
+    for p in [13, 29] + cfg.spot_primes(199):
         for u in sorted({2, min(25, p - 1)}):
-            for direction in (transform.DFT, transform.IDFT):
-                counters = transform.OpCounters()
-                transform.execute(transform.plan(ZcParams(p=p, u=u), direction), counters)
-                expect = (2 * (p - 1), 2 * (p - 1), p)
-                got = (counters.additions, counters.modulo_reductions, counters.exp_evaluations)
-                if got != expect:
-                    detail = f"p={p} u={u} {direction}: {got} != {expect}"
-                    return CheckResult("operation-counts", False, 1.0, detail)
+            for ts in (0, 1):
+                for direction in (transform.DFT, transform.IDFT):
+                    counters = OpCounters()
+                    transform.execute(transform.plan(ZcParams(p, u, ts), direction), counters)
+                    expect = (2 * (p - 1), 2 * (p - 1), p)
+                    got = (counters.additions, counters.modulo_reductions, counters.exp_evaluations)
+                    if got != expect:
+                        detail = f"p={p} u={u} ts={ts} {direction}: {got} != {expect}"
+                        return CheckResult("operation-counts", False, 1.0, detail)
     return CheckResult("operation-counts", True, 0.0)
 
 
@@ -306,7 +307,7 @@ def check_phase_closed_form_vs_recurrence(cfg: VerifyConfig) -> CheckResult:
                 return CheckResult(name, False, 1.0, f"zc_time p={p} u={u} ts={ts}")
             for direction in (transform.DFT, transform.IDFT):
                 pl = transform.plan(params, direction)
-                ref = transform.phase_indices_recurrence(pl, transform.OpCounters())
+                ref = accumulate_phases(p, pl.iu, pl.fs, OpCounters())
                 if not np.array_equal(transform.phase_indices(pl), ref):
                     return CheckResult(name, False, 1.0, f"p={p} u={u} ts={ts} {direction}")
     return CheckResult(name, True, 0.0, "integer equality")

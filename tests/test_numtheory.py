@@ -11,7 +11,6 @@ from zcdft.numtheory import (
     odd_primes,
     power_table,
     primitive_root,
-    triangular_mod,
 )
 from zcdft.transform import _log_tables, _twiddle_factors
 
@@ -123,18 +122,6 @@ def test_centered_properties(p, x):
     half = (p - 1) // 2
     assert -half <= c <= half
     assert (c - x) % p == 0
-
-
-def test_triangular_mod_is_exact_at_the_prime_cap():
-    # largest prime below 2**31, largest n: no int64 intermediate may wrap,
-    # even after a multiply by another residue, as zc_time and the large-p
-    # phase test in test_transform do
-    p = fs = iu = 2**31 - 1
-    ns = range(p - 1000, p)
-    n = np.asarray(ns, dtype=np.int64)
-    t = triangular_mod(n, p)
-    assert t.tolist() == [v * (v + 1) // 2 % p for v in ns]
-    assert ((n * fs - iu * t) % p).tolist() == [(v * fs - iu * (v * (v + 1) // 2)) % p for v in ns]
 
 
 def test_odd_primes_matches_trial_division():

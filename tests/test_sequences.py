@@ -47,6 +47,11 @@ def test_param_validation():
         ZcParams(p=np.int64(13), u=np.int64(13))
     sym = LmfhParams(p=np.int64(13), s=np.int64(-3), fs=np.int16(2))
     assert all(type(v) is int for v in (sym.p, sym.s, sym.fs))
+    # po is a finite real, not a bool, stored as a Python float
+    for po in (np.nan, np.inf, -np.inf, 1j, True, np.bool_(False), "0.3", None):
+        with pytest.raises(ValueError, match="phase offset"):
+            LmfhParams(p=13, s=-3, po=po)
+    assert all(type(LmfhParams(13, -3, 0, po).po) is float for po in (0, np.float32(0.3)))
 
 
 def test_params_record_is_frozen_and_revalidated():
@@ -90,6 +95,31 @@ def test_zc_time_direct_refuses_p_past_its_int64_limit():
     assert np.array_equal(zc_time(params), zc_time_direct(params))
     with pytest.raises(ValueError, match=r"p < 2\*\*20"):
         zc_time_direct(ZcParams(p=1048583, u=1048582, ts=1048582))
+
+
+def _lmfh_reference(params):
+    """lmfh_symbol by a Python-int loop over the frequency points s*t + fs, t >= 1."""
+    p, s, fs, po = params.p, params.s, params.fs, params.po
+    phases = [0] * p
+    acc = 0
+    for t in range(1, p):
+        acc = (acc + s * t + fs) % p
+        phases[t] = acc
+    ang = (2.0 * np.pi / p) * np.asarray(phases, dtype=np.float64) + po
+    return np.exp(1j * ang)
+
+
+def test_lmfh_symbol_equals_python_int_loop_bit_for_bit():
+    # lmfh_symbol runs the counted accumulation with iu = -s mod p from the
+    # start frequency fs; a wrong sign of iu or a shifted start changes bits
+    for p in ODD_PRIMES_61:
+        for s in (1, -1, 2, -2, 3, -3, p - 1, 2 * p + 5):
+            if s % p == 0:
+                continue
+            for fs in (0, 1, -7, p + 3):
+                for po in (0.0, 0.3):
+                    params = LmfhParams(p, s, fs, po)
+                    assert lmfh_symbol(params).tobytes() == _lmfh_reference(params).tobytes()
 
 
 def test_lmfh_first_samples():

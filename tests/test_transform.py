@@ -9,18 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zcdft import transform
+from zcdft import numtheory, transform
 from zcdft.gauss import const_from_qpo, quasi_phase_offset4
-from zcdft.numtheory import PRIME_CAP, legendre, mod_inverse, triangular_mod
+from zcdft.numtheory import PRIME_CAP, legendre, mod_inverse
 from zcdft.oracle import naive_dft, naive_idft, shifted_dft_identity
-from zcdft.sequences import ZcParams, zc_time
+from zcdft.sequences import ZcParams, accumulate_phases, zc_time
 from zcdft.transform import (
     DFT,
     IDFT,
     OpCounters,
     execute,
     phase_indices,
-    phase_indices_recurrence,
     plan,
 )
 
@@ -193,7 +192,7 @@ def test_kept_entry_gives_the_same_phases_and_spectra(p, monkeypatch):
             fits = transform._entry_bytes(p) <= budget and p <= transform._ROW_PMAX
             assert (p in store._entries) == fits
             phases, out = phase_indices(pl), execute(pl)
-            assert np.array_equal(out, transform._gather(pl, phases))
+            assert np.array_equal(out, transform._gather_phases(pl, phases))
             results[budget, i] = (phases, out)
     for (_, i), (phases, out) in results.items():
         ref_phases, ref_out = results[0, i]
@@ -378,16 +377,6 @@ def test_execute_bin1_single_loop_step():
     assert out[1] == pytest.approx(naive[1], abs=1e-12)
 
 
-@pytest.mark.parametrize("p", [13, 29])
-@pytest.mark.parametrize("direction", [DFT, IDFT])
-def test_operation_counts_exact(p, direction):
-    counters = OpCounters()
-    execute(plan(ZcParams(p=p, u=2, ts=1), direction), counters)
-    assert counters.additions == 2 * (p - 1)
-    assert counters.modulo_reductions == 2 * (p - 1)
-    assert counters.exp_evaluations == p
-
-
 def test_counters_accumulate_across_calls():
     counters = OpCounters()
     pl = plan(ZcParams(p=13, u=3), DFT)
@@ -409,13 +398,14 @@ def test_closed_form_phases_equal_recurrence_at_large_p(p):
     for direction in (DFT, IDFT):
         pl = plan(ZcParams(p=p, u=u, ts=ts), direction)
         phases[direction] = phase_indices(pl)
-        assert np.array_equal(phases[direction], phase_indices_recurrence(pl, OpCounters()))
+        assert np.array_equal(phases[direction], accumulate_phases(p, pl.iu, pl.fs, OpCounters()))
     # the index-remapping identity F(k) = conj(Z(iu*k + ts)) * Z(ts) * F(0) on
-    # phase integers, which does not read the plan's frequency shift; every
-    # int64 intermediate stays below 2**62 (see triangular_mod)
+    # phase integers, which does not read the plan's frequency shift. With
+    # idx < p < 2**20 every int64 intermediate stays below 2**40
     k = np.arange(p, dtype=np.int64)
     idx = (mod_inverse(u, p) * k + ts) % p
-    expect = u * (triangular_mod(np.int64(ts), p) - triangular_mod(idx, p)) % p
+    t_ts, t_idx = ts * (ts + 1) // 2 % p, idx * (idx + 1) // 2 % p
+    expect = u * (t_ts - t_idx) % p
     assert np.array_equal(phases[DFT], expect)
     assert np.array_equal(phases[IDFT], phases[DFT][(-k) % p])
     # the mirror by which a factored execute copies half its bins, also
@@ -446,17 +436,17 @@ BLOCKED_PRIMES = [p for p, lengths in BLOCK_LENGTHS.items() if len(lengths) > 1]
 def test_block_kernel_stays_within_int64():
     # |base + j*slope - iu*T(j)| is at most the sum of its terms' magnitudes,
     # here at the largest p, iu, slope, base and j the library accepts
-    p, j = PRIME_CAP - 1, 2 * transform._BLOCK - 1
-    assert j == transform._J[-1] and transform._TJ[-1] == j * (j + 1) // 2
-    assert p * transform._TJ[-1].item() + j * p + PRIME_CAP < 2**63
+    p, j = PRIME_CAP - 1, 2 * numtheory._BLOCK - 1
+    assert j == numtheory._J[-1] and numtheory._TJ[-1] == j * (j + 1) // 2
+    assert p * numtheory._TJ[-1].item() + j * p + PRIME_CAP < 2**63
 
 
 @pytest.mark.parametrize("p", list(BLOCK_LENGTHS))
 def test_blocked_phases_equal_recurrence(p):
-    assert [hi - lo for lo, hi in transform._block_bounds(p)] == BLOCK_LENGTHS[p]
+    assert [hi - lo for lo, hi in numtheory._block_bounds(p)] == BLOCK_LENGTHS[p]
     for u, ts, direction in ((25, 7, DFT), (p - 2, (p - 1) // 2, IDFT)):
         pl = plan(ZcParams(p=p, u=u, ts=ts), direction)
-        assert np.array_equal(phase_indices(pl), phase_indices_recurrence(pl, OpCounters()))
+        assert np.array_equal(phase_indices(pl), accumulate_phases(p, pl.iu, pl.fs, OpCounters()))
 
 
 @pytest.mark.parametrize("p", PRACH_LENGTHS + [32771, 65537, PRIME_CAP - 1])
@@ -466,37 +456,39 @@ def test_split_is_a_power_of_two_at_least_sqrt_p(p):
 
 
 # execute, the log gather at the kept 32771 and 40853 and mirrored half-range
-# blocks above, against _gather's full-range blocks at given phases, for each
-# placement of the mirror, and at the multi-block lengths the counted path,
-# which feeds the recurrence's phases through the full-range blocks
+# blocks above, against _gather_phases's one unblocked gather at given phases,
+# for each placement of the mirror, and at the multi-block lengths the counted
+# path, which gathers the recurrence's phases the same way
 @pytest.mark.parametrize("p", BLOCKED_PRIMES + [65537, 1000003])
 def test_blocked_execute_equals_whole_length_gather(p):
     for pl in _mirror_plans(p):
         assert (pl.logs is None) == (p > 40853)
         phases = phase_indices(pl)
         out = execute(pl)
-        assert np.array_equal(out, transform._gather(pl, phases))
+        assert np.array_equal(out, transform._gather_phases(pl, phases))
         assert np.array_equal(phases, phase_indices(pl))
         if p in BLOCKED_PRIMES:
             assert np.array_equal(execute(pl, OpCounters()), out)
 
 
 def test_block_kernel_is_exact_at_the_prime_cap():
-    # the largest iu and fs at the largest p the library accepts
+    # the largest p the library accepts: the largest iu and fs from k0 = 0,
+    # and zc_time's arguments iu = -u mod p, fs = 0 from k0 = ts = p - 1,
+    # whose bins reach 2p - 2, for u = 1 and u = p - 1
     p = 2**31 - 1
-    iu = fs = p - 1
-    n = p // transform._BLOCK
-    picked = {0: None, n // 2: None, n - 1: None}
-    end = 0
-    for i, (lo, hi) in enumerate(transform._block_bounds(p)):
-        assert lo == end and transform._BLOCK <= hi - lo <= 2 * transform._BLOCK
-        end = hi
-        if i in picked:
-            picked[i] = lo, hi
-    assert end == p
-    for lo, hi in picked.values():
-        expect = [(k * fs - iu * (k * (k + 1) // 2)) % p for k in range(lo, hi)]
-        assert transform._block_phases(p, iu, fs, lo, hi - lo).tolist() == expect
+    n = p // numtheory._BLOCK
+    for iu, fs, k0 in ((p - 1, p - 1, 0), (p - 1, 0, p - 1), (1, 0, p - 1)):
+        picked = {0: None, n // 2: None, n - 1: None}
+        end = k0
+        for i, (lo, hi) in enumerate(numtheory._block_bounds(p, k0)):
+            assert lo == end and numtheory._BLOCK <= hi - lo <= 2 * numtheory._BLOCK
+            end = hi
+            if i in picked:
+                picked[i] = lo, hi
+        assert end == k0 + p
+        for lo, hi in picked.values():
+            expect = [(k * fs - iu * (k * (k + 1) // 2)) % p for k in range(lo, hi)]
+            assert numtheory._block_phases(p, iu, fs, lo, hi - lo).tolist() == expect
 
 
 def _kept_plans():
@@ -569,11 +561,11 @@ def test_plan_at_the_prime_cap_holds_only_factors():
     assert not pl.twiddles.flags.writeable
     lo, hi = pl.twiddles[:m], pl.twiddles[m:]
     s = m.bit_length() - 1
-    bounds = list(transform._block_bounds(p))
+    bounds = list(numtheory._block_bounds(p))
     for k0, k1 in (bounds[0], bounds[-1]):
         phases = [(k * pl.fs - pl.iu * (k * (k + 1) // 2)) % p for k in range(k0, k1)]
         a, b = [r // m for r in phases], [r % m for r in phases]
-        r = transform._block_phases(p, pl.iu, pl.fs, k0, k1 - k0)
+        r = numtheory._block_phases(p, pl.iu, pl.fs, k0, k1 - k0)
         # _gather splits by shift and mask, and its take(mode="clip") relies
         # on every index being in range
         assert (r >> s).tolist() == a and (r & (m - 1)).tolist() == b
