@@ -136,9 +136,10 @@ def _median_ns(fn, reps: int) -> int:
 
 
 # naive_ns is the median of --reps calls of the O(p^2) oracle, the first of
-# which builds p's oracle entry unless the store already keeps it: 0.23-0.32 s
-# per call at p = 8209 and, growing as p^2, some 15 s at 65537, so above this
-# length it, naive_build_ns and naive_faults are null
+# which builds p's oracle entry unless p is a grid length already kept, and
+# every one of which builds it above the grid: 0.23-0.32 s per call at p = 8209
+# and, growing as p^2, some 15 s at 65537, so above this length it,
+# naive_build_ns and naive_faults are null
 _NAIVE_PMAX = 10_000
 
 
@@ -153,10 +154,10 @@ def _faults_per_call(fn, reps: int) -> float | None:
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / reps
 
 
-def _build_ns(store: transform._LengthStore, p: int) -> int:
-    """One build of p's entry by store's build function, whether or not the store keeps p."""
+def _build_ns(build, p: int) -> int:
+    """One call of build(p), which builds p's entry whether or not it is kept."""
     t0 = time.perf_counter_ns()
-    store.build(p)
+    build(p)
     return time.perf_counter_ns() - t0
 
 
@@ -186,8 +187,8 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "exp_evaluations": counters.exp_evaluations,
         "table_bytes": pl.twiddles.nbytes,
         "entry_bytes": transform._entry_bytes(params.p) if kept else None,
-        "entry_build_ns": _build_ns(transform._STORE, params.p) if kept else None,
-        "naive_build_ns": _build_ns(oracle._STORE, params.p) if naive else None,
+        "entry_build_ns": _build_ns(transform._build_entry, params.p) if kept else None,
+        "naive_build_ns": _build_ns(oracle._entry, params.p) if naive else None,
         "naive_faults": _faults_per_call(lambda: oracle.naive_dft(x), reps) if naive else None,
     }
 
@@ -287,9 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
         "tables and root rows are not counted. entry_bytes is what the "
         "per-length store holds for p and entry_build_ns one build of that "
         "entry; both are null when p is not kept. naive_ns is "
-        "the median of reps calls of the O(p^2) oracle, the first of which "
-        "builds p's oracle entry unless it is already kept, and "
-        "naive_build_ns one build of that entry, kept or not; "
+        "the median of reps calls of the O(p^2) oracle, which keeps p's entry "
+        f"only for a grid length p <= {oracle._GRID_PMAX}: there the first call "
+        "builds it unless it is already kept, above the grid every call does. "
+        "naive_build_ns is one build of that entry, kept or not; "
         "naive_faults is the minor page faults per warm oracle call over reps "
         f"calls. All three are measured only up to p = {_NAIVE_PMAX} and are "
         "null above it; naive_faults is null also where the resource module "

@@ -44,41 +44,47 @@ _PRIME_FLAGS = bytes(_sieve(_TABLE_BELOW - 1))
 # 61 (G. Jaeschke, On strong pseudoprimes to several bases, Math. Comp. 61,
 # 1993); 4759123141 = 48781 * 97561 is the least one
 _MILLER_RABIN_BELOW = 4_759_123_141
+# nor below psi_13 to the first 13 primes, 2 to 41 (J. Sorenson and J.
+# Webster, Strong pseudoprimes to twelve prime bases, Math. Comp. 86, 2017)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+_BASES_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for every integer n.
 
     A table lookup below _TABLE_BELOW; from there to _MILLER_RABIN_BELOW,
-    the Miller-Rabin test to bases 2, 7 and 61, which is exact there; trial
-    division above. So every modulus below 2**31 takes one lookup or three
-    modular exponentiations, not up to ~23k divisions.
+    the Miller-Rabin test to bases 2, 7 and 61, and from there to _PSI_13
+    to the first 13 primes, exact in each range; trial division above. So
+    every modulus below 2**31 takes one lookup or three modular
+    exponentiations, not up to ~23k divisions, and any n below 2**81 at
+    most 13.
     """
     if n < _TABLE_BELOW:
         # n < 2 first: a negative index would read from the table's end
         return n > 1 and _PRIME_FLAGS[n] == 1
     if n % 2 == 0:
         return False
-    if n < _MILLER_RABIN_BELOW:
-        # n - 1 = d * 2**r with d odd
-        r = ((n - 1) & (1 - n)).bit_length() - 1
-        d = (n - 1) >> r
-        for a in (2, 7, 61):
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(r - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
+    if n >= _PSI_13:
+        d = 3
+        while d * d <= n:
+            if n % d == 0:
                 return False
+            d += 2
         return True
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    # n - 1 = d * 2**r with d odd
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
+    for a in (2, 7, 61) if n < _MILLER_RABIN_BELOW else _BASES_13:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -23,11 +23,11 @@ equals one call per case.
 What depends on p alone, the log order [0, g**0, ..., g**(p-2)] of a
 generator g that this module finds itself, its inverse and both
 directions' tables of roots in that order (_entry), is built once per
-length and kept read-only in _STORE, a second transform._LengthStore. Its
-bound is those bytes summed over the grid 5 <= p <= 199, 336,352 bytes, so
-a sweep of the grid keeps all of it; a length that does not fit is built by
-the same function for its call and dropped. Kept or built for one call, the
-entry is the same, so every output is the same, bit for bit.
+length p <= _GRID_PMAX and kept read-only (_kept_entry, a functools.cache):
+the grid that zcdft verify and the acceptance tests sweep, 336,352 bytes
+for 5 <= p <= 199. A longer length builds its entry for the call and drops
+it. Kept or built for one call, the entry is the same, so every output is
+the same, bit for bit.
 
 Error bound, with eps the float64 epsilon, for each bin of each case, where
 sum|x| is the sum of the case's sample moduli and g = 2**(e - _SCALE) its
@@ -52,15 +52,16 @@ p = 61, 139, 199, 839 and 2503.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
 import numpy as np
 
 from .gauss import gauss_sum_closed
-from .numtheory import mod_inverse, odd_primes
+from .numtheory import mod_inverse
 from .sequences import ZcParams, zc_time
-from .transform import DFT, _LengthStore, require_direction
+from .transform import DFT, require_direction
 
 
 # Terms per block of _exact_transform: the grid's largest, 198**2 at p = 199,
@@ -122,7 +123,7 @@ def _entry(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     g**(p-2)] (_log_order), a direction's table is W[order] followed by
     W[order[1:]]: W[0], then W[g**c] for c < 2(p-1), so that entry 1 + a + b
     is W[g**a * g**b mod p] without a reduction. inverse[k] is k's place in
-    order. 16*p + 32*(2p-1) bytes (_entry_bytes).
+    order. 16*p + 32*(2p-1) bytes.
     """
     order = _log_order(p)
     inverse = np.empty(p, dtype=np.int64)
@@ -138,16 +139,10 @@ def _entry(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return entry
 
 
-def _entry_bytes(p: int) -> int:
-    """Bytes of p's set-up (_entry): the order and its inverse, two tables of 2p-1 complex128."""
-    return 16 * p + 32 * (2 * p - 1)
-
-
-# the grid that zcdft verify and the acceptance tests sweep; 336,352 bytes,
-# next to numpy's ~27 MB import
-_STORE = _LengthStore(
-    sum(_entry_bytes(p) for p in odd_primes(_GRID_PMAX) if p >= 5), _entry, _entry_bytes
-)
+# p's entry, kept; _exact_transform calls it only for p <= _GRID_PMAX, so it
+# keeps at most the odd primes up to 199: the grid's 44 entries take 336,352
+# bytes, next to numpy's ~27 MB import
+_kept_entry = functools.cache(_entry)
 
 
 def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
@@ -159,18 +154,20 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     not be a float (2**1050 for inputs near 1e-300).
 
     x has shape (..., p), p prime; leading axes are independent cases. The
-    order and the table come from p's entry (_entry), kept in _STORE or, for
-    a length that does not fit, built for this call. The samples are taken
-    in log order, xl = x[order], and the bins are summed in that order and
-    put back through the inverse. With n = g**a and k = g**b (Rader, Proc.
-    IEEE 56(6), 1968) the term x[n] * W[n*k mod p] is xl[1+a] * table[1+a+b],
-    so the terms of bins 1..p-1 from rows 1..p-1 form the Hankel matrix
-    H[a, b] = table[1+a+b], a strided view of the table: no index is formed
-    and no factor gathered. Row n = 0 and bin k = 0 take x[n] * W[0],
-    W[0] = table[0]. Every term is x[n] times an exact table entry, with x
-    as the first operand: numpy's complex multiply is not bitwise
-    commutative here, and the per-sample reference in the tests computes
-    x[n] * W^(n*k).
+    order and the table come from p's entry, kept for p <= _GRID_PMAX
+    (_kept_entry) and built for this call above it (_entry). The samples
+    are taken in log order, xl = x[order], and the bins are summed in that
+    order and put back through the inverse. With n = g**a and k = g**b
+    (Rader, Proc. IEEE 56(6), 1968) the term x[n] * W[n*k mod p] is
+    xl[1+a] * table[1+a+b], so the terms of bins 1..p-1 from rows 1..p-1
+    form the Hankel matrix H[a, b] = table[1+a+b], a strided view of the
+    table: no index is formed and no factor gathered. Each such term is
+    x[n] times an exact table entry, with x as the first operand: numpy's
+    complex multiply is not bitwise commutative here, and the per-sample
+    reference in the tests computes x[n] * W^(n*k). Row n = 0 and bin k = 0
+    take x[n] * W[0], and W[0] = table[0] is exactly 1 -+ 0j, so that
+    product's components are x[n]'s up to the sign of a zero: the scaled
+    samples stand in for it.
 
     The terms' float64 components are rounded to integers, cast to int64
     and added exactly. Row n = 0's term starts every bin's low word, and
@@ -189,16 +186,13 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     if not np.isfinite(top).all():
         raise ValueError("the O(p^2) transforms need finite input")
     shift = _SCALE - np.frexp(top)[1]
-    entry = _STORE.entry(p)
-    if entry is None:
-        entry = _entry(p)
+    entry = _kept_entry(p) if p <= _GRID_PMAX else _entry(p)
     order, inverse, table = entry[0], entry[1], entry[2 + (sign > 0)]
     xl = x.reshape(-1, p).take(order, axis=1)
     parts = xl.view(np.float64)
     np.ldexp(parts, shift, out=parts)
-    # row n = 0 and column k = 0, as x[n] * W[0] rounded, in log order
-    edge = np.multiply(xl, table[:1]).view(np.float64)
-    edge = np.rint(edge, out=edge).astype(np.int64)
+    # row n = 0 and column k = 0, x[n] * W[0] rounded, in log order
+    edge = np.rint(parts).astype(np.int64)
     lo = np.empty_like(edge)
     lo.reshape(len(lo), p, 2)[:] = edge[:, None, :2]
     hi = None

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,11 +217,9 @@ _STORE_BYTES = _entry_bytes(40853)
 class _LengthStore:
     """Read-only per-length entries by p, bounded in total bytes, oldest out first.
 
-    build(p) makes p's entry, a tuple of read-only arrays or of tuples of
-    them, and size(p) gives its bytes. The defaults are the transform's
-    (_build_entry, _kept_bytes); the oracle keeps its set-up in a second
-    store (oracle._STORE). An entry is kept whole iff it fits the bound, so
-    a length whose size exceeds the bound, or is inf, is never built here.
+    _build_entry(p) makes p's entry and _kept_bytes(p) gives its bytes. An
+    entry is kept whole iff it fits the bound, so a length whose size
+    exceeds the bound, or is inf, is never built here.
 
     A hit is one dict.get, without the lock and without reordering: an
     entry is a tuple of read-only arrays, inserted whole, so a reader sees
@@ -233,15 +230,8 @@ class _LengthStore:
     there least-recently-used order would thrash as well.
     """
 
-    def __init__(
-        self,
-        budget: int,
-        build: Callable[[int], tuple] = _build_entry,
-        size: Callable[[int], float] = _kept_bytes,
-    ):
+    def __init__(self, budget: int):
         self.budget = budget
-        self.build = build
-        self.size = size
         self.nbytes = 0
         self._entries: dict[int, tuple] = {}
         self._lock = threading.Lock()
@@ -251,10 +241,10 @@ class _LengthStore:
         entry = self._entries.get(p)
         if entry is not None:
             return entry
-        size = self.size(p)
+        size = _kept_bytes(p)
         if size > self.budget:
             return None
-        entry = self.build(p)
+        entry = _build_entry(p)
         with self._lock:
             kept = self._entries.get(p)
             if kept is not None:
@@ -262,7 +252,7 @@ class _LengthStore:
             while self.nbytes + size > self.budget:
                 old = next(iter(self._entries))
                 del self._entries[old]
-                self.nbytes -= self.size(old)
+                self.nbytes -= _kept_bytes(old)
             self._entries[p] = entry
             self.nbytes += size
         return entry

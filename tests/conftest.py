@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,18 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def run_in_threads(fn, calls, timeout):
+    """[fn(*args) for args in calls] on 4 worker threads that switch every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fn, *args) for args in calls]
+            return [f.result(timeout=timeout) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 ODD_PRIMES_61 = [n for n in range(3, 62) if trial_division_is_prime(n) and n % 2]

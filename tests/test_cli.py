@@ -176,7 +176,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
     # naive_ns and naive_build_ns are timed up to cli._NAIVE_PMAX, so 8209
     # has them; a store bounded to 139's entry keeps 139 and leaves 8209
     # factored, one block, with no entry_bytes or entry_build_ns; gather_ns
-    # times the blocked factored gather at both
+    # times the counted path's unblocked gather (_gather_phases) at both
     store = transform._LengthStore(transform._entry_bytes(139))
     monkeypatch.setattr(transform, "_STORE", store)
     code, out = run_cli(capsys, "bench", "--p", "139", "--p", "8209", "--u", "25", "--reps", "2")

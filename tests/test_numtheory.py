@@ -55,12 +55,17 @@ def test_is_prime_rejects_strong_pseudoprimes():
     for n in (2047, 3277, 4033, 4681, 8321):
         assert not is_prime(n)
     # 48781 * 97561 passes bases 2, 7 and 61: the least such composite, and
-    # where trial division takes over again
+    # where the test to the first 13 primes takes over
     n = 4_759_123_141
     assert n == 48781 * 97561 and not is_prime(n)
     # the primes next below and above it, one from each test
     for n in (4_759_123_129, 4_759_123_151):
         assert is_prime(n) and trial_division_is_prime(n)
+    # psi_12 passes bases 2 to 37 and fails 41, the 13th base
+    n = 318_665_857_834_031_151_167_461
+    assert n == 399_165_290_221 * 798_330_580_441 and not is_prime(n)
+    # primes far past trial division's reach, each in well under a second
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59)
 
 
 def test_mod_inverse_examples():

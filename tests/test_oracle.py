@@ -1,8 +1,6 @@
 import math
 import random
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from zcdft.oracle import _SCALE, brute_gauss_sum, naive_dft, naive_idft, shifted
 from zcdft.sequences import ZcParams, zc_time
 from zcdft.transform import DFT, IDFT
 
-from conftest import ODD_PRIMES_199
+from conftest import ODD_PRIMES_199, run_in_threads
 from test_gauss import BRUTE_13_3, BRUTE_7_1
 
 
@@ -76,55 +74,43 @@ def test_chunked_sum_equals_per_sample_loop(p):
         assert np.array_equal(naive_idft(x), _per_sample_exact(x, +1))
 
 
-def _oracle_store(budget):
-    return transform._LengthStore(budget, oracle._entry, oracle._entry_bytes)
-
-
 def _zc_and_random(p, rng):
     # a ZC case and a random one, stacked
     x = rng.normal(size=p) + 1j * rng.normal(size=p)
     return np.stack([zc_time(ZcParams(p=p, u=p - 1, ts=(p - 1) // 2)), x])
 
 
-def test_cold_call_equals_warm_call_and_the_grid_fills_the_bound(monkeypatch, rng):
-    # the bound is the grid 5 <= p <= 199's entries: one sweep keeps every
-    # length of it and fills the bound exactly; 839 then evicts the oldest
-    # lengths, and 4099, whose entry takes 327,888 of the 336,352 bytes, all
-    # the others
-    store = _oracle_store(oracle._STORE.budget)
-    monkeypatch.setattr(oracle, "_STORE", store)
+def test_cold_call_equals_warm_call_and_only_the_grid_is_kept(monkeypatch, rng):
+    # a sweep of the grid 5 <= p <= 199 keeps each of its lengths, 336,352
+    # bytes in all; 839 and 4099 build their entries for each call
+    oracle._kept_entry.cache_clear()
     grid = [p for p in ODD_PRIMES_199 if p >= 5]
-    for p in grid + [839, 4099]:
-        x = _zc_and_random(p, rng) if p < 4099 else zc_time(ZcParams(p=p, u=25, ts=7))
+    cases = {p: _zc_and_random(p, rng) for p in grid + [839]}
+    cases[4099] = zc_time(ZcParams(p=4099, u=25, ts=7))
+    outputs = {}
+    for p, x in cases.items():
         cold = naive_dft(x), naive_idft(x)
-        assert p in store._entries
-        assert sum(array.nbytes for array in store._entries[p]) == oracle._entry_bytes(p)
         warm = naive_dft(x), naive_idft(x)
         assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
-        if p == grid[-1]:
-            assert list(store._entries) == grid and store.nbytes == store.budget
-        if p == 839:
-            assert grid[0] not in store._entries and list(store._entries)[-1] == 839
-    assert store.nbytes == sum(map(oracle._entry_bytes, store._entries)) <= store.budget
-    assert list(store._entries) == [4099]
-
-
-def test_store_below_one_entry_keeps_nothing_yet_gives_the_same_bits(monkeypatch, rng):
-    cases = [_zc_and_random(p, rng) for p in (3, 5, 61, 199, 839)]
-    kept = [(naive_dft(x), naive_idft(x)) for x in cases]
-    store = _oracle_store(oracle._entry_bytes(3) - 1)
-    monkeypatch.setattr(oracle, "_STORE", store)
-    for x, (dft, idft) in zip(cases, kept):
+        outputs[p] = cold
+    info = oracle._kept_entry.cache_info()
+    assert info.misses == info.currsize == len(grid)
+    assert sum(array.nbytes for p in grid for array in oracle._kept_entry(p)) == 336_352
+    assert oracle._kept_entry.cache_info().misses == len(grid)
+    # a grid length built for its call gives the same bits and is not kept
+    monkeypatch.setattr(oracle, "_GRID_PMAX", 0)
+    oracle._kept_entry.cache_clear()
+    for p in (5, 61, 199, 839):
+        dft, idft = outputs[p]
+        x = cases[p]
         assert np.array_equal(naive_dft(x), dft) and np.array_equal(naive_idft(x), idft)
-    assert store._entries == {} and store.nbytes == 0
+    assert oracle._kept_entry.cache_info().currsize == 0
 
 
-def test_kept_entry_is_read_only_and_holds_the_set_up(monkeypatch):
-    store = _oracle_store(oracle._STORE.budget)
-    monkeypatch.setattr(oracle, "_STORE", store)
+def test_kept_entry_is_read_only_and_holds_the_set_up():
     p = 199
     naive_dft(np.ones(p))
-    entry = store._entries[p]
+    entry = oracle._kept_entry(p)
     for array in entry:
         assert array.base is None
         with pytest.raises(ValueError):
@@ -142,35 +128,23 @@ def test_kept_entry_is_read_only_and_holds_the_set_up(monkeypatch):
         assert np.array_equal(table, np.concatenate((w[order], w[order[1:]])))
 
 
-def test_threads_match_serial_results_while_the_store_evicts(monkeypatch):
-    lengths = [p for p in ODD_PRIMES_199 if p > 133]
+def test_threads_on_a_cold_cache_match_serial_results():
+    # every thread makes its own block buffers, builds or finds the grid
+    # lengths' entries while the others read them, and builds 839's per call
+    lengths = [p for p in ODD_PRIMES_199 if p > 133] + [839]
     cases = [(p, naive) for p in lengths for naive in (naive_dft, naive_idft)]
     xs = {p: zc_time(ZcParams(p=p, u=25, ts=7)) for p in lengths}
     serial = {case: case[1](xs[case[0]]) for case in cases}
-    # any two of the entries fit and no three do, so inserts keep evicting
-    # entries that other threads are reading without the lock
-    sizes = sorted(map(oracle._entry_bytes, lengths))
-    budget = sizes[-1] + sizes[-2]
-    assert 3 * sizes[0] > budget
-    store = _oracle_store(budget)
-    monkeypatch.setattr(oracle, "_STORE", store)
+    oracle._kept_entry.cache_clear()
 
     def run(seed):
         order = cases * 3
         random.Random(seed).shuffle(order)
         return [(p, naive) for p, naive in order if not np.array_equal(naive(xs[p]), serial[p, naive])]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(run, seed) for seed in range(4)]
-            mismatches = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
+    mismatches = run_in_threads(run, [(seed,) for seed in range(4)], timeout=120)
     assert mismatches == [[]] * 4
-    held = sum(array.nbytes for entry in store._entries.values() for array in entry)
-    assert store.nbytes == held <= budget
+    assert oracle._kept_entry.cache_info().currsize == len(lengths) - 1
 
 
 def test_warm_calls_allocate_o_p_bytes():
@@ -194,8 +168,8 @@ def test_warm_calls_allocate_o_p_bytes():
 
 
 def test_oracle_does_not_call_the_transforms_log_tables(monkeypatch):
-    # a fresh store builds every entry under the patch, with the oracle's own
-    # generator loop
+    # with the cache cleared, every entry is built under the patch, with the
+    # oracle's own generator loop
     cases = {p: _zc_and_random(p, np.random.default_rng(p)) for p in (5, 199, 839)}
     expected = {p: (naive_dft(x), naive_idft(x)) for p, x in cases.items()}
 
@@ -205,11 +179,11 @@ def test_oracle_does_not_call_the_transforms_log_tables(monkeypatch):
     for module in (numtheory, transform, oracle):
         monkeypatch.setattr(module, "primitive_root", fail, raising=module is not oracle)
         monkeypatch.setattr(module, "power_table", fail, raising=module is not oracle)
-    monkeypatch.setattr(oracle, "_STORE", _oracle_store(oracle._STORE.budget))
+    oracle._kept_entry.cache_clear()
     for p, x in cases.items():
         dft, idft = expected[p]
         assert np.array_equal(naive_dft(x), dft) and np.array_equal(naive_idft(x), idft)
-    assert list(oracle._STORE._entries) == [5, 199, 839]
+    assert oracle._kept_entry.cache_info().currsize == 2
 
 
 # 9999 = 3**2 * 11 * 101 is rejected by trial division, before any power is taken

@@ -1,8 +1,6 @@
 import dataclasses
 import hashlib
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ from zcdft.transform import (
     plan,
 )
 
-from conftest import ODD_PRIMES_61, ODD_PRIMES_199
+from conftest import ODD_PRIMES_61, ODD_PRIMES_199, run_in_threads
 from test_gauss import BRUTE_13_3
 
 cases = st.builds(
@@ -215,14 +213,7 @@ def test_threads_match_serial_results(monkeypatch):
         pl = plan(params, direction)
         return (pl.twiddles, *pl.logs), execute(pl)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(run, *case) for case in cases * 4]
-            got = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
+    got = run_in_threads(run, cases * 4, timeout=60)
     tables = {}
     for (params, _), ref, (entry, out) in zip(cases * 4, serial * 4, got):
         assert np.array_equal(out, ref)
@@ -245,14 +236,7 @@ def test_threads_match_serial_results_while_the_store_evicts(monkeypatch):
         random.Random(seed).shuffle(order)
         return [case for case in order if not np.array_equal(execute(plan(*case)), serial[case])]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(run, seed) for seed in range(4)]
-            mismatches = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
+    mismatches = run_in_threads(run, [(seed,) for seed in range(4)], timeout=120)
     assert mismatches == [[]] * 4
     held = sum(_entry_nbytes(entry) for entry in store._entries.values())
     assert store.nbytes == held <= budget
