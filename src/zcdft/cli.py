@@ -24,7 +24,8 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import __version__, oracle, pattern, transform
-from .sequences import ZcParams, zc_time
+from .sequences import ZcParams
+from .transform import zc_time
 from .verify import VerifyConfig, result_line, run_all
 
 # 17 significant decimal digits round-trip any binary64 value exactly, so
@@ -190,6 +191,8 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "entry_build_ns": _build_ns(transform._build_entry, params.p) if kept else None,
         "naive_build_ns": _build_ns(oracle._entry, params.p) if naive else None,
         "naive_faults": _faults_per_call(lambda: oracle.naive_dft(x), reps) if naive else None,
+        "zc_time_ns": _median_ns(lambda: zc_time(params), reps),
+        "fft_ns": _median_ns(lambda: np.fft.fft(x), reps),
     }
 
 
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "its validation, and fast_ns execute; phase_ns "
         "times the closed-form phase indices, and gather_ns the scaled gather "
         "of all p bins at given phases that the counted path runs: at every p "
-        "one unblocked gather from the table's two sqrt(p)-length factors. "
+        "a blocked gather from the table's two sqrt(p)-length factors. "
         "execute instead reads a kept length's entries through its "
         "discrete-log tables, and for any other length gathers (p+1)/2 bins "
         "and copies the other (p-1)/2 from their mirrors. plan_ns is a "
@@ -295,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         "naive_faults is the minor page faults per warm oracle call over reps "
         f"calls. All three are measured only up to p = {_NAIVE_PMAX} and are "
         "null above it; naive_faults is null also where the resource module "
-        "is missing.",
+        "is missing. zc_time_ns is the median of a zc_time call, which gathers "
+        "a kept length's samples through its discrete logs and evaluates any "
+        "other length's phases and exps, and fft_ns that of np.fft.fft on the "
+        "same samples, the baseline the transform is measured against.",
     )
     sp.set_defaults(handler=cmd_bench)
     sp.add_argument(

@@ -3,7 +3,8 @@
 Everything here is exact for any modulus the library accepts (odd primes
 below 2**31): scalar routines work on Python integers, and quadratic_phases
 and power_table work on int64 arrays whose intermediates provably stay
-below 2**63. quadratic_phases gives both zc_time's and transform's phases.
+below 2**63. quadratic_phases gives transform's phases, and zc_time's at a
+length the transform's store does not keep.
 primitive_root and power_table give the discrete logs that transform reads
 a kept length's twiddle table through.
 """
@@ -195,7 +196,9 @@ def quadratic_phases(p: int, iu: int, fs: int, k0: int) -> np.ndarray:
     """int64 phase_k = (k*fs - iu*T(k)) mod p for the p bins k0 <= k < k0 + p, block by block.
 
     transform's phase indices start at k0 = 0, zc_time's at k0 = ts: for
-    odd p, T(k + p) = T(k) + p*(2k + p + 1)/2 = T(k) mod p.
+    odd p, T(k + p) = T(k) + p*(2k + p + 1)/2 = T(k) mod p. zc_time reads
+    them only at a length the transform's store does not keep; a kept one
+    gathers its samples through the length's discrete logs instead.
     """
     if p < 2 * _BLOCK:
         return _block_phases(p, iu, fs, k0, p)

@@ -60,8 +60,8 @@ import numpy as np
 
 from .gauss import gauss_sum_closed
 from .numtheory import mod_inverse
-from .sequences import ZcParams, zc_time
-from .transform import DFT, require_direction
+from .sequences import ZcParams
+from .transform import DFT, require_direction, zc_time
 
 
 # Terms per block of _exact_transform: the grid's largest, 198**2 at p = 199,

@@ -2,9 +2,11 @@
 
 A prime-length ZC sequence is a chirp whose phase is a quadratic in the
 sample index. The same waveform can be produced by accumulating the integer
-frequency points of a linear hopping pattern. zc_time and lmfh_symbol take
-the two routes, numtheory.quadratic_phases and accumulate_phases, which
-transform's spectra share; tests cross-check them.
+frequency points of a linear hopping pattern. transform.zc_time takes the
+closed form (numtheory.quadratic_phases, or a kept length's discrete logs)
+and lmfh_symbol the accumulation (accumulate_phases), the two routes that
+transform's spectra share; tests cross-check them. zc_time lives in
+transform because a kept length reads the transform's per-length store.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import as_int, centered, quadratic_phases, require_odd_prime
+from .numtheory import as_int, centered, require_odd_prime
 
 
 @dataclass
@@ -85,20 +87,6 @@ class LmfhParams:
         self.__dict__.update(p=p, s=s, fs=fs, po=float(po))
 
 
-def zc_time(params: ZcParams) -> np.ndarray:
-    """Time-domain ZC sequence Z(k) = exp(-i*pi*u*(k+ts)(k+ts+1)/p), k = 0..p-1.
-
-    The integer numerator u*(k+ts)(k+ts+1) is reduced mod 2p before the float
-    conversion, as 2*(u*T(k+ts) mod p) with T(m) = m(m+1)/2, exact in int64
-    (quadratic_phases with iu = -u mod p, fs = 0 and k0 = ts). That keeps
-    trig arguments small and makes the samples exactly periodic in the
-    index, so a cyclic shift is a bit-exact rotation.
-    """
-    p, u, ts = params.p, params.u, params.ts
-    num = 2 * quadratic_phases(p, -u % p, 0, ts)
-    return np.exp((-1j * np.pi / p) * num.astype(np.float64))
-
-
 def lmfh_symbol(params: LmfhParams) -> np.ndarray:
     """lmFH symbol via integer accumulation of frequency points.
 
@@ -106,7 +94,8 @@ def lmfh_symbol(params: LmfhParams) -> np.ndarray:
     frequency points s*t + fs, t = 1..k, and S(0) = 0, so the shift
     introduces no extra initial phase: accumulate_phases with iu = -s mod p
     and start frequency fs. This is intentionally not the closed-form
-    quadratic: the accumulation route is the cross-check against zc_time.
+    quadratic: the accumulation route is the cross-check against
+    transform.zc_time.
     """
     p, s, fs, po = params.p, params.s, params.fs, params.po
     ang = (2.0 * np.pi / p) * accumulate_phases(p, -s % p, fs, OpCounters()) + po
@@ -137,8 +126,8 @@ def frequency_track(params: ZcParams) -> np.ndarray:
     """Instantaneous frequency points of the ZC waveform, in centered residues.
 
     f(t) = centered(-u*(t+ts), p) for t = 0..p-1: the phase increment, in
-    bins, between consecutive samples of zc_time. Each centered residue is
-    visited exactly once because u is invertible mod p.
+    bins, between consecutive samples of transform.zc_time. Each centered
+    residue is visited exactly once because u is invertible mod p.
     """
     p, u, ts = params.p, params.u, params.ts
     return centered(-u * ((np.arange(p, dtype=np.int64) + ts) % p), p)

@@ -10,11 +10,16 @@ and the table of roots has p entries. Every plan holds that table as two
 sqrt(p)-length factors (_twiddle_factors). execute reads it through
 discrete-log tables for a length the store keeps (_LengthStore), else by
 _gather's blocked, mirrored gather; the counted path gathers all p bins
-at once (_gather_phases). Each output is the same product hi[a] * lo[b],
-so the spectra are bit-identical. A kept length's entry also holds every
-root's inverse, Legendre sign, 4*QPo and constant (_root_scalars), which
-plan reads instead of deriving them; both branches of plan take 4*QPo and
-the constant from gauss.
+in the same blocks (_gather_phases). Each output is the same product
+hi[a] * lo[b], so the spectra are bit-identical. A kept length's entry
+also holds every root's inverse, Legendre sign, 4*QPo and constant
+(_root_scalars), which plan reads instead of deriving them; both branches
+of plan take 4*QPo and the constant from gauss.
+
+zc_time, the time-domain sequence, lives here, next to the store it reads:
+a kept length gathers its samples through the same discrete logs from the
+entry's own table of them (_zc_samples), any other length evaluates its
+phases (quadratic_phases) and one np.exp. Both routes give the same bits.
 """
 
 from __future__ import annotations
@@ -182,10 +187,33 @@ def _root_scalars(p: int, logs: np.ndarray, pw: np.ndarray) -> tuple[np.ndarray,
     return roots
 
 
+def _chirp_exp(p: int, phases: np.ndarray) -> np.ndarray:
+    """exp(-i*pi*2*phase/p) of int64 phases: zc_time's samples, one np.exp over them."""
+    return np.exp((-1j * np.pi / p) * (2 * phases).astype(np.float64))
+
+
+# zc_time's sample at phase 0, as np.exp returns it: its argument, the
+# scalar -i*pi/p times 0.0, is a complex zero whose signs follow the
+# scalar's signs, the same for every p
+_PHASE0 = _chirp_exp(3, np.zeros(1, dtype=np.int64)).item()
+
+
+def _zc_samples(p: int, pw: np.ndarray) -> np.ndarray:
+    """S3 of p, read-only: S3[e] = zc_time's sample at phase pw[e mod (p-1)], e < 3(p - 1).
+
+    The same expression zc_time evaluates at a length not kept (_chirp_exp),
+    on the same integer phases, so each sample has the same bits.
+    """
+    w = _chirp_exp(p, pw)
+    samples = np.concatenate((w, w, w))
+    samples.setflags(write=False)
+    return samples
+
+
 def _entry_bytes(p: int) -> int:
-    """Bytes of p's kept entry: its factors, L2, E3 and root rows (see _build_entry)."""
+    """Bytes of p's kept entry: its factors, L2, E3, root rows and S3 (see _build_entry)."""
     m = _split(p)
-    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 48 * (p - 1) + 33 * p
+    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 96 * (p - 1) + 33 * p
 
 
 def _kept_bytes(p: int) -> float:
@@ -194,22 +222,24 @@ def _kept_bytes(p: int) -> float:
 
 
 def _build_entry(p: int) -> tuple:
-    """p's entry (factors, L2, E3, roots): _twiddle_factors, _log_tables, _root_scalars.
+    """p's entry (factors, L2, E3, roots, S3), read-only, built from p alone.
 
-    16*(m + ceil(p/m)) + 16*p + 48*(p-1) + 33*p bytes, about 97*p
-    (_entry_bytes). roots is iu (int64), ell (int8), 4*QPo (int64) and the
-    constant (complex128) of every root. Every plan of a kept p reads its E3
-    and its row of roots, while a length not kept would build all of them
-    for one plan, so plan takes the factored path there instead.
+    _twiddle_factors, _log_tables, _root_scalars and _zc_samples make it in
+    16*(m + ceil(p/m)) + 16*p + 48*(p-1) + 33*p + 48*(p-1) bytes, about
+    145*p (_entry_bytes). roots is iu (int64), ell (int8), 4*QPo (int64) and
+    the constant (complex128) of every root; S3 is zc_time's samples in log
+    order. Every plan of a kept p reads its E3 and its row of roots, and
+    every zc_time its S3, while a length not kept would build all of them
+    for one call, so plan and zc_time take their other routes there instead.
     """
     factors = _twiddle_factors(p)
     logs, exps, pw = _log_tables(p, factors)
-    return factors, logs, exps, _root_scalars(p, logs, pw)
+    return factors, logs, exps, _root_scalars(p, logs, pw), _zc_samples(p, pw)
 
 
 # _entry_bytes grows with p, so this keeps exactly the lengths p <= 40853:
-# the PRACH lengths (139, 571, 839, 1151: 265,164 bytes) and the grid
-# 5 <= p <= 199 (421,534 bytes), small next to numpy's ~27 MB import, and no
+# the PRACH lengths (139, 571, 839, 1151: 394,572 bytes) and the grid
+# 5 <= p <= 199 (622,078 bytes), small next to numpy's ~27 MB import, and no
 # large p, where lengths rarely repeat
 _STORE_BYTES = _entry_bytes(40853)
 
@@ -303,13 +333,28 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
 
 
 def _gather_phases(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
-    """const_factor * table[phase_k] for given phases, all p bins at once.
+    """const_factor * table[phase_k] for given phases, all p bins, block by block.
 
-    hi[phase >> s] * lo[phase & (m - 1)] * const_factor: _gather's product.
+    hi[phase >> s] * lo[phase & (m - 1)] * const_factor: _gather's product,
+    formed in the same order, into the output a block at a time
+    (_block_bounds, no block of one bin), with buffers no longer than p.
     """
-    m = _split(pl.params.p)
+    p = pl.params.p
+    m = _split(p)
     lo, hi = pl.twiddles[:m], pl.twiddles[m:]
-    return hi[phases >> (m.bit_length() - 1)] * lo[phases & (m - 1)] * pl.const_factor
+    s = m.bit_length() - 1
+    out = np.empty(p, dtype=np.complex128)
+    size = min(p, 2 * _BLOCK)
+    tmp = np.empty(size, dtype=np.int64)
+    scratch = np.empty(size, dtype=np.complex128)
+    for k0, k1 in _block_bounds(p):
+        n = k1 - k0
+        block = out[k0:k1]
+        r = phases[k0:k1]
+        np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
+        block *= np.take(lo, np.bitwise_and(r, m - 1, out=tmp[:n]), out=scratch[:n], mode="clip")
+        block *= pl.const_factor
+    return out
 
 
 def _gather(pl: TransformPlan) -> np.ndarray:
@@ -358,4 +403,35 @@ def _gather(pl: TransformPlan) -> np.ndarray:
     for a, b in ((first + half, p), (0, first)):
         top = (t - a) % p
         out[a:b] = out[top - (b - a) + 1 : top + 1][::-1]
+    return out
+
+
+def zc_time(params: ZcParams) -> np.ndarray:
+    """Time-domain ZC sequence Z(k) = exp(-i*pi*u*(k+ts)(k+ts+1)/p), k = 0..p-1.
+
+    The integer numerator u*m(m+1), m = k + ts, is reduced mod 2p before the
+    float conversion, as 2*phase with phase = u*T(m) mod p and T(m) =
+    m(m+1)/2, exact in int64. That keeps trig arguments small and makes the
+    samples exactly periodic in the index, so a cyclic shift is a bit-exact
+    rotation.
+
+    phase = r*m*(m + 1) mod p with r = u*(p+1)/2, so a length the store keeps
+    gathers the samples through its discrete logs, as execute does: for
+    m != 0, -1 mod p,
+        Z(k) = S3[L(r) + L(m) + L(m + 1)],
+    one add of two slices of L2, from ts on, and one gather. S3 holds the
+    sample of every nonzero phase as np.exp gives it (_zc_samples). At
+    m = 0 and m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0, and
+    those bins take _PHASE0. A length not kept forms the phases by
+    quadratic_phases (iu = -u mod p, fs = 0, k0 = ts) and takes one np.exp
+    (_chirp_exp). Both routes give the same bits.
+    """
+    p, u, ts = params.p, params.u, params.ts
+    entry = _STORE.entry(p)
+    if entry is None:
+        return _chirp_exp(p, quadratic_phases(p, -u % p, 0, ts))
+    logs, samples = entry[1], entry[4]
+    lr = logs[u * (p + 1) // 2 % p]
+    out = samples[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p])
+    out[-ts] = out[p - 1 - ts] = _PHASE0
     return out

@@ -24,7 +24,8 @@ import numpy as np
 from . import oracle, pattern, transform
 from .gauss import const_from_qpo, gauss_sum_closed, quasi_phase_offset4
 from .numtheory import centered, legendre, mod_inverse, odd_primes
-from .sequences import LmfhParams, OpCounters, ZcParams, accumulate_phases, lmfh_symbol, zc_time
+from .sequences import LmfhParams, OpCounters, ZcParams, accumulate_phases, lmfh_symbol
+from .transform import zc_time
 
 
 @dataclass

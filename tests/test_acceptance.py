@@ -15,8 +15,8 @@ import time
 import pytest
 
 from zcdft.oracle import naive_dft
-from zcdft.sequences import ZcParams, zc_time
-from zcdft.transform import DFT, execute, plan
+from zcdft.sequences import ZcParams
+from zcdft.transform import DFT, execute, plan, zc_time
 from zcdft.verify import ALL_CHECKS, VerifyConfig, result_line
 
 ACCEPTANCE_GRID = VerifyConfig(pmax=199, include_839=True)

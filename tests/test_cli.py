@@ -7,8 +7,8 @@ import pytest
 from zcdft import cli, transform
 from zcdft.cli import main
 from zcdft.pattern import export_pattern, flip_conjugate, flip_dft, make_pattern
-from zcdft.sequences import ZcParams, zc_time
-from zcdft.transform import IDFT, execute, plan
+from zcdft.sequences import ZcParams
+from zcdft.transform import IDFT, execute, plan, zc_time
 from zcdft.verify import ALL_CHECKS
 
 from test_gauss import BRUTE_13_3
@@ -176,7 +176,8 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
     # naive_ns and naive_build_ns are timed up to cli._NAIVE_PMAX, so 8209
     # has them; a store bounded to 139's entry keeps 139 and leaves 8209
     # factored, one block, with no entry_bytes or entry_build_ns; gather_ns
-    # times the counted path's unblocked gather (_gather_phases) at both
+    # times the counted path's blocked gather (_gather_phases) at both, and
+    # zc_time_ns takes the kept route at 139 and the formula route at 8209
     store = transform._LengthStore(transform._entry_bytes(139))
     monkeypatch.setattr(transform, "_STORE", store)
     code, out = run_cli(capsys, "bench", "--p", "139", "--p", "8209", "--u", "25", "--reps", "2")
@@ -204,6 +205,8 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
             "entry_build_ns",
             "naive_build_ns",
             "naive_faults",
+            "zc_time_ns",
+            "fft_ns",
         ]
         assert report["u"] == 25 and report["reps"] == 2
         assert report["additions"] == 2 * (p - 1)
@@ -212,6 +215,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
         assert 0 < report["fast_ns"] < report["naive_ns"]
         assert report["phase_ns"] > 0 and report["gather_ns"] > 0
         assert report["params_ns"] > 0 and report["plan_ns"] > 0
+        assert report["zc_time_ns"] > 0 and report["fft_ns"] > 0
     m = transform._split(8209)
     assert [r["table_bytes"] for r in reports] == [400, 16 * (m + -(-8209 // m))]
     assert [r["entry_bytes"] for r in reports] == [transform._entry_bytes(139), None]

@@ -7,8 +7,8 @@ import pytest
 
 from zcdft import numtheory, oracle, transform
 from zcdft.oracle import _SCALE, brute_gauss_sum, naive_dft, naive_idft, shifted_dft_identity
-from zcdft.sequences import ZcParams, zc_time
-from zcdft.transform import DFT, IDFT
+from zcdft.sequences import ZcParams
+from zcdft.transform import DFT, IDFT, zc_time
 
 from conftest import ODD_PRIMES_199, run_in_threads
 from test_gauss import BRUTE_13_3, BRUTE_7_1

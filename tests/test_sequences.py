@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zcdft.oracle import zc_time_direct
-from zcdft.sequences import LmfhParams, ZcParams, frequency_track, lmfh_symbol, zc_time
+from zcdft.sequences import LmfhParams, ZcParams, frequency_track, lmfh_symbol
+from zcdft.transform import zc_time
 
 from conftest import ODD_PRIMES_61
 

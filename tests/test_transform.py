@@ -11,7 +11,7 @@ from zcdft import numtheory, transform
 from zcdft.gauss import const_from_qpo, quasi_phase_offset4
 from zcdft.numtheory import PRIME_CAP, legendre, mod_inverse
 from zcdft.oracle import naive_dft, naive_idft, shifted_dft_identity
-from zcdft.sequences import ZcParams, accumulate_phases, zc_time
+from zcdft.sequences import ZcParams, accumulate_phases
 from zcdft.transform import (
     DFT,
     IDFT,
@@ -19,6 +19,7 @@ from zcdft.transform import (
     execute,
     phase_indices,
     plan,
+    zc_time,
 )
 
 from conftest import ODD_PRIMES_61, ODD_PRIMES_199, run_in_threads
@@ -134,22 +135,24 @@ def fresh_store(monkeypatch):
 
 
 def _entry_nbytes(entry):
-    """Bytes held by a store entry: factors, L2, E3 and the four root rows."""
-    factors, logs, exps, roots = entry
-    return factors.nbytes + logs.nbytes + exps.nbytes + sum(row.nbytes for row in roots)
+    """Bytes held by a store entry: factors, L2, E3, the four root rows and S3."""
+    factors, logs, exps, roots, samples = entry
+    rows = sum(row.nbytes for row in roots)
+    return factors.nbytes + logs.nbytes + exps.nbytes + rows + samples.nbytes
 
 
 def test_kept_length_shares_one_read_only_table(fresh_store):
     a = plan(ZcParams(p=839, u=25), DFT)
     b = plan(ZcParams(p=839, u=3, ts=7), IDFT)
-    factors, logs, exps, roots = fresh_store._entries[839]
+    factors, logs, exps, roots, samples = fresh_store._entries[839]
     assert a.twiddles is b.twiddles is factors
     assert a.logs[0] is b.logs[0] is logs and a.logs[1] is b.logs[1] is exps
-    for array in (factors, logs, exps, *roots):
+    for array in (factors, logs, exps, *roots, samples):
         with pytest.raises(ValueError):
             array[0] = 1
-    assert factors.base is None and logs.base is None and exps.base is None
+    assert all(array.base is None for array in (factors, logs, exps, samples))
     assert all(row.base is None and row.shape == (839,) for row in roots)
+    assert samples.shape == exps.shape == (3 * 838,)
     m = transform._split(839)
     assert factors.size == m + -(-839 // m)
     assert fresh_store.nbytes == _entry_nbytes(fresh_store._entries[839]) == transform._entry_bytes(839)
@@ -168,7 +171,7 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
             assert fresh_store.nbytes == before
             assert pl.logs is None
         else:
-            factors, logs, exps, roots = fresh_store._entries[p]
+            factors, logs, exps, roots, _ = fresh_store._entries[p]
             assert pl.twiddles is factors
             assert pl.logs[0] is logs and pl.logs[1] is exps
             assert pl.iu == roots[0].item(1) == 1
@@ -231,15 +234,46 @@ def test_threads_match_serial_results_while_the_store_evicts(monkeypatch):
     store = transform._LengthStore(budget)
     monkeypatch.setattr(transform, "_STORE", store)
 
+    samples = {params: zc_time(params).tobytes() for params, _ in cases}
+
     def run(seed):
         order = cases * 40
         random.Random(seed).shuffle(order)
-        return [case for case in order if not np.array_equal(execute(plan(*case)), serial[case])]
+        return [
+            case
+            for case in order
+            if not np.array_equal(execute(plan(*case)), serial[case])
+            or zc_time(case[0]).tobytes() != samples[case[0]]
+        ]
 
     mismatches = run_in_threads(run, [(seed,) for seed in range(4)], timeout=120)
     assert mismatches == [[]] * 4
     held = sum(_entry_nbytes(entry) for entry in store._entries.values())
     assert store.nbytes == held <= budget
+
+
+def test_kept_zc_time_equals_the_formula_route_byte_for_byte(fresh_store, monkeypatch):
+    # every root of the grid and PRACH lengths, and edge and seeded roots at
+    # 40853, the largest kept length, and 40867, the first one not kept; the
+    # phase-0 bins k = -ts mod p and p - 1 - ts are in every case, at k = 0
+    # for ts = 0 and ts = p - 1. tobytes compares signed zeros too
+    rng = random.Random(2026)
+    lengths = [(p, range(1, p)) for p in ODD_PRIMES_199 + PRACH_LENGTHS]
+    for p in (40853, 40867):
+        lengths.append((p, [1, 2, (p - 1) // 2, p - 1] + [rng.randrange(1, p) for _ in range(8)]))
+    formula = transform._LengthStore(0)
+    for p, roots in lengths:
+        for u in roots:
+            for ts in sorted({0, 1, (p - 1) // 2, p - 1}):
+                params = ZcParams(p, u, ts)
+                kept = zc_time(params)
+                monkeypatch.setattr(transform, "_STORE", formula)
+                ref = zc_time(params)
+                monkeypatch.setattr(transform, "_STORE", fresh_store)
+                assert kept.tobytes() == ref.tobytes(), (p, u, ts)
+                assert ref[-ts] == ref[p - 1 - ts] == 1
+        assert (p in fresh_store._entries) == (p <= 40853)
+    assert formula.nbytes == 0
 
 
 def test_kept_plan_fields_equal_factored_plans(fresh_store, monkeypatch):
@@ -283,13 +317,13 @@ def test_kept_root_rows_match_the_scalar_routines(monkeypatch):
             fields = (pl.iu, pl.ell, pl.qpo_times4, pl.const_factor)
             assert tuple(map(type, fields)) == (int, int, int, complex)
     # _ROW_PMAX is the last length whose bound (p-1)*(p+1)**3 + 4p on the int64
-    # numerator of 4*QPo is below 2**63; 65537, past it, fits a bound of 2**23
+    # numerator of 4*QPo is below 2**63; 65537, past it, fits a bound of 2**24
     # and is still not kept
     pmax = transform._ROW_PMAX
     bound = [(q - 1) * (q + 1) ** 3 + 4 * q for q in (pmax, pmax + 1)]
     assert bound[0] < 1 << 63 <= bound[1]
-    monkeypatch.setattr(transform, "_STORE", transform._LengthStore(1 << 23))
-    assert transform._entry_bytes(65537) <= 1 << 23
+    monkeypatch.setattr(transform, "_STORE", transform._LengthStore(1 << 24))
+    assert transform._entry_bytes(65537) <= 1 << 24
     for u in (1, 2, 32768, 65536):
         pl = plan(ZcParams(65537, u), DFT)
         assert pl.logs is None and transform._STORE.nbytes == 0
@@ -440,7 +474,7 @@ def test_split_is_a_power_of_two_at_least_sqrt_p(p):
 
 
 # execute, the log gather at the kept 32771 and 40853 and mirrored half-range
-# blocks above, against _gather_phases's one unblocked gather at given phases,
+# blocks above, against _gather_phases, the gather of all p bins at given phases,
 # for each placement of the mirror, and at the multi-block lengths the counted
 # path, which gathers the recurrence's phases the same way
 @pytest.mark.parametrize("p", BLOCKED_PRIMES + [65537, 1000003])
