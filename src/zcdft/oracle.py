@@ -15,10 +15,12 @@ exact sum once to float64 (a long accumulator, after Kulisch, Computer
 Arithmetic and Validity, 2008). An exact sum does not depend on the order
 of its terms, so they are taken in discrete-log order (Rader, Proc. IEEE
 56(6), 1968), where all but the first row and column form a Hankel matrix,
-a strided view of one table, and summed a block of rows at a time. x may
-carry leading batch axes, (..., p), p prime; the output does not depend on
-the block size or the batch shape, so a stack of cases summed in one call
-equals one call per case.
+a strided view of one table. A grid length, p <= _GRID_PMAX, sums that
+matrix in one block into one int64 word per component (_grid_sum); a longer
+one sums it a block of rows at a time and carries into a high word
+(_carried_sum). x may carry leading batch axes, (..., p), p prime; each
+case is summed on its own, and the output does not depend on the route or
+the block size, so a stack equals one call per case.
 
 What depends on p alone, the log order [0, g**0, ..., g**(p-2)] of a
 generator g that this module finds itself, its inverse and both
@@ -64,10 +66,14 @@ from .sequences import ZcParams
 from .transform import DFT, require_direction, zc_time
 
 
-# Terms per block of _exact_transform: the grid's largest, 198**2 at p = 199,
-# so every grid case is one block. A longer length is cut into blocks of
-# whole rows, or of one row cut by columns where p - 1 exceeds this; either
-# way a block has at most 198 rows, and 1 + 198 <= _CARRY_ROWS. The terms
+# The grid, p <= _GRID_PMAX, takes the straight route (_grid_sum): a case is
+# one block of (p - 1)**2 terms, and each bin adds at most p terms below
+# 2**(_SCALE + 1) in int64, with no carry. That needs _GRID_PMAX <= 255, so
+# that the sum stays below 2**63, and one block of (_GRID_PMAX - 1)**2 terms
+# to fit the kept buffers, which _BLOCK sizes to exactly that. A longer
+# length takes the carried route (_carried_sum), cut into blocks of whole
+# rows, or of one row cut by columns where p - 1 exceeds _BLOCK; either way
+# a block has at most 198 rows, and 1 + 198 <= _CARRY_ROWS. The terms
 # (627 KB) and their int64 values (627 KB) live in two buffers per thread,
 # allocated on the thread's first call and kept, so a call allocates only
 # O(p) temporaries. Chunks of 2**13 terms allocated per call (128 KB each)
@@ -76,9 +82,10 @@ from .transform import DFT, require_direction, zc_time
 _GRID_PMAX = 199
 _BLOCK = (_GRID_PMAX - 1) ** 2
 
-# A case is scaled so that its largest component is below 2**_SCALE. A term's
-# components are then at most 2**(_SCALE + 1), so the low word, below 2**32
-# after a carry, takes up to _CARRY_ROWS rows of terms and stays below 2**63.
+# A case is scaled so that its largest component is below 2**_SCALE, so a
+# term's components are below 2**(_SCALE + 1). On the carried route the low
+# word, below 2**32 after a carry, takes up to _CARRY_ROWS rows of terms and
+# stays below 2**63; the grid route needs no carry (see _GRID_PMAX).
 _SCALE = 54
 _CARRY_ROWS = 2 ** (62 - _SCALE) - 1
 _LOW = (1 << 32) - 1
@@ -140,66 +147,92 @@ def _entry(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 # p's entry, kept; _exact_transform calls it only for p <= _GRID_PMAX, so it
-# keeps at most the odd primes up to 199: the grid's 44 entries take 336,352
-# bytes, next to numpy's ~27 MB import
+# keeps at most the 46 primes up to 199: the grid's 44 entries (5 <= p <= 199)
+# take 336,352 bytes, next to numpy's ~27 MB import
 _kept_entry = functools.cache(_entry)
 
 
-def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
-    """O(p^2) DFT (sign=-1) or unnormalized IDFT (sign=+1), summed exactly.
+def _hankel(table: np.ndarray, q: int) -> np.ndarray:
+    """H[a, b] = table[1 + a + b] for a, b < q, a strided view of table.
 
-    Each case (each row of the leading axes) is scaled by 2**(_SCALE - e),
-    where 2**(e-1) <= max component of |x| < 2**e: a power of two, so the
-    scaling is exact, and np.ldexp applies it where the factor itself would
-    not be a float (2**1050 for inputs near 1e-300).
-
-    x has shape (..., p), p prime; leading axes are independent cases. The
-    order and the table come from p's entry, kept for p <= _GRID_PMAX
-    (_kept_entry) and built for this call above it (_entry). The samples
-    are taken in log order, xl = x[order], and the bins are summed in that
-    order and put back through the inverse. With n = g**a and k = g**b
-    (Rader, Proc. IEEE 56(6), 1968) the term x[n] * W[n*k mod p] is
-    xl[1+a] * table[1+a+b], so the terms of bins 1..p-1 from rows 1..p-1
-    form the Hankel matrix H[a, b] = table[1+a+b], a strided view of the
-    table: no index is formed and no factor gathered. Each such term is
-    x[n] times an exact table entry, with x as the first operand: numpy's
-    complex multiply is not bitwise commutative here, and the per-sample
-    reference in the tests computes x[n] * W^(n*k). Row n = 0 and bin k = 0
-    take x[n] * W[0], and W[0] = table[0] is exactly 1 -+ 0j, so that
-    product's components are x[n]'s up to the sign of a zero: the scaled
-    samples stand in for it.
-
-    The terms' float64 components are rounded to integers, cast to int64
-    and added exactly. Row n = 0's term starts every bin's low word, and
-    each block of rows (_BLOCK, in this thread's kept buffers) adds its
-    column sums, bin 0 its part of column k = 0. Bits from 32 up are carried
-    into a high word before a block could take a bin past _CARRY_ROWS
-    terms, so no p can overflow; for p <= _CARRY_ROWS no carry is needed and
-    the low word is the exact sum. Otherwise hi*2**32 + lo, lo < 2**32 after
-    a last carry, is; it is rounded once (hi*2**32 is exact in float64
-    while |hi| < 2**53, which holds for p < 2**30) and scaled back exactly,
-    unless it underflows.
+    Built directly: np.lib.stride_tricks.as_strided takes about 6 us, a
+    tenth of a call at p = 61.
     """
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    p = x.shape[-1]
-    top = np.abs(x.view(np.float64).reshape(-1, 2 * p)).max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
+    return np.ndarray((q, q), np.complex128, table, 16, (16, 16))
+
+
+def _scaled_log_order(x: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """One case in log order scaled by 2**shift, its components rounded to int64, and shift.
+
+    shift = _SCALE - e, where 2**(e-1) <= max component of |x| < 2**e (e = 0
+    for a zero case): a power of two, so the scaling is exact, and np.ldexp
+    applies it where the factor itself would not be a float (2**1050 for
+    inputs near 1e-300). The rounded components are those of x[n] * W[0],
+    row n = 0 and column k = 0 of the sum, since W[0] is exactly 1 -+ 0j.
+    Raises ValueError unless every component is finite.
+    """
+    top = np.abs(x.view(np.float64)).max()
+    if not math.isfinite(top):
         raise ValueError("the O(p^2) transforms need finite input")
-    shift = _SCALE - np.frexp(top)[1]
-    entry = _kept_entry(p) if p <= _GRID_PMAX else _entry(p)
-    order, inverse, table = entry[0], entry[1], entry[2 + (sign > 0)]
-    xl = x.reshape(-1, p).take(order, axis=1)
+    shift = _SCALE - math.frexp(top)[1]
+    xl = x.take(order)
     parts = xl.view(np.float64)
     np.ldexp(parts, shift, out=parts)
-    # row n = 0 and column k = 0, x[n] * W[0] rounded, in log order
-    edge = np.rint(parts).astype(np.int64)
-    lo = np.empty_like(edge)
-    lo.reshape(len(lo), p, 2)[:] = edge[:, None, :2]
-    hi = None
+    return xl, np.rint(parts).astype(np.int64), shift
+
+
+def _natural_order(sums: np.ndarray, inverse: np.ndarray, shift: int) -> np.ndarray:
+    """The bins' exact sums, component pairs in log order, put back and scaled by 2**-shift.
+
+    Each bin's two 8-byte sums move as one complex128 item, so the take
+    copies their bytes and one 1-D gather does it. An int64 sum is rounded
+    to float64 once, by the cast in np.ldexp; the scaling is exact unless it
+    underflows.
+    """
+    moved = sums.view(np.complex128).take(inverse).view(sums.dtype)
+    return np.ldexp(moved, -shift).view(np.complex128)
+
+
+def _grid_sum(x: np.ndarray, order: np.ndarray, inverse: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """One case of a grid length p <= _GRID_PMAX, in one straight pass.
+
+    The (p-1)**2 Hankel terms are one block, whose column sums are bins
+    1..p-1; row n = 0 is added to them, and bin 0 is the sum of the rounded
+    samples, each once. Every sum is exact in one int64 word (see _GRID_PMAX).
+    """
+    p = len(x)
     q = p - 1
-    # as_strided(table[1:], (q, q), (16, 16)), built directly: as_strided
-    # takes about 6 us, a tenth of a call at p = 61
-    hankel = np.ndarray((q, q), np.complex128, table, 16, (16, 16))
+    xl, edge, shift = _scaled_log_order(x, order)
+    buffer, values = _buffers()
+    terms = buffer[: q * q].reshape(q, q)
+    block = values[: 2 * q * q].reshape(q, 2 * q)
+    np.multiply(xl[1:, None], _hankel(table, q), out=terms)
+    parts = terms.view(np.float64)
+    np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
+    sums = np.empty(2 * p, np.int64)
+    rest = block.sum(axis=0, out=sums[2:]).reshape(q, 2)
+    rest += edge[:2]
+    edge.reshape(p, 2).sum(axis=0, out=sums[:2])
+    return _natural_order(sums, inverse, shift)
+
+
+def _carried_sum(x: np.ndarray, order: np.ndarray, inverse: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """One case of any prime length, in blocks, with a high word carried out of the low one.
+
+    Row n = 0's term starts every bin's low word, and each block of rows
+    adds its column sums, bin 0 its part of column k = 0. Bits from 32 up
+    are carried into the high word before a block could take a bin past
+    _CARRY_ROWS terms, so no p can overflow. hi*2**32 + lo, lo < 2**32
+    after a last carry, is the exact sum; it is rounded once (hi*2**32 is
+    exact in float64 while |hi| < 2**53, which holds for p < 2**30).
+    """
+    p = len(x)
+    q = p - 1
+    xl, edge, shift = _scaled_log_order(x, order)
+    lo = np.empty(2 * p, np.int64)
+    lo.reshape(p, 2)[:] = edge[:2]
+    hi = np.zeros_like(lo)
+    hankel = _hankel(table, q)
     rows, cols = max(1, min(q, _BLOCK // q)), min(q, _BLOCK)
     buffer, values = _buffers()
     added = 1
@@ -207,35 +240,63 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
         a1 = min(a0 + rows, q)
         # before this block could overflow lo
         if added + a1 - a0 > _CARRY_ROWS:
-            if hi is None:
-                hi = np.zeros_like(lo)
             hi += lo >> 32
             lo &= _LOW
             added = 0
-        lo[:, :2] += edge[:, 2 + 2 * a0 : 2 + 2 * a1].reshape(len(lo), -1, 2).sum(axis=1)
+        lo[:2] += edge[2 + 2 * a0 : 2 + 2 * a1].reshape(-1, 2).sum(axis=0)
         for b0 in range(0, q, cols):
             b1 = min(b0 + cols, q)
             terms = buffer[: (a1 - a0) * (b1 - b0)].reshape(a1 - a0, b1 - b0)
             block = values[: terms.size * 2].reshape(a1 - a0, 2 * (b1 - b0))
-            for case, case_lo in zip(xl, lo):
-                np.multiply(case[1 + a0 : 1 + a1, None], hankel[a0:a1, b0:b1], out=terms)
-                parts = terms.view(np.float64)
-                np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
-                case_lo[2 + 2 * b0 : 2 + 2 * b1] += block.sum(axis=0)
+            np.multiply(xl[1 + a0 : 1 + a1, None], hankel[a0:a1, b0:b1], out=terms)
+            parts = terms.view(np.float64)
+            np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
+            lo[2 + 2 * b0 : 2 + 2 * b1] += block.sum(axis=0)
         added += a1 - a0
-    if hi is None:
-        # no carry was made (p <= _CARRY_ROWS, the whole grid): lo is the
-        # exact sum, and the ldexp below rounds it once. Skipping the high
-        # word's carry and assembly here gave verify 1.05x the spectra per
-        # second (10 of 10 paired 30 s runs, 2-vCPU Xeon).
-        out = lo
-    else:
-        hi += lo >> 32
-        lo &= _LOW
-        out = np.ldexp(hi.astype(np.float64), 32)
-        out += lo
-    out = out.reshape(len(lo), p, 2).take(inverse, axis=1).reshape(len(lo), 2 * p)
-    return np.ldexp(out, -shift).view(np.complex128).reshape(x.shape)
+    hi += lo >> 32
+    lo &= _LOW
+    sums = np.ldexp(hi.astype(np.float64), 32)
+    sums += lo
+    return _natural_order(sums, inverse, shift)
+
+
+def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
+    """O(p^2) DFT (sign=-1) or unnormalized IDFT (sign=+1), summed exactly.
+
+    x has shape (..., p), p prime; leading axes are independent cases, each
+    summed on its own, and an empty stack gives an empty output. The order
+    and the table come from p's entry: a grid length p <= _GRID_PMAX keeps
+    it (_kept_entry) and takes the one-block route (_grid_sum), a longer one
+    builds it for this call (_entry) and takes the carried route
+    (_carried_sum). Both give the same bits, the exact sum rounded once.
+
+    Each case is scaled by an exact power of two (_scaled_log_order) and
+    taken in log order, xl = x[order]; the bins are summed in that order
+    and put back through the inverse. With n = g**a and k = g**b (Rader,
+    Proc. IEEE 56(6), 1968) the term x[n] * W[n*k mod p] is
+    xl[1+a] * table[1+a+b], so the terms of bins 1..p-1 from rows 1..p-1
+    form the Hankel matrix H[a, b] = table[1+a+b], a strided view of the
+    table (_hankel): no index is formed and no factor gathered. Each such
+    term is x[n] times an exact table entry, with x as the first operand:
+    numpy's complex multiply is not bitwise commutative here, and the
+    per-sample reference in the tests computes x[n] * W^(n*k). Row n = 0 and
+    bin k = 0 take x[n] * W[0], and W[0] = table[0] is exactly 1 -+ 0j, so
+    that product's components are x[n]'s up to the sign of a zero: the
+    scaled samples stand in for it. The terms' float64 components are
+    rounded to integers, cast to int64 and added exactly.
+    """
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    p = x.shape[-1]
+    grid = p <= _GRID_PMAX
+    entry = _kept_entry(p) if grid else _entry(p)
+    order, inverse, table = entry[0], entry[1], entry[2 + (sign > 0)]
+    one_case = _grid_sum if grid else _carried_sum
+    if x.ndim == 1:
+        return one_case(x, order, inverse, table)
+    out = np.empty_like(x)
+    for case, row in zip(x.reshape(-1, p), out.reshape(-1, p)):
+        row[:] = one_case(case, order, inverse, table)
+    return out
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:

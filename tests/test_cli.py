@@ -224,6 +224,15 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
     assert all(r["naive_faults"] >= 0 for r in reports)
 
 
+def test_build_keys_are_the_fastest_of_reps_builds(monkeypatch):
+    # three builds of 30, 10 and 50 ns on a fake clock
+    clock = iter([0, 30, 100, 110, 200, 250])
+    monkeypatch.setattr(cli.time, "perf_counter_ns", lambda: next(clock))
+    built = []
+    assert cli._build_ns(built.append, 139, 3) == 10
+    assert built == [139] * 3
+
+
 def test_bench_default_root_fits_every_length(capsys):
     # the default root is min(25, p - 1) per --p, so lengths below 26 run
     code, out = run_cli(capsys, "bench", "--p", "5", "--p", "13", "--reps", "1")

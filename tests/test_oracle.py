@@ -63,10 +63,11 @@ def _per_sample_exact(x, sign):
     return np.array([math.ldexp(float(v), -s) for v in acc]).view(np.complex128)
 
 
-# 199, the grid's top length, is one block of 198 rows; 257 and 263, the
-# first lengths with p - 1 > _CARRY_ROWS, take two row blocks and a carry
-# between them; 839 takes 19 blocks of up to 46 rows and a carry every 5
-@pytest.mark.parametrize("p", [5, 61, 199, 257, 263, 839])
+# 3, 5, 61 and 199 take the grid route, 199 its full block of 198 rows; 257
+# and 263, the first lengths with p - 1 > _CARRY_ROWS, take two row blocks
+# and a carry between them; 839 takes 19 blocks of up to 46 rows and a carry
+# every 5
+@pytest.mark.parametrize("p", [3, 5, 61, 199, 257, 263, 839])
 def test_chunked_sum_equals_per_sample_loop(p):
     for u, ts in ((1, 0), (p - 1, (p - 1) // 2)):
         x = zc_time(ZcParams(p=p, u=u, ts=ts))
@@ -80,30 +81,46 @@ def _zc_and_random(p, rng):
     return np.stack([zc_time(ZcParams(p=p, u=p - 1, ts=(p - 1) // 2)), x])
 
 
-def test_cold_call_equals_warm_call_and_only_the_grid_is_kept(monkeypatch, rng):
+def test_cold_call_equals_warm_call_and_only_the_grid_is_kept(rng):
     # a sweep of the grid 5 <= p <= 199 keeps each of its lengths, 336,352
     # bytes in all; 839 and 4099 build their entries for each call
     oracle._kept_entry.cache_clear()
     grid = [p for p in ODD_PRIMES_199 if p >= 5]
     cases = {p: _zc_and_random(p, rng) for p in grid + [839]}
     cases[4099] = zc_time(ZcParams(p=4099, u=25, ts=7))
-    outputs = {}
     for p, x in cases.items():
         cold = naive_dft(x), naive_idft(x)
         warm = naive_dft(x), naive_idft(x)
         assert all(np.array_equal(a, b) for a, b in zip(cold, warm))
-        outputs[p] = cold
     info = oracle._kept_entry.cache_info()
     assert info.misses == info.currsize == len(grid)
     assert sum(array.nbytes for p in grid for array in oracle._kept_entry(p)) == 336_352
     assert oracle._kept_entry.cache_info().misses == len(grid)
-    # a grid length built for its call gives the same bits and is not kept
+
+
+def test_grid_route_equals_the_carried_route_at_every_grid_length(monkeypatch, rng):
+    # every prime p <= 199, 2 and 3 included (1x1 and 2x2 blocks): random
+    # cases at both ends of the exponent range, a row of negative zeros, a
+    # 3-case stack and, for odd p, a ZC case. With _GRID_PMAX = 0 each length
+    # takes the carried route and builds its entry for the call, keeping none
+    cases = {}
+    for p in [2] + ODD_PRIMES_199:
+        x, stack = (rng.normal(size=(*shape, 2)) @ [1, 1j] for shape in ((p,), (3, p)))
+        cases[p] = [x * 1e-300, x * 1e300, np.full(p, complex(-0.0, -0.0)), stack]
+        if p > 2:
+            cases[p].append(zc_time(ZcParams(p=p, u=p - 1, ts=(p - 1) // 2)))
+    naives = (naive_dft, naive_idft)
+    grid = {p: [naive(x) for x in xs for naive in naives] for p, xs in cases.items()}
+
+    def fail(*args):
+        raise AssertionError("the grid route ran with _GRID_PMAX = 0")
+
     monkeypatch.setattr(oracle, "_GRID_PMAX", 0)
+    monkeypatch.setattr(oracle, "_grid_sum", fail)
     oracle._kept_entry.cache_clear()
-    for p in (5, 61, 199, 839):
-        dft, idft = outputs[p]
-        x = cases[p]
-        assert np.array_equal(naive_dft(x), dft) and np.array_equal(naive_idft(x), idft)
+    for p, xs in cases.items():
+        carried = [naive(x) for x in xs for naive in naives]
+        assert all(np.array_equal(a, b) for a, b in zip(grid[p], carried)), p
     assert oracle._kept_entry.cache_info().currsize == 0
 
 
@@ -190,8 +207,9 @@ def test_oracle_does_not_call_the_transforms_log_tables(monkeypatch):
 @pytest.mark.parametrize("p", [1, 4, 9, 15, 9999])
 def test_composite_length_is_rejected(p):
     for naive in (naive_dft, naive_idft):
-        with pytest.raises(ValueError, match="prime length"):
-            naive(np.ones(p))
+        for shape in (p, (0, p)):
+            with pytest.raises(ValueError, match="prime length"):
+                naive(np.ones(shape))
 
 
 def test_sum_past_the_int64_range_is_exact():
@@ -294,6 +312,10 @@ def test_real_and_one_dimensional_inputs_keep_shape(rng):
         assert out.shape == (13,) and out.dtype == np.complex128
         assert np.array_equal(out, naive(x.astype(np.complex128)))
         assert np.array_equal(naive(x.tolist()), out)
+        # an empty stack gives an empty output of its shape
+        for shape in ((0, 7), (2, 0, 7)):
+            empty = naive(np.zeros(shape))
+            assert empty.shape == shape and empty.dtype == np.complex128
 
 
 def test_brute_gauss_sum_frozen_values():
