@@ -79,6 +79,8 @@ def cmd_transform(parser, args) -> int:
     elif args.method == "reference":
         out = oracle.shifted_dft_identity(params, direction)
     else:
+        if params.p > oracle.PMAX:
+            parser.error(f"--method naive takes p <= {oracle.PMAX}, the O(p^2) oracle's limit")
         x = zc_time(params)
         out = oracle.naive_dft(x) if direction == transform.DFT else oracle.naive_idft(x)
     if direction == transform.IDFT and args.normalize:
@@ -110,6 +112,8 @@ def cmd_pattern(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     if args.pmax < 5:
         parser.error("--pmax must be at least 5, the smallest grid with both p mod 4 branches")
+    if args.pmax > oracle.PMAX:
+        parser.error(f"--pmax must be at most {oracle.PMAX}, the O(p^2) oracle's limit")
     cfg = VerifyConfig(
         pmax=args.pmax,
         include_839=args.include_839,
@@ -262,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the full invariant suite")
     sp.set_defaults(handler=cmd_verify)
-    sp.add_argument("--pmax", type=int, default=199, help="largest prime in the grids, >= 5")
+    sp.add_argument("--pmax", type=int, default=199, help=f"largest prime in the grids, 5 to {oracle.PMAX}")
     sp.add_argument(
         "--include-839",
         action="store_true",

@@ -2,10 +2,11 @@
 
 These are test-only reference implementations: quadratic-time transforms
 summed exactly in integer fixed point, the ZC samples from their unreduced
-defining integer, direct summation of the Gauss constant, and the
+defining integer, direct summation of the Gauss constant, the
 index-remapping identity, the one O(p) reference for the DFT and IDFT of a
 cyclically shifted sequence, for differential testing against both the fast
-path and the quadratic-time transforms.
+path and the quadratic-time transforms, and a long-double FFT of the ZC
+samples, a reference for the fast path at any length.
 Accuracy beats speed here on purpose; the oracle must be at least as
 accurate as the device under test.
 
@@ -15,12 +16,13 @@ exact sum once to float64 (a long accumulator, after Kulisch, Computer
 Arithmetic and Validity, 2008). An exact sum does not depend on the order
 of its terms, so they are taken in discrete-log order (Rader, Proc. IEEE
 56(6), 1968), where all but the first row and column form a Hankel matrix,
-a strided view of one table. A grid length, p <= _GRID_PMAX, sums that
-matrix in one block into one int64 word per component (_grid_sum); a longer
-one sums it a block of rows at a time and carries into a high word
-(_carried_sum). x may carry leading batch axes, (..., p), p prime; each
-case is summed on its own, and the output does not depend on the route or
-the block size, so a stack equals one call per case.
+a strided view of one table. One loop sums it a block of whole rows at a
+time (_exact_sum), each block's sums exact in int64: a grid length, p <=
+_GRID_PMAX, is one block, and a longer one adds the blocks' sums into two
+words split at bit 32. A length past PMAX = 39,205 raises ValueError. x may
+carry leading batch axes, (..., p), p prime; each case is summed on its
+own, and the output does not depend on the block size, so a stack equals
+one call per case.
 
 What depends on p alone, the log order [0, g**0, ..., g**(p-2)] of a
 generator g that this module finds itself, its inverse and both
@@ -66,28 +68,26 @@ from .sequences import ZcParams
 from .transform import DFT, require_direction, zc_time
 
 
-# The grid, p <= _GRID_PMAX, takes the straight route (_grid_sum): a case is
-# one block of (p - 1)**2 terms, and each bin adds at most p terms below
-# 2**(_SCALE + 1) in int64, with no carry. That needs _GRID_PMAX <= 255, so
-# that the sum stays below 2**63, and one block of (_GRID_PMAX - 1)**2 terms
-# to fit the kept buffers, which _BLOCK sizes to exactly that. A longer
-# length takes the carried route (_carried_sum), cut into blocks of whole
-# rows, or of one row cut by columns where p - 1 exceeds _BLOCK; either way
-# a block has at most 198 rows, and 1 + 198 <= _CARRY_ROWS. The terms
-# (627 KB) and their int64 values (627 KB) live in two buffers per thread,
-# allocated on the thread's first call and kept, so a call allocates only
-# O(p) temporaries. Chunks of 2**13 terms allocated per call (128 KB each)
+# A case is summed in blocks of at most _GRID_PMAX - 1 whole Hankel rows
+# (_exact_sum), so that a bin adds at most _GRID_PMAX terms in a block, row
+# n = 0 included, each below 2**(_SCALE + 1): the block's sums stay below
+# 2**63, exact in one int64 word, while _GRID_PMAX <= 255. The grid, p <=
+# _GRID_PMAX, is one block of (p - 1)**2 terms, and _BLOCK sizes the kept
+# buffers to the largest; a longer length takes _BLOCK // (p - 1) < 198 rows
+# a block, so one row must fit, p <= PMAX = 39,205. The terms (627 KB) and
+# their int64 values (627 KB) live in two buffers per thread, allocated on
+# the thread's first call and kept, so a call allocates only O(p)
+# temporaries. Chunks of 2**13 terms allocated per call (128 KB each)
 # made glibc trim the heap top and fault it back in: 45.6 minor faults per
 # operation in a replay of perfbench's verify operations, 0 with the buffers.
 _GRID_PMAX = 199
 _BLOCK = (_GRID_PMAX - 1) ** 2
+PMAX = _BLOCK + 1
 
 # A case is scaled so that its largest component is below 2**_SCALE, so a
-# term's components are below 2**(_SCALE + 1). On the carried route the low
-# word, below 2**32 after a carry, takes up to _CARRY_ROWS rows of terms and
-# stays below 2**63; the grid route needs no carry (see _GRID_PMAX).
+# term's components are below 2**(_SCALE + 1). Past one block, each block's
+# sums are split at bit 32 (_LOW) into a high and a low word.
 _SCALE = 54
-_CARRY_ROWS = 2 ** (62 - _SCALE) - 1
 _LOW = (1 << 32) - 1
 
 _LOCAL = threading.local()
@@ -152,13 +152,13 @@ def _entry(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 _kept_entry = functools.cache(_entry)
 
 
-def _hankel(table: np.ndarray, q: int) -> np.ndarray:
-    """H[a, b] = table[1 + a + b] for a, b < q, a strided view of table.
+def _hankel(table: np.ndarray, a0: int, rows: int, q: int) -> np.ndarray:
+    """H[a, b] = table[1 + a + b] for a0 <= a < a0 + rows and b < q, a strided view of table.
 
     Built directly: np.lib.stride_tricks.as_strided takes about 6 us, a
     tenth of a call at p = 61.
     """
-    return np.ndarray((q, q), np.complex128, table, 16, (16, 16))
+    return np.ndarray((rows, q), np.complex128, table, 16 * (1 + a0), (16, 16))
 
 
 def _scaled_log_order(x: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -193,71 +193,40 @@ def _natural_order(sums: np.ndarray, inverse: np.ndarray, shift: int) -> np.ndar
     return np.ldexp(moved, -shift).view(np.complex128)
 
 
-def _grid_sum(x: np.ndarray, order: np.ndarray, inverse: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """One case of a grid length p <= _GRID_PMAX, in one straight pass.
+def _exact_sum(x: np.ndarray, order: np.ndarray, inverse: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """One case of a prime length p <= PMAX, a block of whole Hankel rows at a time.
 
-    The (p-1)**2 Hankel terms are one block, whose column sums are bins
-    1..p-1; row n = 0 is added to them, and bin 0 is the sum of the rounded
-    samples, each once. Every sum is exact in one int64 word (see _GRID_PMAX).
+    A block's column sums are its part of bins 1..p-1, its rows' scaled
+    samples its part of bin 0, and the first block adds row n = 0 to every
+    bin. It has min(p - 1, _BLOCK // (p - 1)) <= _GRID_PMAX - 1 rows, so its
+    sums are exact in int64 (see _GRID_PMAX); a grid length is one block. A
+    longer one adds each block's sums into a high and a low word split at
+    bit 32: below 2**21 blocks (p <= PMAX has at most 39,204) both stay
+    below 2**53, so hi*2**32 + lo is the exact sum, rounded once in float64.
     """
     p = len(x)
     q = p - 1
     xl, edge, shift = _scaled_log_order(x, order)
+    rows = min(q, _BLOCK // q)
     buffer, values = _buffers()
-    terms = buffer[: q * q].reshape(q, q)
-    block = values[: 2 * q * q].reshape(q, 2 * q)
-    np.multiply(xl[1:, None], _hankel(table, q), out=terms)
-    parts = terms.view(np.float64)
-    np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
-    sums = np.empty(2 * p, np.int64)
-    rest = block.sum(axis=0, out=sums[2:]).reshape(q, 2)
-    rest += edge[:2]
-    edge.reshape(p, 2).sum(axis=0, out=sums[:2])
-    return _natural_order(sums, inverse, shift)
-
-
-def _carried_sum(x: np.ndarray, order: np.ndarray, inverse: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """One case of any prime length, in blocks, with a high word carried out of the low one.
-
-    Row n = 0's term starts every bin's low word, and each block of rows
-    adds its column sums, bin 0 its part of column k = 0. Bits from 32 up
-    are carried into the high word before a block could take a bin past
-    _CARRY_ROWS terms, so no p can overflow. hi*2**32 + lo, lo < 2**32
-    after a last carry, is the exact sum; it is rounded once (hi*2**32 is
-    exact in float64 while |hi| < 2**53, which holds for p < 2**30).
-    """
-    p = len(x)
-    q = p - 1
-    xl, edge, shift = _scaled_log_order(x, order)
-    lo = np.empty(2 * p, np.int64)
-    lo.reshape(p, 2)[:] = edge[:2]
-    hi = np.zeros_like(lo)
-    hankel = _hankel(table, q)
-    rows, cols = max(1, min(q, _BLOCK // q)), min(q, _BLOCK)
-    buffer, values = _buffers()
-    added = 1
+    hi = lo = 0
     for a0 in range(0, q, rows):
-        a1 = min(a0 + rows, q)
-        # before this block could overflow lo
-        if added + a1 - a0 > _CARRY_ROWS:
-            hi += lo >> 32
-            lo &= _LOW
-            added = 0
-        lo[:2] += edge[2 + 2 * a0 : 2 + 2 * a1].reshape(-1, 2).sum(axis=0)
-        for b0 in range(0, q, cols):
-            b1 = min(b0 + cols, q)
-            terms = buffer[: (a1 - a0) * (b1 - b0)].reshape(a1 - a0, b1 - b0)
-            block = values[: terms.size * 2].reshape(a1 - a0, 2 * (b1 - b0))
-            np.multiply(xl[1 + a0 : 1 + a1, None], hankel[a0:a1, b0:b1], out=terms)
-            parts = terms.view(np.float64)
-            np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
-            lo[2 + 2 * b0 : 2 + 2 * b1] += block.sum(axis=0)
-        added += a1 - a0
-    hi += lo >> 32
-    lo &= _LOW
-    sums = np.ldexp(hi.astype(np.float64), 32)
-    sums += lo
-    return _natural_order(sums, inverse, shift)
+        n = min(rows, q - a0)
+        terms = buffer[: n * q].reshape(n, q)
+        block = values[: 2 * n * q].reshape(n, 2 * q)
+        np.multiply(xl[1 + a0 : 1 + a0 + n, None], _hankel(table, a0, n, q), out=terms)
+        parts = terms.view(np.float64)
+        np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
+        sums = np.empty(2 * p, np.int64)
+        rest = block.sum(axis=0, out=sums[2:]).reshape(q, 2)
+        if a0 == 0:
+            rest += edge[:2]
+        edge[2 + 2 * a0 if a0 else 0 : 2 * (1 + a0 + n)].reshape(-1, 2).sum(axis=0, out=sums[:2])
+        if n == q:
+            return _natural_order(sums, inverse, shift)
+        hi += sums >> 32
+        lo += sums & _LOW
+    return _natural_order(np.ldexp(hi.astype(np.float64), 32) + lo, inverse, shift)
 
 
 def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
@@ -266,9 +235,9 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     x has shape (..., p), p prime; leading axes are independent cases, each
     summed on its own, and an empty stack gives an empty output. The order
     and the table come from p's entry: a grid length p <= _GRID_PMAX keeps
-    it (_kept_entry) and takes the one-block route (_grid_sum), a longer one
-    builds it for this call (_entry) and takes the carried route
-    (_carried_sum). Both give the same bits, the exact sum rounded once.
+    it (_kept_entry), a longer one builds it for this call (_entry); a
+    length past PMAX raises ValueError before that. Each case is summed in
+    blocks of whole rows (_exact_sum), one on the grid, several above it.
 
     Each case is scaled by an exact power of two (_scaled_log_order) and
     taken in log order, xl = x[order]; the bins are summed in that order
@@ -287,22 +256,23 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     p = x.shape[-1]
-    grid = p <= _GRID_PMAX
-    entry = _kept_entry(p) if grid else _entry(p)
+    if p > PMAX:
+        raise ValueError(f"the O(p^2) transforms take p <= {PMAX}, one row in the kept buffer; got {p}")
+    entry = _kept_entry(p) if p <= _GRID_PMAX else _entry(p)
     order, inverse, table = entry[0], entry[1], entry[2 + (sign > 0)]
-    one_case = _grid_sum if grid else _carried_sum
     if x.ndim == 1:
-        return one_case(x, order, inverse, table)
+        return _exact_sum(x, order, inverse, table)
     out = np.empty_like(x)
     for case, row in zip(x.reshape(-1, p), out.reshape(-1, p)):
-        row[:] = one_case(case, order, inverse, table)
+        row[:] = _exact_sum(case, order, inverse, table)
     return out
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
     """X[k] = sum_n x[n] * exp(-i*2*pi*n*k/p), by direct summation, over the last axis.
 
-    Raises ValueError unless every sample is finite and the length is prime.
+    Raises ValueError unless every sample is finite and the length is a
+    prime p <= PMAX.
     """
     return _exact_transform(x, -1)
 
@@ -310,7 +280,8 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
 def naive_idft(x: np.ndarray) -> np.ndarray:
     """X[k] = sum_n x[n] * exp(+i*2*pi*n*k/p), unnormalized, over the last axis.
 
-    Raises ValueError unless every sample is finite and the length is prime.
+    Raises ValueError unless every sample is finite and the length is a
+    prime p <= PMAX.
     """
     return _exact_transform(x, +1)
 
@@ -327,6 +298,24 @@ def zc_time_direct(params: ZcParams) -> np.ndarray:
         raise ValueError(f"zc_time_direct needs p < 2**20 to stay within int64, got p={p}")
     m = np.arange(params.ts, p + params.ts, dtype=np.int64)
     return np.exp((-1j * np.pi / p) * (params.u * m * (m + 1) % (2 * p)).astype(np.float64))
+
+
+def long_double_spectrum(params: ZcParams, direction: str) -> np.ndarray:
+    """The DFT or unnormalized IDFT of the ZC samples in long double, for any p < 2**31.
+
+    Sample n is exp(-2*pi*i*(u*(T(m) mod p) mod p)/p), T(m) = m(m+1)/2 and
+    m = (n + ts) mod p (T(m + p) = T(m) mod odd p), by int64 products below
+    2**62; 2*pi is 2*arccos(-1). The DFT is np.fft.fft of the clongdouble
+    samples, the IDFT conj(fft(conj(x))): no Gauss constant, table of roots
+    or recurrence shared with the transform.
+    """
+    require_direction(direction)
+    p = params.p
+    m = (np.arange(p, dtype=np.int64) + params.ts) % p
+    phase = params.u * (m * (m + 1) // 2 % p) % p
+    theta = (2 * np.arccos(np.longdouble(-1)) / p) * phase.astype(np.longdouble)
+    x = np.cos(theta) - 1j * np.sin(theta)
+    return np.fft.fft(x) if direction == DFT else np.conj(np.fft.fft(np.conj(x)))
 
 
 def brute_gauss_sum(params: ZcParams) -> complex:

@@ -90,6 +90,16 @@ def test_dft_methods_agree_with_fast(capsys, method):
     assert delta <= 1e-9 * np.sqrt(13)
 
 
+def test_naive_method_rejects_a_length_past_the_oracle_limit(capsys):
+    # 39209, the first prime past the oracle's PMAX = 39205: a usage error
+    # before any sample is made
+    for command in ("dft", "idft"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--p", "39209", "--u", "25", "--method", "naive"])
+        assert exc.value.code == 2
+        assert "p <= 39205" in capsys.readouterr().err
+
+
 def test_idft_normalize_divides_by_p(capsys):
     _, raw = run_cli(capsys, "idft", "--p", "13", "--u", "3")
     _, normed = run_cli(capsys, "idft", "--p", "13", "--u", "3", "--normalize")
@@ -156,6 +166,14 @@ def test_verify_rejects_grid_without_both_branches(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--pmax", pmax])
         assert exc.value.code == 2
+
+
+def test_verify_rejects_grid_past_the_oracle_limit(capsys):
+    # the transform families run the O(p^2) oracle at every prime up to --pmax
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--pmax", "39209"])
+    assert exc.value.code == 2
+    assert "at most 39205" in capsys.readouterr().err
 
 
 def test_verify_detects_injected_fault(capsys):

@@ -63,14 +63,18 @@ def _per_sample_exact(x, sign):
     return np.array([math.ldexp(float(v), -s) for v in acc]).view(np.complex128)
 
 
-# 3, 5, 61 and 199 take the grid route, 199 its full block of 198 rows; 257
-# and 263, the first lengths with p - 1 > _CARRY_ROWS, take two row blocks
-# and a carry between them; 839 takes 19 blocks of up to 46 rows and a carry
-# every 5
-@pytest.mark.parametrize("p", [3, 5, 61, 199, 257, 263, 839])
+# 2, 3, 5, 61 and 199 are one block each, 199 its full 198 rows, summed in
+# one int64 word; 257 and 263 take two blocks (153 + 103 and 149 + 113 rows)
+# and 839 19 blocks of up to 46 rows, each block's sums added into a high
+# and a low word split at bit 32. Random cases at both ends of the exponent
+# range and a row of negative zeros, then two ZC cases where p is odd
+@pytest.mark.parametrize("p", [2, 3, 5, 61, 199, 257, 263, 839])
 def test_chunked_sum_equals_per_sample_loop(p):
-    for u, ts in ((1, 0), (p - 1, (p - 1) // 2)):
-        x = zc_time(ZcParams(p=p, u=u, ts=ts))
+    x = np.random.default_rng(p).normal(size=(p, 2)) @ [1, 1j]
+    cases = [x * 1e300, x * 1e-300, np.full(p, complex(-0.0, -0.0))]
+    if p > 2:
+        cases += [zc_time(ZcParams(p=p, u=u, ts=ts)) for u, ts in ((1, 0), (p - 1, (p - 1) // 2))]
+    for x in cases:
         assert np.array_equal(naive_dft(x), _per_sample_exact(x, -1))
         assert np.array_equal(naive_idft(x), _per_sample_exact(x, +1))
 
@@ -96,32 +100,6 @@ def test_cold_call_equals_warm_call_and_only_the_grid_is_kept(rng):
     assert info.misses == info.currsize == len(grid)
     assert sum(array.nbytes for p in grid for array in oracle._kept_entry(p)) == 336_352
     assert oracle._kept_entry.cache_info().misses == len(grid)
-
-
-def test_grid_route_equals_the_carried_route_at_every_grid_length(monkeypatch, rng):
-    # every prime p <= 199, 2 and 3 included (1x1 and 2x2 blocks): random
-    # cases at both ends of the exponent range, a row of negative zeros, a
-    # 3-case stack and, for odd p, a ZC case. With _GRID_PMAX = 0 each length
-    # takes the carried route and builds its entry for the call, keeping none
-    cases = {}
-    for p in [2] + ODD_PRIMES_199:
-        x, stack = (rng.normal(size=(*shape, 2)) @ [1, 1j] for shape in ((p,), (3, p)))
-        cases[p] = [x * 1e-300, x * 1e300, np.full(p, complex(-0.0, -0.0)), stack]
-        if p > 2:
-            cases[p].append(zc_time(ZcParams(p=p, u=p - 1, ts=(p - 1) // 2)))
-    naives = (naive_dft, naive_idft)
-    grid = {p: [naive(x) for x in xs for naive in naives] for p, xs in cases.items()}
-
-    def fail(*args):
-        raise AssertionError("the grid route ran with _GRID_PMAX = 0")
-
-    monkeypatch.setattr(oracle, "_GRID_PMAX", 0)
-    monkeypatch.setattr(oracle, "_grid_sum", fail)
-    oracle._kept_entry.cache_clear()
-    for p, xs in cases.items():
-        carried = [naive(x) for x in xs for naive in naives]
-        assert all(np.array_equal(a, b) for a, b in zip(grid[p], carried)), p
-    assert oracle._kept_entry.cache_info().currsize == 0
 
 
 def test_kept_entry_is_read_only_and_holds_the_set_up():
@@ -214,13 +192,25 @@ def test_composite_length_is_rejected(p):
 
 def test_sum_past_the_int64_range_is_exact():
     # x = 0.75 + 0.75j is scaled to 0.75 * 2**54 per component, so bin 0 adds
-    # 1031 such terms, past 2**63: only the carry into the high word keeps it
-    # exact
+    # 1031 such terms, past 2**63: each block's part stays below it, and only
+    # the split of those parts into a high and a low word keeps the sum exact
     p = 1031
     for naive in (naive_dft, naive_idft):
         out = naive(np.full(p, 0.75 + 0.75j))
         assert out[0] == 773.25 + 773.25j
         assert np.abs(out[1:]).max() <= 1e-12
+
+
+def test_length_past_the_kept_buffer_is_rejected_before_its_entry(monkeypatch):
+    # 39209, the first prime past PMAX = 39205: one row of its 39208 terms
+    # would not fit the kept buffer of 198**2
+    def fail(p):
+        raise AssertionError(f"an entry was built for p = {p}")
+
+    monkeypatch.setattr(oracle, "_log_order", fail)
+    for naive in (naive_dft, naive_idft):
+        with pytest.raises(ValueError, match=f"p <= {oracle.PMAX}"):
+            naive(np.zeros(39209))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zcdft import numtheory, transform
 from zcdft.gauss import const_from_qpo, quasi_phase_offset4
 from zcdft.numtheory import PRIME_CAP, legendre, mod_inverse
-from zcdft.oracle import naive_dft, naive_idft, shifted_dft_identity
+from zcdft.oracle import long_double_spectrum, naive_dft, naive_idft, shifted_dft_identity
 from zcdft.sequences import ZcParams, accumulate_phases
 from zcdft.transform import (
     DFT,
@@ -354,6 +354,19 @@ def test_twiddle_table_error_within_derived_bound(p):
     ref = np.cos(theta) - 1j * np.sin(theta)
     err = np.abs(table - ref).max()
     assert err <= (3 * np.pi + 2 * np.sqrt(2)) * EPS + 16 * EPS_LD
+
+
+@pytest.mark.skipif(EPS_LD == EPS, reason="np.longdouble is float64 here: no more precise reference")
+@pytest.mark.parametrize("p", [839, 8191, 40853, 40867, 65537])
+def test_execute_matches_long_double_spectrum(p):
+    # 40853, the longest kept length, reads its log tables and 40867 the
+    # table's factors; each bin within the acceptance suite's 1e-9*sqrt(p),
+    # where 3.0-4.7 eps*sqrt(p) is measured
+    for ts in (0, (p - 1) // 2):
+        params = ZcParams(p=p, u=25, ts=ts)
+        for direction in (DFT, IDFT):
+            ref = long_double_spectrum(params, direction)
+            assert np.abs(execute(plan(params, direction)) - ref).max() <= 1e-9 * np.sqrt(p)
 
 
 @given(cases, st.sampled_from([DFT, IDFT]))
