@@ -203,6 +203,7 @@ def _bench_report(params: ZcParams, reps: int) -> dict:
         "entry_build_ns": _build_ns(transform._build_entry, params.p, reps) if kept else None,
         "naive_build_ns": _build_ns(oracle._entry, params.p, reps) if naive else None,
         "naive_faults": _faults_per_call(lambda: oracle.naive_dft(x), reps) if naive else None,
+        "fast_faults": _faults_per_call(lambda: transform.execute(pl), reps),
         "zc_time_ns": _median_ns(lambda: zc_time(params), reps),
         "fft_ns": _median_ns(lambda: np.fft.fft(x), reps),
     }
@@ -309,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
         "naive_build_ns is the fastest of reps builds of that entry, kept or not; "
         "naive_faults is the minor page faults per warm oracle call over reps "
         f"calls. All three are measured only up to p = {_NAIVE_PMAX} and are "
-        "null above it; naive_faults is null also where the resource module "
-        "is missing. zc_time_ns is the median of a zc_time call, which gathers "
+        "null above it. fast_faults is the minor page faults per warm execute "
+        "call over reps calls, at every p; both fault keys are null where the "
+        "resource module is missing. zc_time_ns is the median of a zc_time call, which gathers "
         "a kept length's samples through its discrete logs and evaluates any "
         "other length's phases and exps, and fft_ns that of np.fft.fft on the "
         "same samples, the baseline the transform is measured against.",

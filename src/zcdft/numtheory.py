@@ -1,12 +1,17 @@
 """Exact modular arithmetic over odd prime moduli.
 
 Everything here is exact for any modulus the library accepts (odd primes
-below 2**31): scalar routines work on Python integers, and quadratic_phases
+below 2**31): scalar routines work on Python integers, and phase_blocks
 and power_table work on int64 arrays whose intermediates provably stay
-below 2**63. quadratic_phases gives transform's phases, and zc_time's at a
-length the transform's store does not keep.
-primitive_root and power_table give the discrete logs that transform reads
-a kept length's twiddle table through.
+below 2**63. phase_blocks gives the phases phase_k = (k*fs - iu*T(k)) mod p,
+T(k) = k(k+1)/2, of a bin range block by block, as the paper accumulates
+them: _block_phases seeds the first block from the closed form, and every
+later block is the one before plus a per-call vector and a per-block
+scalar, reduced by two conditional subtractions. transform's factored
+gather reads them a block at a time; quadratic_phases collects them into
+one array, transform's phase indices and zc_time's at a length the
+transform's store does not keep. primitive_root and power_table give the
+discrete logs that transform reads a kept length's twiddle table through.
 """
 
 from __future__ import annotations
@@ -147,17 +152,24 @@ _TJ.setflags(write=False)
 
 
 def _block_bounds(n: int, lo: int = 0) -> Iterator[tuple[int, int]]:
-    """Bins [k0, k1) of the blocks of [lo, lo + n): b = max(1, n // _BLOCK) cuts at lo + i*n//b.
+    """Bins [k0, k1) of the blocks of [lo, lo + n): b = max(1, n // _BLOCK) blocks of L = n // b bins, the first also holding the n mod b left over.
 
-    For n >= 2*_BLOCK every block holds _BLOCK to 2*_BLOCK bins, below that
-    one block holds n. Callers cut n >= 2, so no block is one bin, which
-    numpy would scale by another loop, off in the last bit. _BLOCK = 2**14
-    won a sweep of 2**12 to 2**15 (CHANGES.md): fewer fixed-cost numpy
-    calls than smaller blocks, and a block's arrays about fit a 2 MB L2.
+    With n = b*_BLOCK + q, q < _BLOCK, L = _BLOCK + q // b and the first
+    block holds L + q mod b <= _BLOCK + q bins, so for n >= 2*_BLOCK every
+    block holds _BLOCK to 2*_BLOCK - 1 bins; below that one block holds n.
+    Callers cut n >= 2, so no block is one bin, which numpy would scale by
+    another loop, off in the last bit. Every block after the first holds L
+    bins, so phase_blocks advances each from the one before by one fixed
+    step. _BLOCK = 2**14 won a sweep of 2**12 to 2**15 (CHANGES.md): fewer
+    fixed-cost numpy calls than smaller blocks, and a block's arrays about
+    fit a 2 MB L2.
     """
     b = max(1, n // _BLOCK)
-    for i in range(b):
-        yield lo + i * n // b, lo + (i + 1) * n // b
+    step = n // b
+    k0 = lo + n - (b - 1) * step
+    yield lo, k0
+    for k in range(k0, lo + n, step):
+        yield k, k + step
 
 
 def _block_phases(
@@ -171,41 +183,114 @@ def _block_phases(
 ) -> np.ndarray:
     """phase_k = (k*fs - iu*T(k)) mod p for the n <= 2*_BLOCK bins k = k0 + j, j < n, into out.
 
-    T(k0 + j) = T(k0) + k0*j + T(j), so phase_k0+j = (base + j*slope -
-    iu*T(j)) mod p with slope = (fs - iu*k0) mod p and base = (k0*fs -
-    iu*T(k0)) mod p exact Python ints for any ints fs and k0, and j, T(j)
-    from _J and _TJ. With j < 2*_BLOCK = 2**15 and 0 <= iu < p < 2**31,
-    iu*T(j) < 2**60 and j*slope < 2**46: the int64 sum is exact (up to
-    _BLOCK = 2**15; 2**16 overflows), so one reduction per bin gives exact
-    integers. out and tmp, n-element int64 buffers, are allocated when not
-    given. The reduction is x - p*(x // p): numpy's // by a scalar uses
-    libdivide and % does not, so it costs about a third of np.remainder.
+    phase_blocks's seed. T(k0 + j) = T(k0) + k0*j + T(j), so phase_k0+j =
+    (base + j*slope - iu*T(j)) mod p with slope = (fs - iu*k0) mod p and
+    base = (k0*fs - iu*T(k0)) mod p exact Python ints for any ints fs and
+    k0, and j, T(j) from _J and _TJ. With j < 2*_BLOCK = 2**15 and
+    0 <= iu < p < 2**31, iu*T(j) < 2**60 and j*slope < 2**46: the int64 sum
+    is exact (up to _BLOCK = 2**15; 2**16 overflows), so one reduction per
+    bin gives exact integers. out and tmp, n-element int64 buffers, are
+    allocated when not given. The reduction is x - p*(x // p): numpy's //
+    by a scalar uses libdivide and % does not, so it costs about a third of
+    np.remainder.
     """
     phases = np.multiply(_J[:n], (fs - iu * k0) % p, out=out)
-    tmp = np.multiply(_TJ[:n], iu, out=tmp)
-    phases -= tmp
+    # iu = 0 only for phase_blocks's step D, a linear term alone
+    if iu:
+        tmp = np.multiply(_TJ[:n], iu, out=tmp)
+        phases -= tmp
     if k0:
         phases += (k0 * fs - iu * (k0 * (k0 + 1) // 2)) % p
-    np.floor_divide(phases, p, out=tmp)
+    tmp = np.floor_divide(phases, p, out=tmp)
     tmp *= p
     phases -= tmp
     return phases
 
 
-def quadratic_phases(p: int, iu: int, fs: int, k0: int) -> np.ndarray:
-    """int64 phase_k = (k*fs - iu*T(k)) mod p for the p bins k0 <= k < k0 + p, block by block.
+def phase_blocks(
+    p: int,
+    iu: int,
+    fs: int,
+    lo: int,
+    n: int,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield k0, k1 and int64 phase_k = (k*fs - iu*T(k)) mod p, k0 <= k < k1, per block of [lo, lo + n).
 
-    transform's phase indices start at k0 = 0, zc_time's at k0 = ts: for
-    odd p, T(k + p) = T(k) + p*(2k + p + 1)/2 = T(k) mod p. zc_time reads
-    them only at a length the transform's store does not keep; a kept one
-    gathers its samples through the length's discrete logs instead.
+    The blocks are _block_bounds(n, lo), n >= 2. With out, n int64, a
+    block's phases are out[k0 - lo : k1 - lo]; without, they are a view of
+    one kept buffer that the next block overwrites, so read each before
+    asking for the next. tmp, int64 of at least min(n, 2*_BLOCK) entries,
+    is allocated when not given; it is free again once a block is yielded.
+
+    The first block is seeded by _block_phases, and so is every block of a
+    range of at most three blocks: D below costs about one seed, and an
+    advanced block saves about a third of one (24 against 39 us at 16384
+    bins on a 2-vCPU Xeon), so the recurrence pays from the third advanced
+    block on. Every later block holds L bins and follows from the L bins
+    before it by additions, the paper's accumulation at block scale:
+    T(k + L) = T(k) + L*k + T(L), so for k = k0 + j
+        phase_(k0 + L + j) = phase_(k0 + j) + e(k0) + D[j] mod p,
+    with D[j] = -iu*L*j mod p for j < L, formed once per call, and
+    e(k0) = (L*fs - iu*(T(L) + L*k0)) mod p, one Python int per block. Each
+    term is below p, so the sum is below 3p < 2**33, and two conditional
+    subtractions x = min(x, x - p), taken on uint64 views where x - p wraps
+    to above x for x < p, reduce it exactly. That is six passes of adds,
+    subtractions and minima per block in place of _block_phases's seven
+    with two multiplies and a floor division.
     """
-    if p < 2 * _BLOCK:
-        return _block_phases(p, iu, fs, k0, p)
-    phases = np.empty(p, dtype=np.int64)
-    tmp = np.empty(2 * _BLOCK, dtype=np.int64)
-    for lo, hi in _block_bounds(p, k0):
-        _block_phases(p, iu, fs, lo, hi - lo, phases[lo - k0 : hi - k0], tmp[: hi - lo])
+    bounds = list(_block_bounds(n, lo))
+    size = min(n, 2 * _BLOCK)
+    if tmp is None:
+        tmp = np.empty(size, dtype=np.int64)
+    seeded = len(bounds) <= 3
+    # without out, the kept block and D share one buffer, of the same length
+    # for every n >= 2*_BLOCK, so the heap reuses its space call after call;
+    # buffers sized to each n's blocks left large-p's peak RSS 0.4 MB higher
+    kept = np.empty(size if seeded else 2 * size, dtype=np.int64) if out is None else None
+    if seeded:
+        for k0, k1 in bounds:
+            dest = kept[: k1 - k0] if out is None else out[k0 - lo : k1 - lo]
+            yield k0, k1, _block_phases(p, iu, fs, k0, k1 - k0, dest, tmp[: k1 - k0])
+        return
+    k0, k1 = bounds[0]
+    dest = kept[: k1 - k0] if out is None else out[: k1 - k0]
+    prev = _block_phases(p, iu, fs, k0, k1 - k0, dest, tmp[: k1 - k0])
+    yield k0, k1, prev
+    step = n // len(bounds)
+    tmp = tmp[:step]
+    d = _block_phases(p, 0, -iu * step % p, 0, step, None if kept is None else kept[-step:], tmp)
+    tl = step * (step + 1) // 2
+    pu = np.uint64(p)
+    wrap = tmp.view(np.uint64)
+    for k0, k1 in bounds[1:]:
+        src = prev[-step:]
+        # in place without out: the block overwrites the bins it follows from
+        cur = src if out is None else out[k0 - lo : k1 - lo]
+        np.add(src, d, out=cur)
+        cur += (step * fs - iu * (tl + step * (k0 - step))) % p
+        x = cur.view(np.uint64)
+        np.subtract(x, pu, out=wrap)
+        np.minimum(x, wrap, out=x)
+        np.subtract(x, pu, out=wrap)
+        np.minimum(x, wrap, out=x)
+        yield k0, k1, cur
+        prev = cur
+
+
+def quadratic_phases(p: int, iu: int, fs: int, k0: int, n: int) -> np.ndarray:
+    """int64 phase_k = (k*fs - iu*T(k)) mod p for the n >= 2 bins k0 <= k < k0 + n, by phase_blocks.
+
+    transform's phase indices are the p bins from k0 = 0. zc_time reads
+    (p+1)/2 bins from k0 >= ts, which may pass p: for odd p, T(k + p) =
+    T(k) + p*(2k + p + 1)/2 = T(k) mod p. zc_time reads them only at a
+    length the transform's store does not keep; a kept one gathers its
+    samples through the length's discrete logs instead.
+    """
+    phases = np.empty(n, dtype=np.int64)
+    for _ in phase_blocks(p, iu, fs, k0, n, phases):
+        pass
     return phases
 
 

@@ -1,25 +1,30 @@
 """O(p) DFT and IDFT of ZC sequences from integer phase indices.
 
 The paper accumulates the frequency points fs - iu*k into phase indices
-(2(p-1) additions, 2(p-1) reductions, p table lookups); their closed form
-phase_k = (k*fs - iu*T(k)) mod p, T(k) = k(k+1)/2, is the fast path
-(phase_indices, numtheory.quadratic_phases), checked against the counted
-one (sequences.accumulate_phases). The quasi phase offset is folded into
-one complex constant, sqrt(p)*exp(i*2*pi*QPo/p), so the phases stay integer
-and the table of roots has p entries. Every plan holds that table as two
-sqrt(p)-length factors (_twiddle_factors). execute reads it through
-discrete-log tables for a length the store keeps (_LengthStore), else by
-_gather's blocked, mirrored gather; the counted path gathers all p bins
-in the same blocks (_gather_phases). Each output is the same product
-hi[a] * lo[b], so the spectra are bit-identical. A kept length's entry
+(2(p-1) additions, 2(p-1) reductions, p table lookups), checked here as
+the counted path (sequences.accumulate_phases). The fast path does the
+same accumulation a block at a time (numtheory.phase_blocks): the closed
+form phase_k = (k*fs - iu*T(k)) mod p, T(k) = k(k+1)/2, seeds the first
+block, and as T(k + L) = T(k) + L*k + T(L), each later block of L bins is
+the one before plus D[j] = -iu*L*j mod p and one scalar per block, every
+sum below 3p and reduced by two conditional subtractions. The quasi phase
+offset is folded into one complex constant, sqrt(p)*exp(i*2*pi*QPo/p), so
+the phases stay integer and the table of roots has p entries. Every plan
+holds that table as two sqrt(p)-length factors (_twiddle_factors). execute
+reads it through discrete-log tables for a length the store keeps
+(_LengthStore), else by _gather's blocked, mirrored gather; the counted
+path gathers all p bins in blocks (_gather_phases). Each output is the same
+product hi[a] * lo[b], so the spectra are bit-identical. A kept length's entry
 also holds every root's inverse, Legendre sign, 4*QPo and constant
 (_root_scalars), which plan reads instead of deriving them; both branches
 of plan take 4*QPo and the constant from gauss.
 
 zc_time, the time-domain sequence, lives here, next to the store it reads:
 a kept length gathers its samples through the same discrete logs from the
-entry's own table of them (_zc_samples), any other length evaluates its
-phases (quadratic_phases) and one np.exp. Both routes give the same bits.
+entry's own table of them (_zc_samples), any other length evaluates the
+phases (quadratic_phases) and one np.exp of half its bins and copies the
+rest from their mirrors, as _gather does (_mirrored). Both routes give the
+same bits.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gauss import _qpo_times4, const_from_qpo
-from .numtheory import _BLOCK, _block_bounds, _block_phases, quadratic_phases
+from .numtheory import _BLOCK, _block_bounds, phase_blocks, quadratic_phases
 from .numtheory import legendre, mod_inverse, power_table, primitive_root
 from .sequences import OpCounters, ZcParams, accumulate_phases
 
@@ -187,9 +192,9 @@ def _root_scalars(p: int, logs: np.ndarray, pw: np.ndarray) -> tuple[np.ndarray,
     return roots
 
 
-def _chirp_exp(p: int, phases: np.ndarray) -> np.ndarray:
-    """exp(-i*pi*2*phase/p) of int64 phases: zc_time's samples, one np.exp over them."""
-    return np.exp((-1j * np.pi / p) * (2 * phases).astype(np.float64))
+def _chirp_exp(p: int, phases: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i*pi*2*phase/p) of int64 phases, into out if given: zc_time's samples, one np.exp over them."""
+    return np.exp((-1j * np.pi / p) * (2 * phases).astype(np.float64), out=out)
 
 
 # zc_time's sample at phase 0, as np.exp returns it: its argument, the
@@ -297,7 +302,7 @@ def phase_indices(pl: TransformPlan) -> np.ndarray:
     numtheory.quadratic_phases from k0 = 0; it factors as r*k*(k + s) mod p
     (see execute).
     """
-    return quadratic_phases(pl.params.p, pl.iu, pl.fs, 0)
+    return quadratic_phases(pl.params.p, pl.iu, pl.fs, 0, pl.params.p)
 
 
 def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray:
@@ -357,53 +362,63 @@ def _gather_phases(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mirrored(p: int, t: int, form) -> np.ndarray:
+    """complex out[k], k < p, equal to out[(t - k) mod p]: form(half, first) fills half = out[first : first + h].
+
+    h = (p+1)/2; the other two ranges are reversed copies of their mirrors.
+    As 2 is invertible mod p, k -> t - k has the one fixed point c =
+    t*h mod p, and it pairs every other bin c + d with c - d, 0 < d <=
+    (p-1)/2. So c, c + 1, ..., c + (p-1)/2 hold one bin of each pair, and
+    so do c - (p-1)/2, ..., c. first = c if c <= (p-1)/2, else c - (p-1)/2
+    >= 1; either way the range ends at or before p - 1 and never wraps.
+    """
+    h = (p + 1) // 2
+    c = t * h % p
+    first = c if c < h else c - h + 1
+    out = np.empty(p, dtype=np.complex128)
+    form(out[first : first + h], first)
+    # out[a + i] = out[top - i], top = (t - a) mod p: source and target
+    # are disjoint slices, so the copy needs no temporary
+    for a, b in ((first + h, p), (0, first)):
+        top = (t - a) % p
+        out[a:b] = out[top - (b - a) + 1 : top + 1][::-1]
+    return out
+
+
 def _gather(pl: TransformPlan) -> np.ndarray:
     """const_factor * table[phase_k] for k < p, from the closed form, mirrored.
 
-    Only the h = (p+1)/2 bins [first, first + h) are formed and gathered,
-    block by block (_block_bounds): each block's phases (_block_phases),
+    Only the h = (p+1)/2 bins [first, first + h) are formed and gathered
+    (_mirrored), block by block: numtheory.phase_blocks gives each block's
+    phases, seeded or advanced from the block before by additions, and the
     gather hi[phase >> s] * lo[phase & (m - 1)] and scale are done before
-    the next starts. The other two ranges are reversed copies of their
-    mirrors. Proof: with t = 2*u*fs - 1 = -s,
+    the next block starts. With t = 2*u*fs - 1 = -s,
         phase_(t-k) = r*(t - k)*(t - k + s) = r*(-(k + s))*(-k) = phase_k,
     and equal phases give equal outputs bit for bit, so out[k] ==
-    out[(t - k) mod p]. As 2 is invertible mod p, k -> t - k has the one
-    fixed point c = t*(p+1)/2 mod p, and it pairs every other bin c + d
-    with c - d, 0 < d <= (p-1)/2. So c, c + 1, ..., c + (p-1)/2 hold one
-    bin of each pair, and so do c - (p-1)/2, ..., c. first = c if c <=
-    (p-1)/2, else c - (p-1)/2 >= 1; either way the range ends at or before
-    p - 1 and never wraps.
+    out[(t - k) mod p] and the other (p-1)/2 bins are copies.
     """
     p = pl.params.p
     m = _split(p)
     lo, hi = pl.twiddles[:m], pl.twiddles[m:]
     s = m.bit_length() - 1
-    out = np.empty(p, dtype=np.complex128)
-    # no larger than p: above glibc's mmap threshold an unused buffer can
-    # make the output fault in afresh on every call
-    size = min(p, 2 * _BLOCK)
-    buf = np.empty(size, dtype=np.int64)
-    tmp = np.empty(size, dtype=np.int64)
-    scratch = np.empty(size, dtype=np.complex128)
-    half = (p + 1) // 2
-    t = (2 * pl.params.u * pl.fs - 1) % p
-    c = t * half % p
-    first = c if c < half else c - half + 1
-    for k0, k1 in _block_bounds(half, first):
-        n = k1 - k0
-        block = out[k0:k1]
-        r = _block_phases(p, pl.iu, pl.fs, k0, n, buf[:n], tmp[:n])
-        # every index is in range, so "clip" never clips; unlike "raise" it
-        # writes into the output directly instead of through a buffer
-        np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
-        block *= np.take(lo, np.bitwise_and(r, m - 1, out=tmp[:n]), out=scratch[:n], mode="clip")
-        block *= pl.const_factor
-    # out[a + i] = out[top - i], top = (t - a) mod p: source and target
-    # are disjoint slices, so the copy needs no temporary
-    for a, b in ((first + half, p), (0, first)):
-        top = (t - a) % p
-        out[a:b] = out[top - (b - a) + 1 : top + 1][::-1]
-    return out
+    def form(half: np.ndarray, first: int) -> None:
+        # allocated after the output, so the heap reuses their space below
+        # it call after call, and no larger than the half range: above
+        # glibc's mmap threshold an unused buffer can make the output fault
+        # in afresh on every call
+        size = min(half.size, 2 * _BLOCK)
+        tmp = np.empty(size, dtype=np.int64)
+        scratch = np.empty(size, dtype=np.complex128)
+        for k0, k1, r in phase_blocks(p, pl.iu, pl.fs, first, half.size, tmp=tmp):
+            n = k1 - k0
+            block = half[k0 - first : k1 - first]
+            # every index is in range, so "clip" never clips; unlike "raise"
+            # it writes into the output directly instead of through a buffer
+            np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
+            block *= np.take(lo, np.bitwise_and(r, m - 1, out=tmp[:n]), out=scratch[:n], mode="clip")
+            block *= pl.const_factor
+
+    return _mirrored(p, (2 * pl.params.u * pl.fs - 1) % p, form)
 
 
 def zc_time(params: ZcParams) -> np.ndarray:
@@ -422,14 +437,20 @@ def zc_time(params: ZcParams) -> np.ndarray:
     one add of two slices of L2, from ts on, and one gather. S3 holds the
     sample of every nonzero phase as np.exp gives it (_zc_samples). At
     m = 0 and m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0, and
-    those bins take _PHASE0. A length not kept forms the phases by
-    quadratic_phases (iu = -u mod p, fs = 0, k0 = ts) and takes one np.exp
-    (_chirp_exp). Both routes give the same bits.
+    those bins take _PHASE0. A length not kept forms the phases of
+    m = k + ts by quadratic_phases (iu = -u mod p, fs = 0) and takes one
+    np.exp (_chirp_exp), for half its bins: T(-1 - m) = T(m), so the
+    samples at k and -1 - 2ts - k mod p share one phase integer, and
+    _mirrored copies the other (p-1)/2. Both routes give the same bits.
     """
     p, u, ts = params.p, params.u, params.ts
     entry = _STORE.entry(p)
     if entry is None:
-        return _chirp_exp(p, quadratic_phases(p, -u % p, 0, ts))
+        return _mirrored(
+            p,
+            (-1 - 2 * ts) % p,
+            lambda half, first: _chirp_exp(p, quadratic_phases(p, -u % p, 0, first + ts, half.size), half),
+        )
     logs, samples = entry[1], entry[4]
     lr = logs[u * (p + 1) // 2 % p]
     out = samples[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p])

@@ -223,6 +223,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
             "entry_build_ns",
             "naive_build_ns",
             "naive_faults",
+            "fast_faults",
             "zc_time_ns",
             "fft_ns",
         ]
@@ -239,7 +240,7 @@ def test_bench_report_schema_and_counts(capsys, monkeypatch):
     assert [r["entry_bytes"] for r in reports] == [transform._entry_bytes(139), None]
     assert reports[0]["entry_build_ns"] > 0 and reports[1]["entry_build_ns"] is None
     assert all(r["naive_build_ns"] > 0 for r in reports)
-    assert all(r["naive_faults"] >= 0 for r in reports)
+    assert all(r["naive_faults"] >= 0 and r["fast_faults"] >= 0 for r in reports)
 
 
 def test_build_keys_are_the_fastest_of_reps_builds(monkeypatch):

@@ -88,6 +88,19 @@ def test_zc_time_equals_direct_integer_route_at_large_p():
         assert np.array_equal(zc_time(params), zc_time_direct(params))
 
 
+def test_zc_time_mirror_placements_at_a_length_not_kept():
+    # a length not kept forms the (p+1)/2 samples from first on and copies
+    # the rest from their mirrors k -> -1 - 2ts - k; ts puts that map's fixed
+    # point c at 0, inside [1, (p-1)/2] or at its end, or above it. 131071
+    # runs four blocks of phase_blocks
+    p = 131071
+    for c in (0, (p - 1) // 4, (p - 1) // 2, (p + 1) // 2, 3 * (p // 4), p - 1):
+        ts = (-1 - 2 * c) * (p + 1) // 2 % p
+        for u in (1, 25, p - 1):
+            params = ZcParams(p, u, ts)
+            assert np.array_equal(zc_time(params), zc_time_direct(params))
+
+
 def test_zc_time_direct_refuses_p_past_its_int64_limit():
     # u*m*(m+1) < 4*p**3 with m < 2p stays in int64 at the largest prime below
     # 2**20; 1048583 is the first prime above. Unchecked, u = ts = p - 1 read

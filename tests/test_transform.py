@@ -77,7 +77,7 @@ def test_equal_plans_compare_and_hash_equal():
 
 # SHA-1 of phase_indices as little-endian int64, DFT then IDFT. The phases are
 # exact integers and read no libm, so these pin the transform across numpy
-# versions; 139, 839 and 32749 are kept lengths, 65537 a factored one
+# versions; 139, 839 and 32749 are kept lengths, 65537 and 1000003 factored ones
 GOLDEN_PHASES = {
     (139, 25, 7): (
         "b3c69ad721e574012d7c0fdb9c95e925bf90e0db",
@@ -94,6 +94,12 @@ GOLDEN_PHASES = {
     (65537, 25, 1000): (
         "2e9355cb8d3b1d1a76ab9d37a1ed5bae4fedd7ac",
         "a2fb9f4791dce1bd9e0c11fc059464be64aeffa6",
+    ),
+    # 61 blocks of phase_blocks, all but the first advanced by its recurrence;
+    # hashed from the blocked closed form before that recurrence existed
+    (1000003, 25, 7): (
+        "019123775afaa155febbdc2ca1880038a124b35c",
+        "a1b95a274f71cc54e14f94455e0d6cd5d9a5ce28",
     ),
 }
 
@@ -457,9 +463,9 @@ BLOCK_LENGTHS = {
     8209: [8209],
     12289: [12289],
     32749: [32749],
-    32771: [16385, 16386],
-    40853: [20426, 20427],
-    49157: [16385, 16386, 16386],
+    32771: [16386, 16385],
+    40853: [20427, 20426],
+    49157: [16387, 16385, 16385],
 }
 BLOCKED_PRIMES = [p for p, lengths in BLOCK_LENGTHS.items() if len(lengths) > 1]
 
@@ -470,6 +476,41 @@ def test_block_kernel_stays_within_int64():
     p, j = PRIME_CAP - 1, 2 * numtheory._BLOCK - 1
     assert j == numtheory._J[-1] and numtheory._TJ[-1] == j * (j + 1) // 2
     assert p * numtheory._TJ[-1].item() + j * p + PRIME_CAP < 2**63
+
+
+def test_block_recurrence_stays_within_int64():
+    # phase_blocks adds a phase, D[j] and e(k0), each below p, so a sum is
+    # below 3p; min(x, x - p) on a uint64 view subtracts p exactly when
+    # x >= p, since x - p wraps past x otherwise, and twice reduces below p
+    p = PRIME_CAP - 1
+    assert 3 * p < 2**33 < 2**63
+    x = np.array([0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, 3 * p - 1], dtype=np.int64)
+    u = x.view(np.uint64)
+    for _ in range(2):
+        np.minimum(u, u - np.uint64(p), out=u)
+    assert x.tolist() == [k % p for k in (0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, 3 * p - 1)]
+
+
+def test_phase_blocks_are_exact_at_the_prime_cap():
+    # nine blocks at the largest p, the first 5 bins longer, from k0 = 0 and
+    # from zc_time's largest start p - 1, for iu, fs in {1, p - 1}: the first
+    # block (seeded), a middle and the last one (advanced by the recurrence)
+    # against the seed and the closed form in Python ints, and every block,
+    # kept buffer or not, against quadratic_phases's output
+    p = PRIME_CAP - 1
+    n = 9 * numtheory._BLOCK + 5
+    for iu in (1, p - 1):
+        for fs in (1, p - 1):
+            for k0 in (0, p - 1):
+                blocks = [(lo, hi, r.copy()) for lo, hi, r in numtheory.phase_blocks(p, iu, fs, k0, n)]
+                assert [(lo, hi) for lo, hi, _ in blocks] == list(numtheory._block_bounds(n, k0))
+                assert [hi - lo for lo, hi, _ in blocks] == [numtheory._BLOCK + 5] + [numtheory._BLOCK] * 8
+                whole = numtheory.quadratic_phases(p, iu, fs, k0, n)
+                assert np.array_equal(np.concatenate([r for _, _, r in blocks]), whole)
+                for lo, hi, r in (blocks[0], blocks[4], blocks[-1]):
+                    expect = [(k * fs - iu * (k * (k + 1) // 2)) % p for k in range(lo, hi)]
+                    assert r.tolist() == expect
+                    assert np.array_equal(r, numtheory._block_phases(p, iu, fs, lo, hi - lo))
 
 
 @pytest.mark.parametrize("p", list(BLOCK_LENGTHS))
@@ -573,9 +614,22 @@ def test_phases_are_a_product_of_two_linear_factors(p):
                 assert np.array_equal(phase_indices(pl), r * k % p * ((k + s) % p) % p)
 
 
-# 40867 is the first length whose entry the store does not keep
-@pytest.mark.parametrize("p", [40867, 65537, 131071, 1000003])
+# the blocks of _gather's half range, (p+1)/2 bins, at lengths the store does
+# not keep: one block at 40867, the first such length, two at 65537 and three
+# at 98317, each seeded, and four at 131071 and 30 at 1000003, each after the
+# first advanced by phase_blocks's recurrence; none is one bin
+HALF_BLOCK_LENGTHS = {
+    40867: [20434],
+    65537: [16385, 16384],
+    98317: [16387, 16386, 16386],
+    131071: [16384] * 4,
+    1000003: [16688] + [16666] * 29,
+}
+
+
+@pytest.mark.parametrize("p", list(HALF_BLOCK_LENGTHS))
 def test_factored_execute_equals_table_gather(p):
+    assert [hi - lo for lo, hi in numtheory._block_bounds((p + 1) // 2)] == HALF_BLOCK_LENGTHS[p]
     table = _twiddle_table(p)
     for pl in _mirror_plans(p):
         assert pl.logs is None
