@@ -109,7 +109,8 @@ def as_int(x, name: str) -> int:
 
 def require_odd_prime(p: int) -> int:
     """p as a Python int; raise ValueError unless it is an odd prime in [3, 2**31)."""
-    p = as_int(p, "modulus")
+    if type(p) is not int:
+        p = as_int(p, "modulus")
     if p < 3 or p >= PRIME_CAP or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime in [3, 2**31), got {p}")
     return p

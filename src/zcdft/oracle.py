@@ -18,11 +18,12 @@ of its terms, so they are taken in discrete-log order (Rader, Proc. IEEE
 56(6), 1968), where all but the first row and column form a Hankel matrix,
 a strided view of one table. One loop sums it a block of whole rows at a
 time (_exact_sum), each block's sums exact in int64: a grid length, p <=
-_GRID_PMAX, is one block, and a longer one adds the blocks' sums into two
-words split at bit 32. A length past PMAX = 39,205 raises ValueError. x may
-carry leading batch axes, (..., p), p prime; each case is summed on its
-own, and the output does not depend on the block size, so a stack equals
-one call per case.
+_GRID_PMAX, is one block, and a longer one adds its blocks' sums in windows
+of at most _GRID_PMAX - 1 rows, each exact in int64, and each window's sums
+into two words split at bit 32. A length past PMAX = 39,205 raises
+ValueError. x may carry leading batch axes, (..., p), p prime; each case is
+summed on its own, and the output does not depend on the block size, so a
+stack equals one call per case.
 
 What depends on p alone, the log order [0, g**0, ..., g**(p-2)] of a
 generator g that this module finds itself, its inverse and both
@@ -85,8 +86,8 @@ _BLOCK = (_GRID_PMAX - 1) ** 2
 PMAX = _BLOCK + 1
 
 # A case is scaled so that its largest component is below 2**_SCALE, so a
-# term's components are below 2**(_SCALE + 1). Past one block, each block's
-# sums are split at bit 32 (_LOW) into a high and a low word.
+# term's components are below 2**(_SCALE + 1). Past one block, each window
+# of blocks' sums is split at bit 32 (_LOW) into a high and a low word.
 _SCALE = 54
 _LOW = (1 << 32) - 1
 
@@ -200,32 +201,43 @@ def _exact_sum(x: np.ndarray, order: np.ndarray, inverse: np.ndarray, table: np.
     samples its part of bin 0, and the first block adds row n = 0 to every
     bin. It has min(p - 1, _BLOCK // (p - 1)) <= _GRID_PMAX - 1 rows, so its
     sums are exact in int64 (see _GRID_PMAX); a grid length is one block. A
-    longer one adds each block's sums into a high and a low word split at
-    bit 32: below 2**21 blocks (p <= PMAX has at most 39,204) both stay
-    below 2**53, so hi*2**32 + lo is the exact sum, rounded once in float64.
+    longer one adds its blocks' sums into one int64 word for a window of
+    (_GRID_PMAX - 1) // rows blocks, at most _GRID_PMAX - 1 rows and row 0,
+    so exact by the same bound, and each window's sums into a high and a low
+    word split at bit 32: below 2**21 windows (p <= PMAX has at most 39,204
+    blocks) both stay below 2**53, so hi*2**32 + lo is the exact sum,
+    rounded once in float64. A window's first block sums into acc, each
+    later one into sums, then acc += sums: one pass over 2p words a block,
+    and the split's four once a window.
     """
     p = len(x)
     q = p - 1
     xl, edge, shift = _scaled_log_order(x, order)
     rows = min(q, _BLOCK // q)
+    window = (_GRID_PMAX - 1) // rows
     buffer, values = _buffers()
+    acc = np.empty(2 * p, np.int64)
+    sums = acc if rows == q else np.empty(2 * p, np.int64)
     hi = lo = 0
-    for a0 in range(0, q, rows):
+    for i, a0 in enumerate(range(0, q, rows)):
         n = min(rows, q - a0)
         terms = buffer[: n * q].reshape(n, q)
         block = values[: 2 * n * q].reshape(n, 2 * q)
         np.multiply(xl[1 + a0 : 1 + a0 + n, None], _hankel(table, a0, n, q), out=terms)
         parts = terms.view(np.float64)
         np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
-        sums = np.empty(2 * p, np.int64)
-        rest = block.sum(axis=0, out=sums[2:]).reshape(q, 2)
+        out = sums if i % window else acc
+        rest = block.sum(axis=0, out=out[2:]).reshape(q, 2)
         if a0 == 0:
             rest += edge[:2]
-        edge[2 + 2 * a0 if a0 else 0 : 2 * (1 + a0 + n)].reshape(-1, 2).sum(axis=0, out=sums[:2])
+        edge[2 + 2 * a0 if a0 else 0 : 2 * (1 + a0 + n)].reshape(-1, 2).sum(axis=0, out=out[:2])
         if n == q:
-            return _natural_order(sums, inverse, shift)
-        hi += sums >> 32
-        lo += sums & _LOW
+            return _natural_order(acc, inverse, shift)
+        if i % window:
+            acc += sums
+        if i % window == window - 1 or a0 + n == q:
+            hi += acc >> 32
+            lo += acc & _LOW
     return _natural_order(np.ldexp(hi.astype(np.float64), 32) + lo, inverse, shift)
 
 

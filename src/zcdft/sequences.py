@@ -50,10 +50,13 @@ class ZcParams:
 
     def __init__(self, p: int, u: int, ts: int = 0) -> None:
         # by hand: the generated __init__ of a frozen dataclass stores each
-        # field by object.__setattr__, and one dict update costs less
+        # field by object.__setattr__, and one dict update costs less; an
+        # exact int needs no as_int call
         p = require_odd_prime(p)
-        u = as_int(u, "root")
-        ts = as_int(ts, "cyclic shift")
+        if type(u) is not int:
+            u = as_int(u, "root")
+        if type(ts) is not int:
+            ts = as_int(ts, "cyclic shift")
         if not 1 <= u <= p - 1:
             raise ValueError(f"root must satisfy 1 <= u <= p-1, got u={u}")
         if not 0 <= ts <= p - 1:

@@ -15,9 +15,12 @@ reads it through discrete-log tables for a length the store keeps
 (_LengthStore), else by _gather's blocked, mirrored gather; the counted
 path gathers all p bins in blocks (_gather_phases). Each output is the same
 product hi[a] * lo[b], so the spectra are bit-identical. A kept length's entry
-also holds every root's inverse, Legendre sign, 4*QPo and constant
-(_root_scalars), which plan reads instead of deriving them; both branches
-of plan take 4*QPo and the constant from gauss.
+also holds every root's inverse, Legendre sign, 4*QPo and constant as one
+structured row per root (_root_scalars), which plan reads with one .item(u)
+instead of deriving them; both branches of plan take 4*QPo and the constant
+from gauss. L2 gives L(0) the sentinel 3(p - 1), and E3 and S3 are padded
+past 3(p - 1) with the value at phase 0, so the bins whose index holds L(0)
+read that value from the gather itself and need no fix-up.
 
 zc_time, the time-domain sequence, lives here, next to the store it reads:
 a kept length gathers its samples through the same discrete logs from the
@@ -52,9 +55,12 @@ class TransformPlan:
     (p+1)/2*(iu-1) - ts for the DFT and (p+1)/2*(iu+1) + ts for the IDFT,
     mod p; the directions differ by nothing else. twiddles is the table's
     factors, lo then hi (_twiddle_factors): 16*(m + ceil(p/m)) bytes, 10 KB
-    at 65537. logs is (L2, E3) for a length the store keeps, shared with
-    twiddles by all its plans, else None (_LengthStore). Both depend on
-    params.p alone, so equality and the hash leave them out.
+    at 65537. logs is (L2, E3) for a length the store keeps, one tuple of
+    its entry that all its plans share with twiddles, else None
+    (_LengthStore): L2 holds the sentinel 3(p - 1) for L(0), and E3 is
+    7(p - 1) entries, 3(p - 1) of the table in log order and 4(p - 1) of
+    1 + 0j (_log_tables). Both depend on params.p alone, so equality and the
+    hash leave them out.
     """
 
     params: ZcParams
@@ -77,13 +83,13 @@ def require_direction(direction: str) -> None:
 def plan(params: ZcParams, direction: str) -> TransformPlan:
     """Build the immutable plan: inverse, Legendre sign, shift, constant, twiddles.
 
-    For a length the store keeps, iu, ell, 4*QPo and the constant are read
-    off the entry's row for u (_root_scalars), each with one .item(u), which
-    gives an exact int or complex. Otherwise they are mod_inverse(u, p),
+    For a length the store keeps, iu, ell, 4*QPo and the constant are the
+    entry's row for u (_root_scalars), read with one .item(u), which gives
+    exact Python ints and a complex. Otherwise they are mod_inverse(u, p),
     legendre(2u, p) (Euler's criterion), and gauss's _qpo_times4 and
     const_from_qpo, which the rows call too: the same values, bit for bit.
+    A direction other than DFT or IDFT raises ValueError.
     """
-    require_direction(direction)
     p, u, ts = params.p, params.u, params.ts
     entry = _STORE.entry(p)
     if entry is None:
@@ -93,14 +99,15 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         qpo4 = _qpo_times4(p, u, ell)
         const = const_from_qpo(p, qpo4)
     else:
-        twiddles, logs = entry[0], entry[1:3]
-        ius, ells, qpo4s, consts = entry[3]
-        iu, ell, qpo4, const = ius.item(u), ells.item(u), qpo4s.item(u), consts.item(u)
+        twiddles, logs, rows, _ = entry
+        iu, ell, qpo4, const = rows.item(u)
     half = (p + 1) // 2
     if direction == DFT:
         fs = (half * (iu - 1) - ts) % p
-    else:
+    elif direction == IDFT:
         fs = (half * (iu + 1) + ts) % p
+    else:
+        require_direction(direction)  # raises
     # one dict update, not the frozen __init__'s object.__setattr__ per field
     pl = object.__new__(TransformPlan)
     pl.__dict__.update(
@@ -151,18 +158,22 @@ def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """L2 and E3 of p for the log-domain gather, read-only, each its own base, and pw.
 
     With g the least primitive root of p, pw[e] = g**e mod p for e < p - 1,
-    L2 = [L, L], L[g**e mod p] = e and L[0] = 0, and E3[e] = hi[a] * lo[b]
-    at a*m + b = pw[e mod (p-1)] for e < 3(p - 1), the product _gather forms
-    (see execute). pw, writable, is what _root_scalars inverts through.
+    L2 = [L, L], L[g**e mod p] = e and L[0] = 3(p - 1), a sentinel, and
+    E3[e] = hi[a] * lo[b] at a*m + b = pw[e mod (p-1)] for e < 3(p - 1), the
+    product _gather forms, then 4(p - 1) entries of 1 + 0j, table[0]. An
+    index L(r) + L(k) + L(k + s), r != 0, is below 3(p - 1) unless it holds
+    L(0), and below 7(p - 1) even when it holds L(0) twice (s = 0, k = 0), so
+    every index that holds L(0) reads 1 + 0j (see execute). pw, writable, is
+    what _root_scalars inverts through.
     """
     m = _split(p)
     pw = power_table(primitive_root(p), p)
     logs = np.empty(2 * p, dtype=np.intp)
-    logs[0] = 0
+    logs[0] = 3 * (p - 1)
     logs[pw] = np.arange(p - 1)
     logs[p:] = logs[:p]
     w = factors[m:][pw >> (m.bit_length() - 1)] * factors[:m][pw & (m - 1)]
-    exps = np.concatenate((w, w, w))
+    exps = np.concatenate((w, w, w, np.ones(4 * (p - 1), dtype=np.complex128)))
     logs.setflags(write=False)
     exps.setflags(write=False)
     return logs, exps, pw
@@ -174,22 +185,30 @@ def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 _ROW_PMAX = 55108
 
 
-def _root_scalars(p: int, logs: np.ndarray, pw: np.ndarray) -> tuple[np.ndarray, ...]:
-    """iu, ell, 4*QPo and the constant of every root u of p, read-only, indexed by u.
+# a root's plan scalars, packed in 33 bytes: .item(u) on a row array gives
+# (iu, ell, 4*QPo, constant) as Python int, int, int and complex
+_ROOT_ROW = np.dtype([("iu", np.int64), ("ell", np.int8), ("qpo4", np.int64), ("const", np.complex128)])
 
-    Slot 0 is unused; p <= _ROW_PMAX. With L = L2[:p] and pw[L(x)] = x
-    (_log_tables), iu[u] = g**(-L(u)) = pw[-L(u) mod (p-1)]. ell[u] = l_2u
-    is +1 iff L2[2u] = L(2u mod p) is even: g**e is a square iff e is even.
-    4*QPo and the constant are gauss's, as on plan's other branch.
+
+def _root_scalars(p: int, logs: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """One _ROOT_ROW per root u of p, read-only, indexed by u: iu, ell, 4*QPo and the constant.
+
+    Slot 0 is unused; p <= _ROW_PMAX. With L(x) = L2[x] mod (p-1), which
+    maps the sentinel L2[0] = 3(p - 1) to 0, and pw[L(x)] = x (_log_tables),
+    iu = g**(-L(u)) = pw[-L(u) mod (p-1)]. ell = l_2u is +1 iff L(2u mod p)
+    is even: g**e is a square iff e is even, and p - 1 is even, so L2[2u]
+    has the parity of L(2u mod p). 4*QPo and the constant are gauss's, as
+    on plan's other branch.
     """
-    # numpy reads the index -e as p-1-e, so -L(u) mod (p-1) needs no reduction
-    iu = pw[-logs[:p]]
+    rows = np.empty(p, dtype=_ROOT_ROW)
+    # numpy reads the index -e as p-1-e, so -L(u) mod (p-1) needs no more reduction
+    rows["iu"] = pw[-(logs[:p] % (p - 1))]
     ell = 1 - 2 * (logs[: 2 * p : 2] & 1)
-    qpo4 = _qpo_times4(p, np.arange(p, dtype=np.int64), ell)
-    roots = (iu, ell.astype(np.int8), qpo4, const_from_qpo(p, qpo4))
-    for array in roots:
-        array.setflags(write=False)
-    return roots
+    rows["ell"] = ell
+    rows["qpo4"] = qpo4 = _qpo_times4(p, np.arange(p, dtype=np.int64), ell)
+    rows["const"] = const_from_qpo(p, qpo4)
+    rows.setflags(write=False)
+    return rows
 
 
 def _chirp_exp(p: int, phases: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -204,13 +223,16 @@ _PHASE0 = _chirp_exp(3, np.zeros(1, dtype=np.int64)).item()
 
 
 def _zc_samples(p: int, pw: np.ndarray) -> np.ndarray:
-    """S3 of p, read-only: S3[e] = zc_time's sample at phase pw[e mod (p-1)], e < 3(p - 1).
+    """S3 of p, read-only: S3[e] = zc_time's sample at phase pw[e mod (p-1)], e < 3(p - 1), then _PHASE0.
 
     The same expression zc_time evaluates at a length not kept (_chirp_exp),
-    on the same integer phases, so each sample has the same bits.
+    on the same integer phases, so each sample has the same bits. 2(p - 1)
+    entries of _PHASE0 follow: an index L(r) + L(m) + L(m + 1) holds L(0) =
+    3(p - 1) at most once, as m and m + 1 are not both 0, so it is below
+    5(p - 1), and at or above 3(p - 1) exactly when it holds L(0).
     """
     w = _chirp_exp(p, pw)
-    samples = np.concatenate((w, w, w))
+    samples = np.concatenate((w, w, w, np.full(2 * (p - 1), _PHASE0)))
     samples.setflags(write=False)
     return samples
 
@@ -218,7 +240,7 @@ def _zc_samples(p: int, pw: np.ndarray) -> np.ndarray:
 def _entry_bytes(p: int) -> int:
     """Bytes of p's kept entry: its factors, L2, E3, root rows and S3 (see _build_entry)."""
     m = _split(p)
-    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 96 * (p - 1) + 33 * p
+    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 192 * (p - 1) + _ROOT_ROW.itemsize * p
 
 
 def _kept_bytes(p: int) -> float:
@@ -227,25 +249,28 @@ def _kept_bytes(p: int) -> float:
 
 
 def _build_entry(p: int) -> tuple:
-    """p's entry (factors, L2, E3, roots, S3), read-only, built from p alone.
+    """p's entry (factors, (L2, E3), rows, S3), read-only, built from p alone.
 
     _twiddle_factors, _log_tables, _root_scalars and _zc_samples make it in
-    16*(m + ceil(p/m)) + 16*p + 48*(p-1) + 33*p + 48*(p-1) bytes, about
-    145*p (_entry_bytes). roots is iu (int64), ell (int8), 4*QPo (int64) and
-    the constant (complex128) of every root; S3 is zc_time's samples in log
-    order. Every plan of a kept p reads its E3 and its row of roots, and
-    every zc_time its S3, while a length not kept would build all of them
-    for one call, so plan and zc_time take their other routes there instead.
+    16*(m + ceil(p/m)) + 16*p + 112*(p-1) + 33*p + 80*(p-1) bytes, about
+    241*p (_entry_bytes): E3 is 7(p - 1) entries and S3 5(p - 1), each
+    3(p - 1) in log order and the rest padding at phase 0. rows holds one
+    _ROOT_ROW per root: iu (int64), ell (int8), 4*QPo (int64) and the
+    constant (complex128). (L2, E3) is one tuple, every plan's logs. Every
+    plan of a kept p reads its E3 and its row, and every zc_time its S3,
+    while a length not kept would build all of them for one call, so plan
+    and zc_time take their other routes there instead.
     """
     factors = _twiddle_factors(p)
     logs, exps, pw = _log_tables(p, factors)
-    return factors, logs, exps, _root_scalars(p, logs, pw), _zc_samples(p, pw)
+    return factors, (logs, exps), _root_scalars(p, logs, pw), _zc_samples(p, pw)
 
 
-# _entry_bytes grows with p, so this keeps exactly the lengths p <= 40853:
-# the PRACH lengths (139, 571, 839, 1151: 394,572 bytes) and the grid
-# 5 <= p <= 199 (622,078 bytes), small next to numpy's ~27 MB import, and no
-# large p, where lengths rarely repeat
+# _entry_bytes grows with p, so this bound (9,852,037 bytes, about 241 per
+# bin) keeps exactly the lengths p <= 40853: the PRACH lengths (139, 571,
+# 839, 1151: 653,388 bytes) and the grid 5 <= p <= 199 (1,023,166 bytes),
+# small next to numpy's ~27 MB import, and no large p, where lengths rarely
+# repeat
 _STORE_BYTES = _entry_bytes(40853)
 
 
@@ -315,8 +340,12 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
         table[phase_k] = E3[L(r) + L(k) + L(k + s)],
     one add of two slices of L2, one gather from E3 and the scale. E3 holds
     _gather's products, so the output is _gather's bit for bit. At k = 0
-    and k = -s (one bin when ts = (p-1)/2) phase_k = 0 and L(0) means
-    nothing, so those bins are set to const_factor = const_factor * table[0].
+    and k = -s (one bin when s = 0) phase_k = 0, the index holds the
+    sentinel L(0) and the gather reads 1 + 0j from E3's padding
+    (_log_tables). const_factor * (1 + 0j) is const_factor bit for bit,
+    since neither of its components is zero: its angle is 2*pi*4QPo/(4p),
+    and 4*QPo = u/2 != 0 mod p (gauss._qpo_times4 halves a numerator that
+    is u mod p) keeps it off every multiple of pi/2.
     r and s come from the plan's fields, so dataclasses.replace works.
 
     A factored plan (logs None) runs _gather. With counters, at every p,
@@ -333,7 +362,6 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     # method and operator: np.take and np.add pay __array_function__ dispatch
     out = exps[lr:].take(logs[:p] + logs[s : s + p])
     out *= pl.const_factor
-    out[0] = out[-s] = pl.const_factor
     return out
 
 
@@ -436,8 +464,9 @@ def zc_time(params: ZcParams) -> np.ndarray:
         Z(k) = S3[L(r) + L(m) + L(m + 1)],
     one add of two slices of L2, from ts on, and one gather. S3 holds the
     sample of every nonzero phase as np.exp gives it (_zc_samples). At
-    m = 0 and m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0, and
-    those bins take _PHASE0. A length not kept forms the phases of
+    m = 0 and m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0, the
+    index holds the sentinel L(0), and the gather reads _PHASE0 from S3's
+    padding. A length not kept forms the phases of
     m = k + ts by quadratic_phases (iu = -u mod p, fs = 0) and takes one
     np.exp (_chirp_exp), for half its bins: T(-1 - m) = T(m), so the
     samples at k and -1 - 2ts - k mod p share one phase integer, and
@@ -451,8 +480,6 @@ def zc_time(params: ZcParams) -> np.ndarray:
             (-1 - 2 * ts) % p,
             lambda half, first: _chirp_exp(p, quadratic_phases(p, -u % p, 0, first + ts, half.size), half),
         )
-    logs, samples = entry[1], entry[4]
+    (logs, _), samples = entry[1], entry[3]
     lr = logs[u * (p + 1) // 2 % p]
-    out = samples[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p])
-    out[-ts] = out[p - 1 - ts] = _PHASE0
-    return out
+    return samples[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p])

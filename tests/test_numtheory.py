@@ -153,8 +153,8 @@ def test_primitive_root_powers_and_logs(p):
     assert pw.dtype == np.int64
     assert np.array_equal(np.sort(pw), np.arange(1, p))
     assert pw[1] == g and all(pw[e] == pow(g, e, p) for e in (0, p // 3, p - 2))
-    # L inverts the power table, and L2 is L twice
+    # L inverts the power table, L(0) is the sentinel 3(p - 1), and L2 is L twice
     logs = _log_tables(p, _twiddle_factors(p))[0]
     assert np.array_equal(logs[pw], np.arange(p - 1))
     assert np.array_equal(logs[:p], logs[p:])
-    assert 0 <= logs[0] < p - 1
+    assert logs[0] == 3 * (p - 1)

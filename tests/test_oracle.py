@@ -64,10 +64,11 @@ def _per_sample_exact(x, sign):
 
 
 # 2, 3, 5, 61 and 199 are one block each, 199 its full 198 rows, summed in
-# one int64 word; 257 and 263 take two blocks (153 + 103 and 149 + 113 rows)
-# and 839 19 blocks of up to 46 rows, each block's sums added into a high
-# and a low word split at bit 32. Random cases at both ends of the exponent
-# range and a row of negative zeros, then two ZC cases where p is odd
+# one int64 word; 257 and 263 take two blocks (153 + 103 and 149 + 113 rows),
+# a window each, and 839 19 blocks of up to 46 rows in windows of four, each
+# window's sums added into a high and a low word split at bit 32. Random
+# cases at both ends of the exponent range and a row of negative zeros, then
+# two ZC cases where p is odd
 @pytest.mark.parametrize("p", [2, 3, 5, 61, 199, 257, 263, 839])
 def test_chunked_sum_equals_per_sample_loop(p):
     x = np.random.default_rng(p).normal(size=(p, 2)) @ [1, 1j]
@@ -192,8 +193,9 @@ def test_composite_length_is_rejected(p):
 
 def test_sum_past_the_int64_range_is_exact():
     # x = 0.75 + 0.75j is scaled to 0.75 * 2**54 per component, so bin 0 adds
-    # 1031 such terms, past 2**63: each block's part stays below it, and only
-    # the split of those parts into a high and a low word keeps the sum exact
+    # 1031 such terms, past 2**63: each window's part (five blocks of up to
+    # 38 rows) stays below it, and only the split of those parts into a high
+    # and a low word keeps the sum exact
     p = 1031
     for naive in (naive_dft, naive_idft):
         out = naive(np.full(p, 0.75 + 0.75j))

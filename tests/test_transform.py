@@ -141,24 +141,27 @@ def fresh_store(monkeypatch):
 
 
 def _entry_nbytes(entry):
-    """Bytes held by a store entry: factors, L2, E3, the four root rows and S3."""
-    factors, logs, exps, roots, samples = entry
-    rows = sum(row.nbytes for row in roots)
-    return factors.nbytes + logs.nbytes + exps.nbytes + rows + samples.nbytes
+    """Bytes held by a store entry: factors, L2, E3, the root rows and S3."""
+    factors, (logs, exps), rows, samples = entry
+    return factors.nbytes + logs.nbytes + exps.nbytes + rows.nbytes + samples.nbytes
 
 
 def test_kept_length_shares_one_read_only_table(fresh_store):
     a = plan(ZcParams(p=839, u=25), DFT)
     b = plan(ZcParams(p=839, u=3, ts=7), IDFT)
-    factors, logs, exps, roots, samples = fresh_store._entries[839]
+    factors, pair, rows, samples = fresh_store._entries[839]
+    logs, exps = pair
     assert a.twiddles is b.twiddles is factors
-    assert a.logs[0] is b.logs[0] is logs and a.logs[1] is b.logs[1] is exps
-    for array in (factors, logs, exps, *roots, samples):
+    assert a.logs is b.logs is pair
+    for array in (factors, logs, exps, rows, samples):
         with pytest.raises(ValueError):
             array[0] = 1
-    assert all(array.base is None for array in (factors, logs, exps, samples))
-    assert all(row.base is None and row.shape == (839,) for row in roots)
-    assert samples.shape == exps.shape == (3 * 838,)
+    assert all(array.base is None for array in (factors, logs, exps, rows, samples))
+    assert rows.shape == (839,) and rows.dtype == transform._ROOT_ROW and rows.dtype.itemsize == 33
+    # 3(p - 1) entries in log order, then the phase-0 padding
+    assert exps.shape == (7 * 838,) and samples.shape == (5 * 838,)
+    assert exps[3 * 838 :].tobytes() == np.ones(4 * 838, dtype=np.complex128).tobytes()
+    assert samples[3 * 838 :].tobytes() == np.full(2 * 838, transform._PHASE0).tobytes()
     m = transform._split(839)
     assert factors.size == m + -(-839 // m)
     assert fresh_store.nbytes == _entry_nbytes(fresh_store._entries[839]) == transform._entry_bytes(839)
@@ -177,10 +180,10 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
             assert fresh_store.nbytes == before
             assert pl.logs is None
         else:
-            factors, logs, exps, roots, _ = fresh_store._entries[p]
+            factors, logs, rows, _ = fresh_store._entries[p]
             assert pl.twiddles is factors
-            assert pl.logs[0] is logs and pl.logs[1] is exps
-            assert pl.iu == roots[0].item(1) == 1
+            assert pl.logs is logs
+            assert pl.iu == rows.item(1)[0] == 1
         held = sum(_entry_nbytes(entry) for entry in fresh_store._entries.values())
         assert fresh_store.nbytes == held <= budget
     assert list(fresh_store._entries) == [16411]
@@ -282,6 +285,32 @@ def test_kept_zc_time_equals_the_formula_route_byte_for_byte(fresh_store, monkey
     assert formula.nbytes == 0
 
 
+def test_phase0_bins_read_the_padding_bit_for_bit(fresh_store):
+    # the bins whose log index holds the sentinel L(0): execute's k = 0 and
+    # k = -s, one bin when s = 0, and zc_time's k = -ts and p - 1 - ts. Every
+    # root of p <= 61 and of the PRACH lengths, ts in {0, 1, (p-1)/2}, both
+    # directions; uint64 views compare every bit, signed zeros included
+    phase0 = np.array([transform._PHASE0]).view(np.uint64)
+    for p in ODD_PRIMES_61 + PRACH_LENGTHS:
+        for u in range(1, p):
+            for ts in sorted({0, 1, (p - 1) // 2}):
+                params = ZcParams(p, u, ts)
+                samples = zc_time(params).view(np.uint64).reshape(p, 2)
+                assert (samples[[-ts, p - 1 - ts]] == phase0).all(), (p, u, ts)
+                for direction in (DFT, IDFT):
+                    pl = plan(params, direction)
+                    assert pl.logs is not None
+                    # the premise: 4*QPo != 0 mod p, so the constant's angle is
+                    # no multiple of pi/2 and (1 + 0j) * const_factor is exact
+                    const = pl.const_factor
+                    assert pl.qpo_times4 % p != 0 and const.real != 0 and const.imag != 0
+                    s = (1 - 2 * u * pl.fs) % p
+                    out = execute(pl).view(np.uint64).reshape(p, 2)
+                    bits = np.array([const]).view(np.uint64)
+                    assert (out[[0, -s]] == bits).all(), (p, u, ts, direction)
+    assert sorted(fresh_store._entries) == sorted(ODD_PRIMES_61 + PRACH_LENGTHS)
+
+
 def test_kept_plan_fields_equal_factored_plans(fresh_store, monkeypatch):
     # a kept length takes ell from the parity of L2[2u mod p], any other from
     # legendre; every field must agree at every root, in both directions
@@ -308,15 +337,15 @@ def test_kept_root_rows_match_the_scalar_routines(monkeypatch):
     for p in (8191, 32749, 40853):
         lengths.append((p, [1, 2, (p - 1) // 2, p - 1] + [rng.randrange(1, p) for _ in range(64)]))
     for p, roots in lengths:
-        rows = store.entry(p)[3]
-        assert not any(row.flags.writeable for row in rows)
-        ius, ells, qpo4s, consts = rows
+        rows = store.entry(p)[2]
+        assert not rows.flags.writeable
         for u in roots:
-            assert ius.item(u) == mod_inverse(u, p)
-            assert ells.item(u) == legendre(2 * u, p)
-            qpo4 = qpo4s.item(u)
-            assert type(qpo4) is int and qpo4 == quasi_phase_offset4(p, u)
-            got = np.array([consts.item(u), const_from_qpo(p, qpo4)])
+            iu, ell, qpo4, const = rows.item(u)
+            assert tuple(map(type, (iu, ell, qpo4, const))) == (int, int, int, complex)
+            assert iu == mod_inverse(u, p)
+            assert ell == legendre(2 * u, p)
+            assert qpo4 == quasi_phase_offset4(p, u)
+            got = np.array([const, const_from_qpo(p, qpo4)])
             assert got[:1].view(np.uint64).tolist() == got[1:].view(np.uint64).tolist()
             pl = plan(ZcParams(p, u), DFT)
             assert pl.logs is not None
@@ -363,12 +392,13 @@ def test_twiddle_table_error_within_derived_bound(p):
 
 
 @pytest.mark.skipif(EPS_LD == EPS, reason="np.longdouble is float64 here: no more precise reference")
-@pytest.mark.parametrize("p", [839, 8191, 40853, 40867, 65537])
+@pytest.mark.parametrize("p", [139, 571, 839, 1151, 8191, 40853, 40867, 65537, 1000003])
 def test_execute_matches_long_double_spectrum(p):
-    # 40853, the longest kept length, reads its log tables and 40867 the
-    # table's factors; each bin within the acceptance suite's 1e-9*sqrt(p),
-    # where 3.0-4.7 eps*sqrt(p) is measured
-    for ts in (0, (p - 1) // 2):
+    # the PRACH lengths and 40853, the longest kept length, read their log
+    # tables, 40867 and longer lengths the table's factors; each bin within
+    # the acceptance suite's 1e-9*sqrt(p), where 2.9-5.1 eps*sqrt(p) is
+    # measured. 1000003 takes one shift, as its reference costs ~1.7 s a case
+    for ts in (0, (p - 1) // 2) if p < 10**6 else ((p - 1) // 2,):
         params = ZcParams(p=p, u=25, ts=ts)
         for direction in (DFT, IDFT):
             ref = long_double_spectrum(params, direction)
