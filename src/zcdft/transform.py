@@ -238,7 +238,7 @@ def _zc_samples(p: int, pw: np.ndarray) -> np.ndarray:
 
 
 def _entry_bytes(p: int) -> int:
-    """Bytes of p's kept entry: its factors, L2, E3, root rows and S3 (see _build_entry)."""
+    """Bytes of p's kept entry, about 241*p: factors, L2, E3 and S3 with their phase-0 padding, root rows (see _build_entry)."""
     m = _split(p)
     return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 192 * (p - 1) + _ROOT_ROW.itemsize * p
 
