@@ -18,9 +18,8 @@ product hi[a] * lo[b], so the spectra are bit-identical. A kept length's entry
 also holds every root's inverse, Legendre sign, 4*QPo and constant as one
 structured row per root (_root_scalars), which plan reads with one .item(u)
 instead of deriving them; both branches of plan take 4*QPo and the constant
-from gauss. L2 gives L(0) the sentinel 3(p - 1), and E3 and S3 are padded
-past 3(p - 1) with the value at phase 0, so the bins whose index holds L(0)
-read that value from the gather itself and need no fix-up.
+from gauss. The bins at phase 0 read their value from the gather itself
+(_log_tables).
 
 zc_time, the time-domain sequence, lives here, next to the store it reads:
 a kept length gathers its samples through the same discrete logs from the
@@ -57,10 +56,8 @@ class TransformPlan:
     factors, lo then hi (_twiddle_factors): 16*(m + ceil(p/m)) bytes, 10 KB
     at 65537. logs is (L2, E3) for a length the store keeps, one tuple of
     its entry that all its plans share with twiddles, else None
-    (_LengthStore): L2 holds the sentinel 3(p - 1) for L(0), and E3 is
-    7(p - 1) entries, 3(p - 1) of the table in log order and 4(p - 1) of
-    1 + 0j (_log_tables). Both depend on params.p alone, so equality and the
-    hash leave them out.
+    (_LengthStore, _log_tables). Both depend on params.p alone, so equality
+    and the hash leave them out.
     """
 
     params: ZcParams
@@ -88,9 +85,18 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
     exact Python ints and a complex. Otherwise they are mod_inverse(u, p),
     legendre(2u, p) (Euler's criterion), and gauss's _qpo_times4 and
     const_from_qpo, which the rows call too: the same values, bit for bit.
-    A direction other than DFT or IDFT raises ValueError.
+    A direction other than DFT or IDFT raises ValueError, before the store
+    builds an entry for p.
     """
     p, u, ts = params.p, params.u, params.ts
+    half = (p + 1) // 2
+    # fs = (half*iu + shift) mod p
+    if direction == DFT:
+        shift = -half - ts
+    elif direction == IDFT:
+        shift = half + ts
+    else:
+        require_direction(direction)  # raises
     entry = _STORE.entry(p)
     if entry is None:
         twiddles, logs = _twiddle_factors(p), None
@@ -101,13 +107,7 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
     else:
         twiddles, logs, rows, _ = entry
         iu, ell, qpo4, const = rows.item(u)
-    half = (p + 1) // 2
-    if direction == DFT:
-        fs = (half * (iu - 1) - ts) % p
-    elif direction == IDFT:
-        fs = (half * (iu + 1) + ts) % p
-    else:
-        require_direction(direction)  # raises
+    fs = (half * iu + shift) % p
     # one dict update, not the frozen __init__'s object.__setattr__ per field
     pl = object.__new__(TransformPlan)
     pl.__dict__.update(
@@ -160,11 +160,16 @@ def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     With g the least primitive root of p, pw[e] = g**e mod p for e < p - 1,
     L2 = [L, L], L[g**e mod p] = e and L[0] = 3(p - 1), a sentinel, and
     E3[e] = hi[a] * lo[b] at a*m + b = pw[e mod (p-1)] for e < 3(p - 1), the
-    product _gather forms, then 4(p - 1) entries of 1 + 0j, table[0]. An
-    index L(r) + L(k) + L(k + s), r != 0, is below 3(p - 1) unless it holds
-    L(0), and below 7(p - 1) even when it holds L(0) twice (s = 0, k = 0), so
-    every index that holds L(0) reads 1 + 0j (see execute). pw, writable, is
-    what _root_scalars inverts through.
+    product _gather forms, then one pad, table[0] = 1 + 0j, at 3(p - 1).
+    pw, writable, is what _root_scalars inverts through.
+
+    execute gathers E3[lr:], and zc_time S3[lr:] (_zc_samples, padded with
+    its phase-0 sample), at L2[x] + L2[y], lr = L(r), r != 0, with
+    take(mode="clip"), which reads any index at or past the end as the last
+    entry: the pad, at 3(p - 1) - lr. An index that holds the sentinel, once
+    or twice, is at least 3(p - 1), so it reads the pad: the phase-0 bins
+    need no fix-up. Any other index is at most 2(p - 2) < 3(p - 1) - lr, as
+    lr <= p - 2, so it never clips.
     """
     m = _split(p)
     pw = power_table(primitive_root(p), p)
@@ -173,7 +178,7 @@ def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     logs[pw] = np.arange(p - 1)
     logs[p:] = logs[:p]
     w = factors[m:][pw >> (m.bit_length() - 1)] * factors[:m][pw & (m - 1)]
-    exps = np.concatenate((w, w, w, np.ones(4 * (p - 1), dtype=np.complex128)))
+    exps = np.concatenate((w, w, w, [1 + 0j]))
     logs.setflags(write=False)
     exps.setflags(write=False)
     return logs, exps, pw
@@ -223,24 +228,22 @@ _PHASE0 = _chirp_exp(3, np.zeros(1, dtype=np.int64)).item()
 
 
 def _zc_samples(p: int, pw: np.ndarray) -> np.ndarray:
-    """S3 of p, read-only: S3[e] = zc_time's sample at phase pw[e mod (p-1)], e < 3(p - 1), then _PHASE0.
+    """S3 of p, read-only: S3[e] = zc_time's sample at phase pw[e mod (p-1)], e < 3(p - 1), then the pad _PHASE0.
 
     The same expression zc_time evaluates at a length not kept (_chirp_exp),
-    on the same integer phases, so each sample has the same bits. 2(p - 1)
-    entries of _PHASE0 follow: an index L(r) + L(m) + L(m + 1) holds L(0) =
-    3(p - 1) at most once, as m and m + 1 are not both 0, so it is below
-    5(p - 1), and at or above 3(p - 1) exactly when it holds L(0).
+    on the same integer phases, so each sample has the same bits. The pad
+    is laid out and read as E3's (_log_tables).
     """
     w = _chirp_exp(p, pw)
-    samples = np.concatenate((w, w, w, np.full(2 * (p - 1), _PHASE0)))
+    samples = np.concatenate((w, w, w, [_PHASE0]))
     samples.setflags(write=False)
     return samples
 
 
 def _entry_bytes(p: int) -> int:
-    """Bytes of p's kept entry, about 241*p: factors, L2, E3 and S3 with their phase-0 padding, root rows (see _build_entry)."""
+    """Bytes of p's kept entry, about 145*p: factors, L2, E3 and S3 with their pads, root rows (see _build_entry)."""
     m = _split(p)
-    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 192 * (p - 1) + _ROOT_ROW.itemsize * p
+    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 96 * (p - 1) + 32 + _ROOT_ROW.itemsize * p
 
 
 def _kept_bytes(p: int) -> float:
@@ -252,11 +255,11 @@ def _build_entry(p: int) -> tuple:
     """p's entry (factors, (L2, E3), rows, S3), read-only, built from p alone.
 
     _twiddle_factors, _log_tables, _root_scalars and _zc_samples make it in
-    16*(m + ceil(p/m)) + 16*p + 112*(p-1) + 33*p + 80*(p-1) bytes, about
-    241*p (_entry_bytes): E3 is 7(p - 1) entries and S3 5(p - 1), each
-    3(p - 1) in log order and the rest padding at phase 0. rows holds one
-    _ROOT_ROW per root: iu (int64), ell (int8), 4*QPo (int64) and the
-    constant (complex128). (L2, E3) is one tuple, every plan's logs. Every
+    16*(m + ceil(p/m)) + 16*p + (48*(p-1) + 16) + 33*p + (48*(p-1) + 16)
+    bytes, about 145*p (_entry_bytes): E3 and S3 are each 3(p - 1) entries
+    in log order and one pad (_log_tables). rows holds one _ROOT_ROW per
+    root: iu (int64), ell (int8), 4*QPo (int64) and the constant
+    (complex128). (L2, E3) is one tuple, every plan's logs. Every
     plan of a kept p reads its E3 and its row, and every zc_time its S3,
     while a length not kept would build all of them for one call, so plan
     and zc_time take their other routes there instead.
@@ -266,11 +269,11 @@ def _build_entry(p: int) -> tuple:
     return factors, (logs, exps), _root_scalars(p, logs, pw), _zc_samples(p, pw)
 
 
-# _entry_bytes grows with p, so this bound (9,852,037 bytes, about 241 per
-# bin) keeps exactly the lengths p <= 40853: the PRACH lengths (139, 571,
-# 839, 1151: 653,388 bytes) and the grid 5 <= p <= 199 (1,023,166 bytes),
-# small next to numpy's ~27 MB import, and no large p, where lengths rarely
-# repeat
+# _entry_bytes grows with p, so this bound (5,930,277 bytes, about 145 per
+# bin) keeps exactly the lengths p <= 40853 (40867 would need 5,932,307):
+# the PRACH lengths (139, 571, 839, 1151: 394,700 bytes) and the grid
+# 5 <= p <= 199 (623,486 bytes), small next to numpy's ~27 MB import, and
+# no large p, where lengths rarely repeat
 _STORE_BYTES = _entry_bytes(40853)
 
 
@@ -340,12 +343,11 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
         table[phase_k] = E3[L(r) + L(k) + L(k + s)],
     one add of two slices of L2, one gather from E3 and the scale. E3 holds
     _gather's products, so the output is _gather's bit for bit. At k = 0
-    and k = -s (one bin when s = 0) phase_k = 0, the index holds the
-    sentinel L(0) and the gather reads 1 + 0j from E3's padding
-    (_log_tables). const_factor * (1 + 0j) is const_factor bit for bit,
-    since neither of its components is zero: its angle is 2*pi*4QPo/(4p),
-    and 4*QPo = u/2 != 0 mod p (gauss._qpo_times4 halves a numerator that
-    is u mod p) keeps it off every multiple of pi/2.
+    and k = -s (one bin when s = 0) phase_k = 0 and the gather reads E3's
+    pad, 1 + 0j (_log_tables). const_factor * (1 + 0j) is const_factor bit
+    for bit, since neither of its components is zero: its angle is
+    2*pi*4QPo/(4p), and 4*QPo = u/2 != 0 mod p (gauss._qpo_times4 halves a
+    numerator that is u mod p) keeps it off every multiple of pi/2.
     r and s come from the plan's fields, so dataclasses.replace works.
 
     A factored plan (logs None) runs _gather. With counters, at every p,
@@ -360,7 +362,7 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     s = (1 - 2 * pl.params.u * pl.fs) % p
     lr = logs[(-pl.iu * (p + 1) // 2) % p]
     # method and operator: np.take and np.add pay __array_function__ dispatch
-    out = exps[lr:].take(logs[:p] + logs[s : s + p])
+    out = exps[lr:].take(logs[:p] + logs[s : s + p], mode="clip")
     out *= pl.const_factor
     return out
 
@@ -464,9 +466,9 @@ def zc_time(params: ZcParams) -> np.ndarray:
         Z(k) = S3[L(r) + L(m) + L(m + 1)],
     one add of two slices of L2, from ts on, and one gather. S3 holds the
     sample of every nonzero phase as np.exp gives it (_zc_samples). At
-    m = 0 and m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0, the
-    index holds the sentinel L(0), and the gather reads _PHASE0 from S3's
-    padding. A length not kept forms the phases of
+    m = 0 and m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0 and
+    the gather reads S3's pad, _PHASE0 (_log_tables). A length not kept
+    forms the phases of
     m = k + ts by quadratic_phases (iu = -u mod p, fs = 0) and takes one
     np.exp (_chirp_exp), for half its bins: T(-1 - m) = T(m), so the
     samples at k and -1 - 2ts - k mod p share one phase integer, and
@@ -482,4 +484,4 @@ def zc_time(params: ZcParams) -> np.ndarray:
         )
     (logs, _), samples = entry[1], entry[3]
     lr = logs[u * (p + 1) // 2 % p]
-    return samples[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p])
+    return samples[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p], mode="clip")

@@ -158,13 +158,31 @@ def test_kept_length_shares_one_read_only_table(fresh_store):
             array[0] = 1
     assert all(array.base is None for array in (factors, logs, exps, rows, samples))
     assert rows.shape == (839,) and rows.dtype == transform._ROOT_ROW and rows.dtype.itemsize == 33
-    # 3(p - 1) entries in log order, then the phase-0 padding
-    assert exps.shape == (7 * 838,) and samples.shape == (5 * 838,)
-    assert exps[3 * 838 :].tobytes() == np.ones(4 * 838, dtype=np.complex128).tobytes()
-    assert samples[3 * 838 :].tobytes() == np.full(2 * 838, transform._PHASE0).tobytes()
+    # 3(p - 1) entries in log order, then one pad at phase 0
+    assert exps.shape == samples.shape == (3 * 838 + 1,)
+    assert exps[-1:].tobytes() == np.ones(1, dtype=np.complex128).tobytes()
+    assert samples[-1:].tobytes() == np.full(1, transform._PHASE0).tobytes()
     m = transform._split(839)
     assert factors.size == m + -(-839 // m)
     assert fresh_store.nbytes == _entry_nbytes(fresh_store._entries[839]) == transform._entry_bytes(839)
+
+
+def test_bad_direction_raises_before_the_store_builds(fresh_store):
+    # 40853 is the longest kept length: a bad call must not build its entry
+    # and evict the lengths in use
+    with pytest.raises(ValueError):
+        plan(ZcParams(p=40853, u=1), "fft")
+    assert fresh_store.nbytes == 0 and not fresh_store._entries
+
+
+def test_keep_rule_holds_over_every_prime_to_70000():
+    # integer arithmetic only: 40853 is the longest length whose entry fits
+    # the bound, and no longer one fits; _entry_bytes counts the built arrays
+    for p in numtheory.odd_primes(70000):
+        assert (transform._kept_bytes(p) <= transform._STORE_BYTES) == (p <= 40853), p
+    assert transform._STORE_BYTES == transform._entry_bytes(40853) == 5_930_277
+    for p in (139, 839, 40853):
+        assert transform._entry_bytes(p) == _entry_nbytes(transform._build_entry(p))
 
 
 def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
@@ -287,13 +305,18 @@ def test_kept_zc_time_equals_the_formula_route_byte_for_byte(fresh_store, monkey
 
 def test_phase0_bins_read_the_padding_bit_for_bit(fresh_store):
     # the bins whose log index holds the sentinel L(0): execute's k = 0 and
-    # k = -s, one bin when s = 0, and zc_time's k = -ts and p - 1 - ts. Every
-    # root of p <= 61 and of the PRACH lengths, ts in {0, 1, (p-1)/2}, both
-    # directions; uint64 views compare every bit, signed zeros included
+    # k = -s, one bin when s = 0, where L(0) meets itself at k = 0, and
+    # zc_time's k = -ts and p - 1 - ts. Every root of p <= 61 and of the
+    # PRACH lengths, ts in {0, 1, (p-1)/2} and the ts of s = 0, solved from
+    # 2u*fs = 1 mod p (it is (p-1)/2 in both directions), both directions;
+    # uint64 views compare every bit, signed zeros included
     phase0 = np.array([transform._PHASE0]).view(np.uint64)
     for p in ODD_PRIMES_61 + PRACH_LENGTHS:
+        half = (p + 1) // 2
         for u in range(1, p):
-            for ts in sorted({0, 1, (p - 1) // 2}):
+            iu, fs = mod_inverse(u, p), mod_inverse(2 * u, p)
+            zero_s = {DFT: (half * (iu - 1) - fs) % p, IDFT: (fs - half * (iu + 1)) % p}
+            for ts in sorted({0, 1, (p - 1) // 2, *zero_s.values()}):
                 params = ZcParams(p, u, ts)
                 samples = zc_time(params).view(np.uint64).reshape(p, 2)
                 assert (samples[[-ts, p - 1 - ts]] == phase0).all(), (p, u, ts)
@@ -305,10 +328,38 @@ def test_phase0_bins_read_the_padding_bit_for_bit(fresh_store):
                     const = pl.const_factor
                     assert pl.qpo_times4 % p != 0 and const.real != 0 and const.imag != 0
                     s = (1 - 2 * u * pl.fs) % p
+                    assert (s == 0) == (ts == zero_s[direction])
                     out = execute(pl).view(np.uint64).reshape(p, 2)
                     bits = np.array([const]).view(np.uint64)
                     assert (out[[0, -s]] == bits).all(), (p, u, ts, direction)
     assert sorted(fresh_store._entries) == sorted(ODD_PRIMES_61 + PRACH_LENGTHS)
+
+
+def test_only_the_phase0_indices_reach_the_pad(fresh_store):
+    # execute and zc_time gather with take(mode="clip"), which reads every
+    # index at or past the pad as the pad, so a wrong index could hide
+    # there: exactly the indices at phase 0, which hold L(0), may reach it.
+    # Every root of p <= 61 and of the PRACH lengths, ts in {0, 1, (p-1)/2},
+    # both directions, in exact integers
+    for p in ODD_PRIMES_61 + PRACH_LENGTHS:
+        _, (logs, exps), _, samples = fresh_store.entry(p)
+        m = np.arange(p)
+        for u in range(1, p):
+            for ts in sorted({0, 1, (p - 1) // 2}):
+                params = ZcParams(p, u, ts)
+                lr = logs[u * (p + 1) // 2 % p]
+                index = logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p]
+                at0 = (m + ts) * (m + ts + 1) % p == 0
+                pad = samples[lr:].size - 1
+                assert (index[~at0] < pad).all() and (index[at0] >= pad).all(), (p, u, ts)
+                for direction in (DFT, IDFT):
+                    pl = plan(params, direction)
+                    s = (1 - 2 * u * pl.fs) % p
+                    lr = logs[(-pl.iu * (p + 1) // 2) % p]
+                    index = logs[:p] + logs[s : s + p]
+                    at0 = phase_indices(pl) == 0
+                    pad = exps[lr:].size - 1
+                    assert (index[~at0] < pad).all() and (index[at0] >= pad).all(), (p, u, ts, direction)
 
 
 def test_kept_plan_fields_equal_factored_plans(fresh_store, monkeypatch):
