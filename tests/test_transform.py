@@ -303,16 +303,25 @@ def test_kept_zc_time_equals_the_formula_route_byte_for_byte(fresh_store, monkey
     assert formula.nbytes == 0
 
 
+def _only_phase0_reaches_the_pad(table, lr, index, at0):
+    """Whether exactly the indices at0 reach the pad, the last entry of table[lr:]."""
+    pad = table[lr:].size - 1
+    return (index[~at0] < pad).all() and (index[at0] >= pad).all()
+
+
 def test_phase0_bins_read_the_padding_bit_for_bit(fresh_store):
     # the bins whose log index holds the sentinel L(0): execute's k = 0 and
     # k = -s, one bin when s = 0, where L(0) meets itself at k = 0, and
     # zc_time's k = -ts and p - 1 - ts. Every root of p <= 61 and of the
     # PRACH lengths, ts in {0, 1, (p-1)/2} and the ts of s = 0, solved from
     # 2u*fs = 1 mod p (it is (p-1)/2 in both directions), both directions;
-    # uint64 views compare every bit, signed zeros included
+    # uint64 views compare every bit, signed zeros included. Both gathers
+    # use take(mode="clip"), which reads any index past the pad as the pad,
+    # so a wrong index could hide there: the integer indices are checked too
     phase0 = np.array([transform._PHASE0]).view(np.uint64)
     for p in ODD_PRIMES_61 + PRACH_LENGTHS:
-        half = (p + 1) // 2
+        _, (logs, exps), _, table = fresh_store.entry(p)
+        half, m = (p + 1) // 2, np.arange(p)
         for u in range(1, p):
             iu, fs = mod_inverse(u, p), mod_inverse(2 * u, p)
             zero_s = {DFT: (half * (iu - 1) - fs) % p, IDFT: (fs - half * (iu + 1)) % p}
@@ -320,6 +329,9 @@ def test_phase0_bins_read_the_padding_bit_for_bit(fresh_store):
                 params = ZcParams(p, u, ts)
                 samples = zc_time(params).view(np.uint64).reshape(p, 2)
                 assert (samples[[-ts, p - 1 - ts]] == phase0).all(), (p, u, ts)
+                index = logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p]
+                at0 = (m + ts) * (m + ts + 1) % p == 0
+                assert _only_phase0_reaches_the_pad(table, logs[u * half % p], index, at0), (p, u, ts)
                 for direction in (DFT, IDFT):
                     pl = plan(params, direction)
                     assert pl.logs is not None
@@ -332,34 +344,11 @@ def test_phase0_bins_read_the_padding_bit_for_bit(fresh_store):
                     out = execute(pl).view(np.uint64).reshape(p, 2)
                     bits = np.array([const]).view(np.uint64)
                     assert (out[[0, -s]] == bits).all(), (p, u, ts, direction)
-    assert sorted(fresh_store._entries) == sorted(ODD_PRIMES_61 + PRACH_LENGTHS)
-
-
-def test_only_the_phase0_indices_reach_the_pad(fresh_store):
-    # execute and zc_time gather with take(mode="clip"), which reads every
-    # index at or past the pad as the pad, so a wrong index could hide
-    # there: exactly the indices at phase 0, which hold L(0), may reach it.
-    # Every root of p <= 61 and of the PRACH lengths, ts in {0, 1, (p-1)/2},
-    # both directions, in exact integers
-    for p in ODD_PRIMES_61 + PRACH_LENGTHS:
-        _, (logs, exps), _, samples = fresh_store.entry(p)
-        m = np.arange(p)
-        for u in range(1, p):
-            for ts in sorted({0, 1, (p - 1) // 2}):
-                params = ZcParams(p, u, ts)
-                lr = logs[u * (p + 1) // 2 % p]
-                index = logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p]
-                at0 = (m + ts) * (m + ts + 1) % p == 0
-                pad = samples[lr:].size - 1
-                assert (index[~at0] < pad).all() and (index[at0] >= pad).all(), (p, u, ts)
-                for direction in (DFT, IDFT):
-                    pl = plan(params, direction)
-                    s = (1 - 2 * u * pl.fs) % p
-                    lr = logs[(-pl.iu * (p + 1) // 2) % p]
                     index = logs[:p] + logs[s : s + p]
                     at0 = phase_indices(pl) == 0
-                    pad = exps[lr:].size - 1
-                    assert (index[~at0] < pad).all() and (index[at0] >= pad).all(), (p, u, ts, direction)
+                    lr = logs[-pl.iu * half % p]
+                    assert _only_phase0_reaches_the_pad(exps, lr, index, at0), (p, u, ts, direction)
+    assert sorted(fresh_store._entries) == sorted(ODD_PRIMES_61 + PRACH_LENGTHS)
 
 
 def test_kept_plan_fields_equal_factored_plans(fresh_store, monkeypatch):
