@@ -16,6 +16,7 @@ discrete logs that transform reads a kept length's twiddle table through.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterator
 
@@ -145,11 +146,20 @@ def centered(x: int, p: int) -> int:
 
 _BLOCK = 1 << 14
 
-# j and T(j) = j(j+1)/2 for j < 2*_BLOCK, the same for every p
-_J = np.arange(2 * _BLOCK, dtype=np.int64)
-_TJ = np.cumsum(_J)
-_J.setflags(write=False)
-_TJ.setflags(write=False)
+
+@functools.cache
+def _block_tables() -> tuple[np.ndarray, np.ndarray]:
+    """j and T(j) = j(j+1)/2 for j < 2*_BLOCK, int64, read-only, the same for every p.
+
+    Built on _block_phases's first call and kept (512 KB): only a length
+    the transform's store does not keep reads them, so a process that runs
+    kept lengths alone never builds them.
+    """
+    j = np.arange(2 * _BLOCK, dtype=np.int64)
+    tj = np.cumsum(j)
+    j.setflags(write=False)
+    tj.setflags(write=False)
+    return j, tj
 
 
 def _block_bounds(n: int, lo: int = 0) -> Iterator[tuple[int, int]]:
@@ -187,7 +197,7 @@ def _block_phases(
     phase_blocks's seed. T(k0 + j) = T(k0) + k0*j + T(j), so phase_k0+j =
     (base + j*slope - iu*T(j)) mod p with slope = (fs - iu*k0) mod p and
     base = (k0*fs - iu*T(k0)) mod p exact Python ints for any ints fs and
-    k0, and j, T(j) from _J and _TJ. With j < 2*_BLOCK = 2**15 and
+    k0, and j, T(j) from _block_tables. With j < 2*_BLOCK = 2**15 and
     0 <= iu < p < 2**31, iu*T(j) < 2**60 and j*slope < 2**46: the int64 sum
     is exact (up to _BLOCK = 2**15; 2**16 overflows), so one reduction per
     bin gives exact integers. out and tmp, n-element int64 buffers, are
@@ -195,10 +205,11 @@ def _block_phases(
     by a scalar uses libdivide and % does not, so it costs about a third of
     np.remainder.
     """
-    phases = np.multiply(_J[:n], (fs - iu * k0) % p, out=out)
+    j, tj = _block_tables()
+    phases = np.multiply(j[:n], (fs - iu * k0) % p, out=out)
     # iu = 0 only for phase_blocks's step D, a linear term alone
     if iu:
-        tmp = np.multiply(_TJ[:n], iu, out=tmp)
+        tmp = np.multiply(tj[:n], iu, out=tmp)
         phases -= tmp
     if k0:
         phases += (k0 * fs - iu * (k0 * (k0 + 1) // 2)) % p

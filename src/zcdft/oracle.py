@@ -75,12 +75,13 @@ from .transform import DFT, require_direction, zc_time
 # 2**63, exact in one int64 word, while _GRID_PMAX <= 255. The grid, p <=
 # _GRID_PMAX, is one block of (p - 1)**2 terms, and _BLOCK sizes the kept
 # buffers to the largest; a longer length takes _BLOCK // (p - 1) < 198 rows
-# a block, so one row must fit, p <= PMAX = 39,205. The terms (627 KB) and
-# their int64 values (627 KB) live in two buffers per thread, allocated on
-# the thread's first call and kept, so a call allocates only O(p)
-# temporaries. Chunks of 2**13 terms allocated per call (128 KB each)
-# made glibc trim the heap top and fault it back in: 45.6 minor faults per
-# operation in a replay of perfbench's verify operations, 0 with the buffers.
+# a block, so one row must fit, p <= PMAX = 39,205. The terms (627 KB)
+# live in one buffer per thread, allocated on the thread's first call and
+# kept; their rounded components are summed from it in place, so a call
+# allocates only O(p) temporaries and one ufunc buffer. Chunks of 2**13
+# terms allocated per call (128 KB each) made glibc trim the heap top and
+# fault it back in: 45.6 minor faults per operation in a replay of
+# perfbench's verify operations, 0 with the kept buffer.
 _GRID_PMAX = 199
 _BLOCK = (_GRID_PMAX - 1) ** 2
 PMAX = _BLOCK + 1
@@ -94,13 +95,13 @@ _LOW = (1 << 32) - 1
 _LOCAL = threading.local()
 
 
-def _buffers() -> tuple[np.ndarray, np.ndarray]:
-    """This thread's kept block buffers: _BLOCK complex128 terms and their int64 values."""
+def _buffers() -> np.ndarray:
+    """This thread's one kept block buffer: _BLOCK complex128 terms."""
     try:
-        return _LOCAL.buffers
+        return _LOCAL.terms
     except AttributeError:
-        _LOCAL.buffers = np.empty(_BLOCK, np.complex128), np.empty(2 * _BLOCK, np.int64)
-        return _LOCAL.buffers
+        _LOCAL.terms = np.empty(_BLOCK, np.complex128)
+        return _LOCAL.terms
 
 
 def _log_order(p: int) -> np.ndarray:
@@ -215,19 +216,19 @@ def _exact_sum(x: np.ndarray, order: np.ndarray, inverse: np.ndarray, table: np.
     xl, edge, shift = _scaled_log_order(x, order)
     rows = min(q, _BLOCK // q)
     window = (_GRID_PMAX - 1) // rows
-    buffer, values = _buffers()
+    buffer = _buffers()
     acc = np.empty(2 * p, np.int64)
     sums = acc if rows == q else np.empty(2 * p, np.int64)
     hi = lo = 0
     for i, a0 in enumerate(range(0, q, rows)):
         n = min(rows, q - a0)
         terms = buffer[: n * q].reshape(n, q)
-        block = values[: 2 * n * q].reshape(n, 2 * q)
-        np.multiply(xl[1 + a0 : 1 + a0 + n, None], _hankel(table, a0, n, q), out=terms)
+        terms[...] = xl[1 + a0 : 1 + a0 + n, None]
+        np.multiply(terms, _hankel(table, a0, n, q), out=terms)
         parts = terms.view(np.float64)
-        np.copyto(block, np.rint(parts, out=parts), casting="unsafe")
+        np.rint(parts, out=parts)
         out = sums if i % window else acc
-        rest = block.sum(axis=0, out=out[2:]).reshape(q, 2)
+        rest = np.add.reduce(parts, axis=0, dtype=np.int64, out=out[2:]).reshape(q, 2)
         if a0 == 0:
             rest += edge[:2]
         edge[2 + 2 * a0 if a0 else 0 : 2 * (1 + a0 + n)].reshape(-1, 2).sum(axis=0, out=out[:2])

@@ -1,10 +1,14 @@
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zcdft
 from zcdft import numtheory, oracle, transform
 from zcdft.oracle import _SCALE, brute_gauss_sum, naive_dft, naive_idft, shifted_dft_identity
 from zcdft.sequences import ZcParams
@@ -144,13 +148,15 @@ def test_threads_on_a_cold_cache_match_serial_results():
 
 
 def test_warm_calls_allocate_o_p_bytes():
-    # a warm call finds p's entry kept and this thread's block buffers made,
-    # so it allocates O(p) temporaries, and numpy's multiply over the strided
-    # Hankel view takes two ufunc buffers of at most np.getbufsize() terms;
-    # per-call chunks of terms peaked at 471,036 bytes here
+    # a warm call finds p's entry kept and this thread's block buffer made,
+    # so it allocates O(p) temporaries and one ufunc buffer of at most
+    # np.getbufsize() terms, for the strided Hankel operand of the in-place
+    # multiply; per-call chunks of terms peaked at 471,036 bytes here, and
+    # the multiply into a second buffer, which buffered both operands, at
+    # 271,224
     p = 199
     x = zc_time(ZcParams(p=p, u=25, ts=7))
-    ufunc_buffers = 2 * 16 * np.getbufsize()
+    ufunc_buffer = 16 * np.getbufsize()
     for naive in (naive_dft, naive_idft):
         for case in (x, np.stack([x, x[::-1]])):
             naive(case)
@@ -160,7 +166,40 @@ def test_warm_calls_allocate_o_p_bytes():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * case.nbytes + ufunc_buffers
+            assert peak < 8 * case.nbytes + ufunc_buffer
+
+
+# run in a fresh interpreter, from the tree this suite imports zcdft from
+RESIDENT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from zcdft import numtheory, oracle
+from zcdft.sequences import ZcParams
+from zcdft.transform import DFT, execute, plan, zc_time
+
+for p in (139, 839):
+    execute(plan(ZcParams(p=p, u=25, ts=7), DFT))
+    zc_time(ZcParams(p=p, u=25, ts=7))
+x = zc_time(ZcParams(p=199, u=25, ts=7))
+oracle.naive_dft(x)
+oracle.naive_idft(x)
+assert numtheory._block_tables.cache_info().currsize == 0
+kept = list(vars(oracle._LOCAL).values())
+assert len(kept) == 1 and kept[0] is oracle._buffers()
+assert kept[0].dtype == np.complex128 and kept[0].shape == (oracle._BLOCK,) and kept[0].flags.c_contiguous
+execute(plan(ZcParams(p=40867, u=25, ts=7), DFT))
+assert numtheory._block_tables.cache_info().currsize == 1
+"""
+
+
+def test_kept_lengths_and_the_oracle_hold_only_what_they_read():
+    # kept spectra and samples read their length's entry and the grid oracle
+    # its one block buffer; the factored phases' block tables wait for the
+    # first length the store does not keep
+    src = Path(zcdft.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-I", "-c", RESIDENT, str(src)], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_oracle_does_not_call_the_transforms_log_tables(monkeypatch):

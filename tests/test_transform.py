@@ -544,8 +544,9 @@ def test_block_kernel_stays_within_int64():
     # |base + j*slope - iu*T(j)| is at most the sum of its terms' magnitudes,
     # here at the largest p, iu, slope, base and j the library accepts
     p, j = PRIME_CAP - 1, 2 * numtheory._BLOCK - 1
-    assert j == numtheory._J[-1] and numtheory._TJ[-1] == j * (j + 1) // 2
-    assert p * numtheory._TJ[-1].item() + j * p + PRIME_CAP < 2**63
+    js, tjs = numtheory._block_tables()
+    assert j == js[-1] and tjs[-1] == j * (j + 1) // 2
+    assert p * tjs[-1].item() + j * p + PRIME_CAP < 2**63
 
 
 def test_block_recurrence_stays_within_int64():
