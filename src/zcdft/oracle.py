@@ -74,7 +74,7 @@ from .transform import DFT, require_direction, zc_time
 # n = 0 included, each below 2**(_SCALE + 1): the block's sums stay below
 # 2**63, exact in one int64 word, while _GRID_PMAX <= 255. The grid, p <=
 # _GRID_PMAX, is one block of (p - 1)**2 terms, and _BLOCK sizes the kept
-# buffers to the largest; a longer length takes _BLOCK // (p - 1) < 198 rows
+# buffer to the largest; a longer length takes _BLOCK // (p - 1) < 198 rows
 # a block, so one row must fit, p <= PMAX = 39,205. The terms (627 KB)
 # live in one buffer per thread, allocated on the thread's first call and
 # kept; their rounded components are summed from it in place, so a call
@@ -210,6 +210,11 @@ def _exact_sum(x: np.ndarray, order: np.ndarray, inverse: np.ndarray, table: np.
     rounded once in float64. A window's first block sums into acc, each
     later one into sums, then acc += sums: one pass over 2p words a block,
     and the split's four once a window.
+
+    A block is formed in the kept buffer (_buffers), x written first and
+    multiplied by the Hankel view in place, so numpy buffers only the view;
+    it is rounded there, and one int64 reduction casts and sums its
+    columns, exactly, as each rounded component is an integer below 2**55.
     """
     p = len(x)
     q = p - 1
@@ -265,7 +270,7 @@ def _exact_transform(x: np.ndarray, sign: int) -> np.ndarray:
     bin k = 0 take x[n] * W[0], and W[0] = table[0] is exactly 1 -+ 0j, so
     that product's components are x[n]'s up to the sign of a zero: the
     scaled samples stand in for it. The terms' float64 components are
-    rounded to integers, cast to int64 and added exactly.
+    rounded to integers and added exactly in int64.
     """
     x = np.ascontiguousarray(x, dtype=np.complex128)
     p = x.shape[-1]
