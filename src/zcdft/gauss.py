@@ -41,6 +41,9 @@ def _qpo_times4(p: int, u: int | np.ndarray, ell: int | np.ndarray) -> int | np.
     """4*QPo for a validated (p, u) whose Legendre sign l_2u = ell is known, elementwise.
 
     Exact for Python ints; an int64 numerator must stay below 2**63 (transform._ROW_PMAX).
+    The numerator is u mod p, as (p+1)**3 = 1 mod p, so 4*QPo = u/2 != 0
+    mod p for 1 <= u <= p-1: the constant's angle 2*pi*4QPo/(4p) is no
+    multiple of pi/2, and neither of its components is zero.
     """
     num = (3 - 2 * ell - (p % 4)) * p + u * (p + 1) ** 3
     if np.count_nonzero(num % 2):

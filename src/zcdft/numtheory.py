@@ -7,11 +7,12 @@ below 2**63. phase_blocks gives the phases phase_k = (k*fs - iu*T(k)) mod p,
 T(k) = k(k+1)/2, of a bin range block by block, as the paper accumulates
 them: _block_phases seeds the first block from the closed form, and every
 later block is the one before plus a per-call vector and a per-block
-scalar, reduced by two conditional subtractions. transform's factored
-gather reads them a block at a time; quadratic_phases collects them into
-one array, transform's phase indices and zc_time's at a length the
-transform's store does not keep. primitive_root and power_table give the
-discrete logs that transform reads a kept length's twiddle table through.
+scalar, reduced by two conditional subtractions. Every reader takes them
+a block at a time from one reused buffer: transform's factored gather and
+zc_time at a length the transform's store does not keep, and
+transform.phase_indices, which copies them into its own array.
+primitive_root and power_table give the discrete logs that transform
+reads a kept length's twiddle table through.
 """
 
 from __future__ import annotations
@@ -151,9 +152,12 @@ _BLOCK = 1 << 14
 def _block_tables() -> tuple[np.ndarray, np.ndarray]:
     """j and T(j) = j(j+1)/2 for j < 2*_BLOCK, int64, read-only, the same for every p.
 
-    Built on _block_phases's first call and kept (512 KB): only a length
-    the transform's store does not keep reads them, so a process that runs
-    kept lengths alone never builds them.
+    Built on _block_phases's first call and kept (512 KB). Every
+    phase_blocks call reads them: transform's execute and zc_time at a
+    length its store does not keep, and transform.phase_indices at every
+    length, so the registry's phase families and zcdft bench's phase_ns
+    build them at p <= 199 too. A process that runs only kept execute and
+    zc_time never builds them.
     """
     j = np.arange(2 * _BLOCK, dtype=np.int64)
     tj = np.cumsum(j)
@@ -220,21 +224,15 @@ def _block_phases(
 
 
 def phase_blocks(
-    p: int,
-    iu: int,
-    fs: int,
-    lo: int,
-    n: int,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
+    p: int, iu: int, fs: int, lo: int, n: int, tmp: np.ndarray | None = None
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield k0, k1 and int64 phase_k = (k*fs - iu*T(k)) mod p, k0 <= k < k1, per block of [lo, lo + n).
 
-    The blocks are _block_bounds(n, lo), n >= 2. With out, n int64, a
-    block's phases are out[k0 - lo : k1 - lo]; without, they are a view of
-    one kept buffer that the next block overwrites, so read each before
-    asking for the next. tmp, int64 of at least min(n, 2*_BLOCK) entries,
-    is allocated when not given; it is free again once a block is yielded.
+    The blocks are _block_bounds(n, lo), n >= 2. Each block's phases are a
+    view of one kept buffer that the next block overwrites, so read each
+    before asking for the next. tmp, int64 of at least min(n, 2*_BLOCK)
+    entries, is allocated when not given; it is free again once a block is
+    yielded.
 
     The first block is seeded by _block_phases, and so is every block of a
     range of at most three blocks: D below costs about one seed, and an
@@ -257,53 +255,34 @@ def phase_blocks(
     if tmp is None:
         tmp = np.empty(size, dtype=np.int64)
     seeded = len(bounds) <= 3
-    # without out, the kept block and D share one buffer, of the same length
-    # for every n >= 2*_BLOCK, so the heap reuses its space call after call;
-    # buffers sized to each n's blocks left large-p's peak RSS 0.4 MB higher
-    kept = np.empty(size if seeded else 2 * size, dtype=np.int64) if out is None else None
+    # the kept block and D share one buffer, of the same length for every
+    # n >= 2*_BLOCK, so the heap reuses its space call after call; buffers
+    # sized to each n's blocks left large-p's peak RSS 0.4 MB higher
+    kept = np.empty(size if seeded else 2 * size, dtype=np.int64)
     if seeded:
         for k0, k1 in bounds:
-            dest = kept[: k1 - k0] if out is None else out[k0 - lo : k1 - lo]
-            yield k0, k1, _block_phases(p, iu, fs, k0, k1 - k0, dest, tmp[: k1 - k0])
+            yield k0, k1, _block_phases(p, iu, fs, k0, k1 - k0, kept[: k1 - k0], tmp[: k1 - k0])
         return
     k0, k1 = bounds[0]
-    dest = kept[: k1 - k0] if out is None else out[: k1 - k0]
-    prev = _block_phases(p, iu, fs, k0, k1 - k0, dest, tmp[: k1 - k0])
-    yield k0, k1, prev
+    cur = _block_phases(p, iu, fs, k0, k1 - k0, kept[: k1 - k0], tmp[: k1 - k0])
+    yield k0, k1, cur
     step = n // len(bounds)
     tmp = tmp[:step]
-    d = _block_phases(p, 0, -iu * step % p, 0, step, None if kept is None else kept[-step:], tmp)
+    d = _block_phases(p, 0, -iu * step % p, 0, step, kept[-step:], tmp)
     tl = step * (step + 1) // 2
     pu = np.uint64(p)
     wrap = tmp.view(np.uint64)
+    # in place: each block overwrites the L bins it follows from
+    cur = cur[-step:]
+    x = cur.view(np.uint64)
     for k0, k1 in bounds[1:]:
-        src = prev[-step:]
-        # in place without out: the block overwrites the bins it follows from
-        cur = src if out is None else out[k0 - lo : k1 - lo]
-        np.add(src, d, out=cur)
+        cur += d
         cur += (step * fs - iu * (tl + step * (k0 - step))) % p
-        x = cur.view(np.uint64)
         np.subtract(x, pu, out=wrap)
         np.minimum(x, wrap, out=x)
         np.subtract(x, pu, out=wrap)
         np.minimum(x, wrap, out=x)
         yield k0, k1, cur
-        prev = cur
-
-
-def quadratic_phases(p: int, iu: int, fs: int, k0: int, n: int) -> np.ndarray:
-    """int64 phase_k = (k*fs - iu*T(k)) mod p for the n >= 2 bins k0 <= k < k0 + n, by phase_blocks.
-
-    transform's phase indices are the p bins from k0 = 0. zc_time reads
-    (p+1)/2 bins from k0 >= ts, which may pass p: for odd p, T(k + p) =
-    T(k) + p*(2k + p + 1)/2 = T(k) mod p. zc_time reads them only at a
-    length the transform's store does not keep; a kept one gathers its
-    samples through the length's discrete logs instead.
-    """
-    phases = np.empty(n, dtype=np.int64)
-    for _ in phase_blocks(p, iu, fs, k0, n, phases):
-        pass
-    return phases
 
 
 def primitive_root(p: int) -> int:

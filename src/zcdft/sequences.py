@@ -3,7 +3,7 @@
 A prime-length ZC sequence is a chirp whose phase is a quadratic in the
 sample index. The same waveform can be produced by accumulating the integer
 frequency points of a linear hopping pattern. transform.zc_time takes the
-closed form (numtheory.quadratic_phases, or a kept length's discrete logs)
+closed form (numtheory.phase_blocks, or a kept length's discrete logs)
 and lmfh_symbol the accumulation (accumulate_phases), the two routes that
 transform's spectra share; tests cross-check them. zc_time lives in
 transform because a kept length reads the transform's per-length store.

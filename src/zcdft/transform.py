@@ -12,9 +12,10 @@ offset is folded into one complex constant, sqrt(p)*exp(i*2*pi*QPo/p), so
 the phases stay integer and the table of roots has p entries. Every plan
 holds that table as two sqrt(p)-length factors (_twiddle_factors). execute
 reads it through discrete-log tables for a length the store keeps
-(_LengthStore), else by _gather's blocked, mirrored gather; the counted
-path gathers all p bins in blocks (_gather_phases). Each output is the same
-product hi[a] * lo[b], so the spectra are bit-identical. A kept length's entry
+(_LengthStore), else by _gather's mirrored half; the counted path gathers
+all p bins at its phases (_gather_phases). Both run one blocked gather
+(_gather_blocks), and a kept entry holds the same product hi[a] * lo[b],
+so the spectra are bit-identical. A kept length's entry
 also holds every root's inverse, Legendre sign, 4*QPo and constant as one
 structured row per root (_root_scalars), which plan reads with one .item(u)
 instead of deriving them; both branches of plan take 4*QPo and the constant
@@ -23,10 +24,10 @@ from gauss. The bins at phase 0 read their value from the gather itself
 
 zc_time, the time-domain sequence, lives here, next to the store it reads:
 a kept length gathers its samples through the same discrete logs from the
-entry's own table of them (_zc_samples), any other length evaluates the
-phases (quadratic_phases) and one np.exp of half its bins and copies the
-rest from their mirrors, as _gather does (_mirrored). Both routes give the
-same bits.
+entry's own table of them (_zc_samples), any other length exponentiates
+the blocks of phase_blocks over half its bins and copies the rest from
+their mirrors, as _gather does (_mirrored). Both routes give the same
+bits.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gauss import _qpo_times4, const_from_qpo
-from .numtheory import _BLOCK, _block_bounds, phase_blocks, quadratic_phases
+from .numtheory import _BLOCK, _block_bounds, phase_blocks
 from .numtheory import legendre, mod_inverse, power_table, primitive_root
 from .sequences import OpCounters, ZcParams, accumulate_phases
 
@@ -327,10 +328,14 @@ _STORE = _LengthStore(_STORE_BYTES)
 def phase_indices(pl: TransformPlan) -> np.ndarray:
     """int64 phase indices phase_k = (k*fs - iu*T(k)) mod p, k = 0..p-1.
 
-    numtheory.quadratic_phases from k0 = 0; it factors as r*k*(k + s) mod p
-    (see execute).
+    numtheory.phase_blocks from k0 = 0, each block copied into the output;
+    it factors as r*k*(k + s) mod p (see execute).
     """
-    return quadratic_phases(pl.params.p, pl.iu, pl.fs, 0, pl.params.p)
+    p = pl.params.p
+    out = np.empty(p, dtype=np.int64)
+    for k0, k1, r in phase_blocks(p, pl.iu, pl.fs, 0, p):
+        out[k0:k1] = r
+    return out
 
 
 def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray:
@@ -345,9 +350,7 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     _gather's products, so the output is _gather's bit for bit. At k = 0
     and k = -s (one bin when s = 0) phase_k = 0 and the gather reads E3's
     pad, 1 + 0j (_log_tables). const_factor * (1 + 0j) is const_factor bit
-    for bit, since neither of its components is zero: its angle is
-    2*pi*4QPo/(4p), and 4*QPo = u/2 != 0 mod p (gauss._qpo_times4 halves a
-    numerator that is u mod p) keeps it off every multiple of pi/2.
+    for bit, since neither of its components is zero (gauss._qpo_times4).
     r and s come from the plan's fields, so dataclasses.replace works.
 
     A factored plan (logs None) runs _gather. With counters, at every p,
@@ -368,28 +371,45 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
 
 
 def _gather_phases(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
-    """const_factor * table[phase_k] for given phases, all p bins, block by block.
+    """const_factor * table[phase_k] for given phases, all p bins, by _gather_blocks.
 
-    hi[phase >> s] * lo[phase & (m - 1)] * const_factor: _gather's product,
-    formed in the same order, into the output a block at a time
-    (_block_bounds, no block of one bin), with buffers no longer than p.
+    The blocks are _block_bounds(p), slices of phases, so no block is one
+    bin and no buffer is longer than p.
+    """
+    p = pl.params.p
+    out = np.empty(p, dtype=np.complex128)
+    tmp = np.empty(min(p, 2 * _BLOCK), dtype=np.int64)
+    _gather_blocks(pl, out, 0, ((k0, k1, phases[k0:k1]) for k0, k1 in _block_bounds(p)), tmp)
+    return out
+
+
+def _gather_blocks(pl: TransformPlan, out: np.ndarray, first: int, blocks, tmp: np.ndarray) -> None:
+    """out[k - first] = hi[phase_k >> s] * lo[phase_k & (m - 1)] * const_factor for each block (k0, k1, phases) of blocks.
+
+    The gather of every factored output, a block at a time while its
+    phases stay in L2: _gather's mirrored half from numtheory.phase_blocks
+    and _gather_phases's given phases. tmp, int64 of at least the longest
+    block, holds the split indices; a complex scratch of its length holds
+    the lo factors. Every output is the same product in the same order.
     """
     p = pl.params.p
     m = _split(p)
     lo, hi = pl.twiddles[:m], pl.twiddles[m:]
     s = m.bit_length() - 1
-    out = np.empty(p, dtype=np.complex128)
-    size = min(p, 2 * _BLOCK)
-    tmp = np.empty(size, dtype=np.int64)
-    scratch = np.empty(size, dtype=np.complex128)
-    for k0, k1 in _block_bounds(p):
+    # out, tmp, this scratch, then phase_blocks's kept buffer at the first
+    # block: allocated after the output, the buffers reuse their heap space
+    # call after call, and none is longer than the range: above glibc's
+    # mmap threshold an unused buffer can make the output fault in afresh
+    # on every call
+    scratch = np.empty(tmp.size, dtype=np.complex128)
+    for k0, k1, r in blocks:
         n = k1 - k0
-        block = out[k0:k1]
-        r = phases[k0:k1]
+        block = out[k0 - first : k1 - first]
+        # every index is in range, so "clip" never clips; unlike "raise"
+        # it writes into the output directly instead of through a buffer
         np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
         block *= np.take(lo, np.bitwise_and(r, m - 1, out=tmp[:n]), out=scratch[:n], mode="clip")
         block *= pl.const_factor
-    return out
 
 
 def _mirrored(p: int, t: int, form) -> np.ndarray:
@@ -420,33 +440,18 @@ def _gather(pl: TransformPlan) -> np.ndarray:
 
     Only the h = (p+1)/2 bins [first, first + h) are formed and gathered
     (_mirrored), block by block: numtheory.phase_blocks gives each block's
-    phases, seeded or advanced from the block before by additions, and the
-    gather hi[phase >> s] * lo[phase & (m - 1)] and scale are done before
-    the next block starts. With t = 2*u*fs - 1 = -s,
+    phases, seeded or advanced from the block before by additions, and
+    _gather_blocks gathers and scales them before the next block starts.
+    With t = 2*u*fs - 1 = -s,
         phase_(t-k) = r*(t - k)*(t - k + s) = r*(-(k + s))*(-k) = phase_k,
     and equal phases give equal outputs bit for bit, so out[k] ==
     out[(t - k) mod p] and the other (p-1)/2 bins are copies.
     """
     p = pl.params.p
-    m = _split(p)
-    lo, hi = pl.twiddles[:m], pl.twiddles[m:]
-    s = m.bit_length() - 1
+
     def form(half: np.ndarray, first: int) -> None:
-        # allocated after the output, so the heap reuses their space below
-        # it call after call, and no larger than the half range: above
-        # glibc's mmap threshold an unused buffer can make the output fault
-        # in afresh on every call
-        size = min(half.size, 2 * _BLOCK)
-        tmp = np.empty(size, dtype=np.int64)
-        scratch = np.empty(size, dtype=np.complex128)
-        for k0, k1, r in phase_blocks(p, pl.iu, pl.fs, first, half.size, tmp=tmp):
-            n = k1 - k0
-            block = half[k0 - first : k1 - first]
-            # every index is in range, so "clip" never clips; unlike "raise"
-            # it writes into the output directly instead of through a buffer
-            np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
-            block *= np.take(lo, np.bitwise_and(r, m - 1, out=tmp[:n]), out=scratch[:n], mode="clip")
-            block *= pl.const_factor
+        tmp = np.empty(min(half.size, 2 * _BLOCK), dtype=np.int64)
+        _gather_blocks(pl, half, first, phase_blocks(p, pl.iu, pl.fs, first, half.size, tmp), tmp)
 
     return _mirrored(p, (2 * pl.params.u * pl.fs - 1) % p, form)
 
@@ -468,20 +473,23 @@ def zc_time(params: ZcParams) -> np.ndarray:
     sample of every nonzero phase as np.exp gives it (_zc_samples). At
     m = 0 and m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0 and
     the gather reads S3's pad, _PHASE0 (_log_tables). A length not kept
-    forms the phases of
-    m = k + ts by quadratic_phases (iu = -u mod p, fs = 0) and takes one
-    np.exp (_chirp_exp), for half its bins: T(-1 - m) = T(m), so the
+    forms the phases of m = k + ts block by block (numtheory.phase_blocks,
+    iu = -u mod p, fs = 0; m may pass p, as T(m + p) = T(m) mod p for odd
+    p) and exponentiates each block into its slice of the output
+    (_chirp_exp), for half its bins: T(-1 - m) = T(m), so the
     samples at k and -1 - 2ts - k mod p share one phase integer, and
     _mirrored copies the other (p-1)/2. Both routes give the same bits.
     """
     p, u, ts = params.p, params.u, params.ts
     entry = _STORE.entry(p)
     if entry is None:
-        return _mirrored(
-            p,
-            (-1 - 2 * ts) % p,
-            lambda half, first: _chirp_exp(p, quadratic_phases(p, -u % p, 0, first + ts, half.size), half),
-        )
+
+        def form(half: np.ndarray, first: int) -> None:
+            start = first + ts
+            for k0, k1, r in phase_blocks(p, -u % p, 0, start, half.size):
+                _chirp_exp(p, r, half[k0 - start : k1 - start])
+
+        return _mirrored(p, (-1 - 2 * ts) % p, form)
     (logs, _), samples = entry[1], entry[3]
     lr = logs[u * (p + 1) // 2 % p]
     return samples[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p], mode="clip")

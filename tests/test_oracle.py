@@ -196,7 +196,7 @@ assert numtheory._block_tables.cache_info().currsize == 1
 def test_kept_lengths_and_the_oracle_hold_only_what_they_read():
     # kept spectra and samples read their length's entry and the grid oracle
     # its one block buffer; the factored phases' block tables wait for the
-    # first length the store does not keep
+    # first phase_blocks call, here a length the store does not keep
     src = Path(zcdft.__file__).resolve().parents[1]
     run = subprocess.run([sys.executable, "-I", "-c", RESIDENT, str(src)], capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,8 +336,8 @@ def test_phase0_bins_read_the_padding_bit_for_bit(fresh_store):
                 for direction in (DFT, IDFT):
                     pl = plan(params, direction)
                     assert pl.logs is not None
-                    # the premise: 4*QPo != 0 mod p, so the constant's angle is
-                    # no multiple of pi/2 and (1 + 0j) * const_factor is exact
+                    # the premise gauss._qpo_times4 states, which makes
+                    # (1 + 0j) * const_factor exact
                     const = pl.const_factor
                     assert pl.qpo_times4 % p != 0 and const.real != 0 and const.imag != 0
                     s = (1 - 2 * u * pl.fs) % p
@@ -564,10 +565,10 @@ def test_block_recurrence_stays_within_int64():
 
 def test_phase_blocks_are_exact_at_the_prime_cap():
     # nine blocks at the largest p, the first 5 bins longer, from k0 = 0 and
-    # from zc_time's largest start p - 1, for iu, fs in {1, p - 1}: the first
-    # block (seeded), a middle and the last one (advanced by the recurrence)
-    # against the seed and the closed form in Python ints, and every block,
-    # kept buffer or not, against quadratic_phases's output
+    # from zc_time's largest start p - 1, for iu, fs in {1, p - 1}: every
+    # block (the first seeded, the rest advanced by the recurrence) against
+    # _block_phases's seed at its own k0, and the first, a middle and the
+    # last block against the closed form in Python ints
     p = PRIME_CAP - 1
     n = 9 * numtheory._BLOCK + 5
     for iu in (1, p - 1):
@@ -576,12 +577,11 @@ def test_phase_blocks_are_exact_at_the_prime_cap():
                 blocks = [(lo, hi, r.copy()) for lo, hi, r in numtheory.phase_blocks(p, iu, fs, k0, n)]
                 assert [(lo, hi) for lo, hi, _ in blocks] == list(numtheory._block_bounds(n, k0))
                 assert [hi - lo for lo, hi, _ in blocks] == [numtheory._BLOCK + 5] + [numtheory._BLOCK] * 8
-                whole = numtheory.quadratic_phases(p, iu, fs, k0, n)
-                assert np.array_equal(np.concatenate([r for _, _, r in blocks]), whole)
+                for lo, hi, r in blocks:
+                    assert np.array_equal(r, numtheory._block_phases(p, iu, fs, lo, hi - lo))
                 for lo, hi, r in (blocks[0], blocks[4], blocks[-1]):
                     expect = [(k * fs - iu * (k * (k + 1) // 2)) % p for k in range(lo, hi)]
                     assert r.tolist() == expect
-                    assert np.array_equal(r, numtheory._block_phases(p, iu, fs, lo, hi - lo))
 
 
 @pytest.mark.parametrize("p", list(BLOCK_LENGTHS))
@@ -705,6 +705,26 @@ def test_factored_execute_equals_table_gather(p):
     for pl in _mirror_plans(p):
         assert pl.logs is None
         assert np.array_equal(execute(pl), table[phase_indices(pl)] * pl.const_factor)
+
+
+def test_lengths_not_kept_hold_only_block_sized_temporaries():
+    # a warm execute and zc_time past the store's bound hold the 16p-byte
+    # output and buffers of one block, at most 2*_BLOCK bins: tmp (8 bytes a
+    # bin), phase_blocks's block and D (16), and either the gather's complex
+    # scratch (16) or _chirp_exp's temporaries (8 + 8 + 16), at most 56
+    # bytes a bin, under 64
+    for p in (65537, 1000003):
+        params = ZcParams(p, 25, 7)
+        assert plan(params, DFT).logs is None
+        for call in (lambda: execute(plan(params, DFT)), lambda: zc_time(params)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * p + 64 * 2 * numtheory._BLOCK, (p, peak)
 
 
 def test_plan_at_the_prime_cap_holds_only_factors():
