@@ -313,9 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         "null above it. fast_faults is the minor page faults per warm execute "
         "call over reps calls, at every p; both fault keys are null where the "
         "resource module is missing. zc_time_ns is the median of a zc_time call, which gathers "
-        "a kept length's samples through its discrete logs and evaluates any "
-        "other length's phases and exps, and fft_ns that of np.fft.fft on the "
-        "same samples, the baseline the transform is measured against.",
+        "its samples from the transform's table of roots, through a kept "
+        "length's discrete logs and any other length's factors, and fft_ns that "
+        "of np.fft.fft on the same samples, the baseline the transform is "
+        "measured against.",
     )
     sp.set_defaults(handler=cmd_bench)
     sp.add_argument(

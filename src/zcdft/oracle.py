@@ -66,7 +66,7 @@ import numpy as np
 from .gauss import gauss_sum_closed
 from .numtheory import mod_inverse
 from .sequences import ZcParams
-from .transform import DFT, require_direction, zc_time
+from .transform import DFT, require_direction
 
 
 # A case is summed in blocks of at most _GRID_PMAX - 1 whole Hankel rows
@@ -305,17 +305,19 @@ def naive_idft(x: np.ndarray) -> np.ndarray:
 
 
 def zc_time_direct(params: ZcParams) -> np.ndarray:
-    """zc_time from its defining integer, u*(k+ts)(k+ts+1) mod 2p, for p below 2**20.
+    """The ZC samples from their defining integer, u*m(m+1) mod 2p with m = k + ts, by np.exp.
 
-    With u < p and k + ts < 2p the product is below 4*p**3, which is below
-    2**62 for p < 2**20; a larger p raises ValueError (from about 1.32e6 on,
-    the int64 product would wrap).
+    m is reduced mod p first and m(m+1) mod 2p before the product with u:
+    u*m(m+1) mod 2p has period p in m, as (m + p)(m + p + 1) - m(m + 1) =
+    p(2m + 1 + p) and 2m + 1 + p is even. So every int64 intermediate is
+    below 2p**2 < 2**63 for any p < 2**31, and the argument is the same
+    integer as without the reductions. The reference the oracle's
+    other routines and verify's fast-vs-naive family sum, built without
+    transform's table of roots.
     """
     p = params.p
-    if p >= 1 << 20:
-        raise ValueError(f"zc_time_direct needs p < 2**20 to stay within int64, got p={p}")
-    m = np.arange(params.ts, p + params.ts, dtype=np.int64)
-    return np.exp((-1j * np.pi / p) * (params.u * m * (m + 1) % (2 * p)).astype(np.float64))
+    m = (np.arange(p, dtype=np.int64) + params.ts) % p
+    return np.exp((-1j * np.pi / p) * (params.u * (m * (m + 1) % (2 * p)) % (2 * p)).astype(np.float64))
 
 
 def long_double_spectrum(params: ZcParams, direction: str) -> np.ndarray:
@@ -344,12 +346,12 @@ def brute_gauss_sum(params: ZcParams) -> complex:
     """
     if params.ts != 0:
         raise ValueError("brute_gauss_sum requires ts=0")
-    z = zc_time(params)
+    z = zc_time_direct(params)
     return complex(math.fsum(z.real), math.fsum(z.imag))
 
 
 def shifted_dft_identity(params: ZcParams, direction: str) -> np.ndarray:
-    """Spectrum of x = zc_time(params) by index remapping, in O(p).
+    """Spectrum of x = zc_time_direct(params) by index remapping, in O(p).
 
     F(k) = conj(x[step*k mod p]) * x[0] * F(0), with step = iu for the DFT
     and -iu for the unnormalized IDFT (iu the inverse of u mod p). F(0) is
@@ -361,6 +363,6 @@ def shifted_dft_identity(params: ZcParams, direction: str) -> np.ndarray:
     require_direction(direction)
     p, u = params.p, params.u
     step = mod_inverse(u, p) if direction == DFT else -mod_inverse(u, p)
-    x = zc_time(params)
+    x = zc_time_direct(params)
     idx = step * np.arange(p, dtype=np.int64) % p
     return np.conj(x[idx]) * (x[0] * gauss_sum_closed(p, u).value)

@@ -6,7 +6,8 @@ frequency points of a linear hopping pattern. transform.zc_time takes the
 closed form (numtheory.phase_blocks, or a kept length's discrete logs)
 and lmfh_symbol the accumulation (accumulate_phases), the two routes that
 transform's spectra share; tests cross-check them. zc_time lives in
-transform because a kept length reads the transform's per-length store.
+transform because its samples are entries of the transform's table of
+roots, gathered as the spectra are.
 """
 
 from __future__ import annotations

@@ -22,12 +22,13 @@ instead of deriving them; both branches of plan take 4*QPo and the constant
 from gauss. The bins at phase 0 read their value from the gather itself
 (_log_tables).
 
-zc_time, the time-domain sequence, lives here, next to the store it reads:
-a kept length gathers its samples through the same discrete logs from the
-entry's own table of them (_zc_samples), any other length exponentiates
-the blocks of phase_blocks over half its bins and copies the rest from
-their mirrors, as _gather does (_mirrored). Both routes give the same
-bits.
+zc_time, the time-domain sequence, lives here, next to the table it reads.
+By the paper's third result the sequence and its spectra are one lmFH
+gather from one table of roots, and differ only in slope, start and scale:
+zc_time is execute's gather with iu = -u mod p, fs = 0, a start at ts and
+no scale, from E3 through the discrete logs at a kept length, else by
+_gather. Both routes give the same bits, and every sample is a table
+entry, within the table's derived bound (_twiddle_factors).
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         qpo4 = _qpo_times4(p, u, ell)
         const = const_from_qpo(p, qpo4)
     else:
-        twiddles, logs, rows, _ = entry
+        twiddles, logs, rows = entry
         iu, ell, qpo4, const = rows.item(u)
     fs = (half * iu + shift) % p
     # one dict update, not the frozen __init__'s object.__setattr__ per field
@@ -161,16 +162,16 @@ def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     With g the least primitive root of p, pw[e] = g**e mod p for e < p - 1,
     L2 = [L, L], L[g**e mod p] = e and L[0] = 3(p - 1), a sentinel, and
     E3[e] = hi[a] * lo[b] at a*m + b = pw[e mod (p-1)] for e < 3(p - 1), the
-    product _gather forms, then one pad, table[0] = 1 + 0j, at 3(p - 1).
-    pw, writable, is what _root_scalars inverts through.
+    product _gather forms, then one pad, table[0] = 1 + 0j, at 3(p - 1):
+    hi[0] * lo[0] bit for bit. pw, writable, is what _root_scalars inverts
+    through.
 
-    execute gathers E3[lr:], and zc_time S3[lr:] (_zc_samples, padded with
-    its phase-0 sample), at L2[x] + L2[y], lr = L(r), r != 0, with
-    take(mode="clip"), which reads any index at or past the end as the last
-    entry: the pad, at 3(p - 1) - lr. An index that holds the sentinel, once
-    or twice, is at least 3(p - 1), so it reads the pad: the phase-0 bins
-    need no fix-up. Any other index is at most 2(p - 2) < 3(p - 1) - lr, as
-    lr <= p - 2, so it never clips.
+    execute and zc_time gather E3[lr:] at L2[x] + L2[y], lr = L(r), r != 0,
+    with take(mode="clip"), which reads any index at or past the end as the
+    last entry: the pad, at 3(p - 1) - lr. An index that holds the sentinel,
+    once or twice, is at least 3(p - 1), so it reads the pad: the phase-0
+    bins need no fix-up. Any other index is at most 2(p - 2) < 3(p - 1) -
+    lr, as lr <= p - 2, so it never clips.
     """
     m = _split(p)
     pw = power_table(primitive_root(p), p)
@@ -217,34 +218,10 @@ def _root_scalars(p: int, logs: np.ndarray, pw: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _chirp_exp(p: int, phases: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(-i*pi*2*phase/p) of int64 phases, into out if given: zc_time's samples, one np.exp over them."""
-    return np.exp((-1j * np.pi / p) * (2 * phases).astype(np.float64), out=out)
-
-
-# zc_time's sample at phase 0, as np.exp returns it: its argument, the
-# scalar -i*pi/p times 0.0, is a complex zero whose signs follow the
-# scalar's signs, the same for every p
-_PHASE0 = _chirp_exp(3, np.zeros(1, dtype=np.int64)).item()
-
-
-def _zc_samples(p: int, pw: np.ndarray) -> np.ndarray:
-    """S3 of p, read-only: S3[e] = zc_time's sample at phase pw[e mod (p-1)], e < 3(p - 1), then the pad _PHASE0.
-
-    The same expression zc_time evaluates at a length not kept (_chirp_exp),
-    on the same integer phases, so each sample has the same bits. The pad
-    is laid out and read as E3's (_log_tables).
-    """
-    w = _chirp_exp(p, pw)
-    samples = np.concatenate((w, w, w, [_PHASE0]))
-    samples.setflags(write=False)
-    return samples
-
-
 def _entry_bytes(p: int) -> int:
-    """Bytes of p's kept entry, about 145*p: factors, L2, E3 and S3 with their pads, root rows (see _build_entry)."""
+    """Bytes of p's kept entry, about 97*p: factors, L2, E3 with its pad, root rows (see _build_entry)."""
     m = _split(p)
-    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 96 * (p - 1) + 32 + _ROOT_ROW.itemsize * p
+    return 16 * (m + -(-p // m)) + 2 * p * np.dtype(np.intp).itemsize + 48 * (p - 1) + 16 + _ROOT_ROW.itemsize * p
 
 
 def _kept_bytes(p: int) -> float:
@@ -253,27 +230,27 @@ def _kept_bytes(p: int) -> float:
 
 
 def _build_entry(p: int) -> tuple:
-    """p's entry (factors, (L2, E3), rows, S3), read-only, built from p alone.
+    """p's entry (factors, (L2, E3), rows), read-only, built from p alone.
 
-    _twiddle_factors, _log_tables, _root_scalars and _zc_samples make it in
-    16*(m + ceil(p/m)) + 16*p + (48*(p-1) + 16) + 33*p + (48*(p-1) + 16)
-    bytes, about 145*p (_entry_bytes): E3 and S3 are each 3(p - 1) entries
-    in log order and one pad (_log_tables). rows holds one _ROOT_ROW per
-    root: iu (int64), ell (int8), 4*QPo (int64) and the constant
-    (complex128). (L2, E3) is one tuple, every plan's logs. Every
-    plan of a kept p reads its E3 and its row, and every zc_time its S3,
-    while a length not kept would build all of them for one call, so plan
-    and zc_time take their other routes there instead.
+    _twiddle_factors, _log_tables and _root_scalars make it in
+    16*(m + ceil(p/m)) + 16*p + (48*(p-1) + 16) + 33*p bytes, about 97*p
+    (_entry_bytes): E3 is 3(p - 1) entries in log order and one pad
+    (_log_tables). rows holds one _ROOT_ROW per root: iu (int64), ell
+    (int8), 4*QPo (int64) and the constant (complex128). (L2, E3) is one
+    tuple, every plan's logs. Every plan and zc_time of a kept p reads its
+    E3, and every plan its row, while a length not kept would build all of
+    them for one call, so plan and zc_time take their other routes there
+    instead.
     """
     factors = _twiddle_factors(p)
     logs, exps, pw = _log_tables(p, factors)
-    return factors, (logs, exps), _root_scalars(p, logs, pw), _zc_samples(p, pw)
+    return factors, (logs, exps), _root_scalars(p, logs, pw)
 
 
-# _entry_bytes grows with p, so this bound (5,930,277 bytes, about 145 per
-# bin) keeps exactly the lengths p <= 40853 (40867 would need 5,932,307):
-# the PRACH lengths (139, 571, 839, 1151: 394,700 bytes) and the grid
-# 5 <= p <= 199 (623,486 bytes), small next to numpy's ~27 MB import, and
+# _entry_bytes grows with p, so this bound (3,969,365 bytes, about 97 per
+# bin) keeps exactly the lengths p <= 40853 (40867 would need 3,970,723):
+# the PRACH lengths (139, 571, 839, 1151: 265,228 bytes) and the grid
+# 5 <= p <= 199 (422,238 bytes), small next to numpy's ~27 MB import, and
 # no large p, where lengths rarely repeat
 _STORE_BYTES = _entry_bytes(40853)
 
@@ -353,16 +330,17 @@ def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray
     for bit, since neither of its components is zero (gauss._qpo_times4).
     r and s come from the plan's fields, so dataclasses.replace works.
 
-    A factored plan (logs None) runs _gather. With counters, at every p,
-    _gather_phases gathers the counted accumulation's phases: the same output.
+    A factored plan (logs None) runs _gather from k = 0. With counters, at
+    every p, _gather_phases gathers the counted accumulation's phases: the
+    same output.
     """
     if counters is not None:
         return _gather_phases(pl, accumulate_phases(pl.params.p, pl.iu, pl.fs, counters))
-    if pl.logs is None:
-        return _gather(pl)
     p = pl.params.p
-    logs, exps = pl.logs
     s = (1 - 2 * pl.params.u * pl.fs) % p
+    if pl.logs is None:
+        return _gather(p, pl.twiddles, pl.iu, pl.fs, s, 0, pl.const_factor)
+    logs, exps = pl.logs
     lr = logs[(-pl.iu * (p + 1) // 2) % p]
     # method and operator: np.take and np.add pay __array_function__ dispatch
     out = exps[lr:].take(logs[:p] + logs[s : s + p], mode="clip")
@@ -379,22 +357,25 @@ def _gather_phases(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
     p = pl.params.p
     out = np.empty(p, dtype=np.complex128)
     tmp = np.empty(min(p, 2 * _BLOCK), dtype=np.int64)
-    _gather_blocks(pl, out, 0, ((k0, k1, phases[k0:k1]) for k0, k1 in _block_bounds(p)), tmp)
+    blocks = ((k0, k1, phases[k0:k1]) for k0, k1 in _block_bounds(p))
+    _gather_blocks(p, pl.twiddles, pl.const_factor, out, 0, blocks, tmp)
     return out
 
 
-def _gather_blocks(pl: TransformPlan, out: np.ndarray, first: int, blocks, tmp: np.ndarray) -> None:
-    """out[k - first] = hi[phase_k >> s] * lo[phase_k & (m - 1)] * const_factor for each block (k0, k1, phases) of blocks.
+def _gather_blocks(
+    p: int, twiddles: np.ndarray, scale: complex | None, out: np.ndarray, first: int, blocks, tmp: np.ndarray
+) -> None:
+    """out[k - first] = hi[phase_k >> s] * lo[phase_k & (m - 1)], times scale unless None, per block (k0, k1, phases).
 
     The gather of every factored output, a block at a time while its
     phases stay in L2: _gather's mirrored half from numtheory.phase_blocks
     and _gather_phases's given phases. tmp, int64 of at least the longest
     block, holds the split indices; a complex scratch of its length holds
-    the lo factors. Every output is the same product in the same order.
+    the lo factors. Every output is the same product in the same order, and
+    zc_time's, with no scale, skips the multiply.
     """
-    p = pl.params.p
     m = _split(p)
-    lo, hi = pl.twiddles[:m], pl.twiddles[m:]
+    lo, hi = twiddles[:m], twiddles[m:]
     s = m.bit_length() - 1
     # out, tmp, this scratch, then phase_blocks's kept buffer at the first
     # block: allocated after the output, the buffers reuse their heap space
@@ -409,7 +390,8 @@ def _gather_blocks(pl: TransformPlan, out: np.ndarray, first: int, blocks, tmp: 
         # it writes into the output directly instead of through a buffer
         np.take(hi, np.right_shift(r, s, out=tmp[:n]), out=block, mode="clip")
         block *= np.take(lo, np.bitwise_and(r, m - 1, out=tmp[:n]), out=scratch[:n], mode="clip")
-        block *= pl.const_factor
+        if scale is not None:
+            block *= scale
 
 
 def _mirrored(p: int, t: int, form) -> np.ndarray:
@@ -435,61 +417,53 @@ def _mirrored(p: int, t: int, form) -> np.ndarray:
     return out
 
 
-def _gather(pl: TransformPlan) -> np.ndarray:
-    """const_factor * table[phase_k] for k < p, from the closed form, mirrored.
+def _gather(
+    p: int, twiddles: np.ndarray, iu: int, fs: int, s: int, start: int, scale: complex | None
+) -> np.ndarray:
+    """scale * table[phase_(start + k)] for k < p, or no multiply if scale is None, mirrored.
 
-    Only the h = (p+1)/2 bins [first, first + h) are formed and gathered
-    (_mirrored), block by block: numtheory.phase_blocks gives each block's
-    phases, seeded or advanced from the block before by additions, and
-    _gather_blocks gathers and scales them before the next block starts.
-    With t = 2*u*fs - 1 = -s,
-        phase_(t-k) = r*(t - k)*(t - k + s) = r*(-(k + s))*(-k) = phase_k,
+    phase_j = (j*fs - iu*T(j)) mod p, which is r*j*(j + s) mod p for the
+    s the caller passes (see execute and zc_time). Only the h = (p+1)/2
+    bins [first, first + h) are formed and gathered (_mirrored), block by
+    block: numtheory.phase_blocks gives each block's phases from j = start
+    + first on, seeded or advanced from the block before by additions, and
+    _gather_blocks gathers them before the next block starts. With j =
+    start + k and t = -s - 2*start, bin t - k is at j' = -(j + s), and
+        phase_j' = r*(-(j + s))*(-j) = phase_j,
     and equal phases give equal outputs bit for bit, so out[k] ==
     out[(t - k) mod p] and the other (p-1)/2 bins are copies.
     """
-    p = pl.params.p
 
     def form(half: np.ndarray, first: int) -> None:
         tmp = np.empty(min(half.size, 2 * _BLOCK), dtype=np.int64)
-        _gather_blocks(pl, half, first, phase_blocks(p, pl.iu, pl.fs, first, half.size, tmp), tmp)
+        lo = start + first
+        _gather_blocks(p, twiddles, scale, half, lo, phase_blocks(p, iu, fs, lo, half.size, tmp), tmp)
 
-    return _mirrored(p, (2 * pl.params.u * pl.fs - 1) % p, form)
+    return _mirrored(p, (-s - 2 * start) % p, form)
 
 
 def zc_time(params: ZcParams) -> np.ndarray:
     """Time-domain ZC sequence Z(k) = exp(-i*pi*u*(k+ts)(k+ts+1)/p), k = 0..p-1.
 
-    The integer numerator u*m(m+1), m = k + ts, is reduced mod 2p before the
-    float conversion, as 2*phase with phase = u*T(m) mod p and T(m) =
-    m(m+1)/2, exact in int64. That keeps trig arguments small and makes the
-    samples exactly periodic in the index, so a cyclic shift is a bit-exact
-    rotation.
-
-    phase = r*m*(m + 1) mod p with r = u*(p+1)/2, so a length the store keeps
-    gathers the samples through its discrete logs, as execute does: for
-    m != 0, -1 mod p,
-        Z(k) = S3[L(r) + L(m) + L(m + 1)],
-    one add of two slices of L2, from ts on, and one gather. S3 holds the
-    sample of every nonzero phase as np.exp gives it (_zc_samples). At
-    m = 0 and m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0 and
-    the gather reads S3's pad, _PHASE0 (_log_tables). A length not kept
-    forms the phases of m = k + ts block by block (numtheory.phase_blocks,
-    iu = -u mod p, fs = 0; m may pass p, as T(m + p) = T(m) mod p for odd
-    p) and exponentiates each block into its slice of the output
-    (_chirp_exp), for half its bins: T(-1 - m) = T(m), so the
-    samples at k and -1 - 2ts - k mod p share one phase integer, and
-    _mirrored copies the other (p-1)/2. Both routes give the same bits.
+    With m = k + ts and T(m) = m(m+1)/2, Z(k) = table[u*T(m) mod p]: the
+    transform's table of roots at execute's phase with iu = -u mod p, fs =
+    0, a start at ts and no scale, r*m*(m + 1) mod p with r = u*(p+1)/2,
+    so s = 1. A length the store keeps gathers E3 through its discrete
+    logs, as execute does: for m != 0, -1 mod p,
+        Z(k) = E3[L(r) + L(m) + L(m + 1)],
+    one add of two slices of L2, from ts on, and one gather. At m = 0 and
+    m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0 and the
+    gather reads E3's pad, 1 + 0j, hi[0] * lo[0] bit for bit (_log_tables).
+    Any other length runs _gather from start ts (m may pass p, as T(m + p)
+    = T(m) mod p for odd p). Both routes give the same bits. Each sample is
+    a table entry, so it is within (3*pi + 2*sqrt(2))*eps of the root
+    (_twiddle_factors), and the samples are exactly periodic in the index:
+    a cyclic shift is a bit-exact rotation.
     """
     p, u, ts = params.p, params.u, params.ts
     entry = _STORE.entry(p)
     if entry is None:
-
-        def form(half: np.ndarray, first: int) -> None:
-            start = first + ts
-            for k0, k1, r in phase_blocks(p, -u % p, 0, start, half.size):
-                _chirp_exp(p, r, half[k0 - start : k1 - start])
-
-        return _mirrored(p, (-1 - 2 * ts) % p, form)
-    (logs, _), samples = entry[1], entry[3]
+        return _gather(p, _twiddle_factors(p), -u % p, 0, 1, ts, None)
+    logs, exps = entry[1]
     lr = logs[u * (p + 1) // 2 % p]
-    return samples[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p], mode="clip")
+    return exps[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p], mode="clip")

@@ -9,7 +9,7 @@ from zcdft.oracle import zc_time_direct
 from zcdft.sequences import LmfhParams, ZcParams, frequency_track, lmfh_symbol
 from zcdft.transform import zc_time
 
-from conftest import ODD_PRIMES_61
+from conftest import ODD_PRIMES_61, twiddle_table, zc_phases
 
 small_zc = st.builds(
     lambda p, u_seed, ts_seed: ZcParams(p=p, u=1 + u_seed % (p - 1), ts=ts_seed % p),
@@ -81,11 +81,13 @@ def test_zc_time_first_samples():
     assert z[1] == pytest.approx(np.exp(-6j * np.pi / 13), abs=1e-15)
 
 
-def test_zc_time_equals_direct_integer_route_at_large_p():
-    # the registry checks p <= 199; 65537 exercises the int64 reduction
+def test_zc_time_equals_the_table_at_large_p():
+    # the registry checks p <= 199; 65537 is not kept. Each sample is the
+    # table of roots at its phase, formed here in int64, bit for bit
+    table = twiddle_table(65537)
     for u, ts in ((1, 0), (25, 1), (65536, 32768)):
         params = ZcParams(p=65537, u=u, ts=ts)
-        assert np.array_equal(zc_time(params), zc_time_direct(params))
+        assert zc_time(params).tobytes() == table[zc_phases(params)].tobytes()
 
 
 def test_zc_time_mirror_placements_at_a_length_not_kept():
@@ -94,21 +96,29 @@ def test_zc_time_mirror_placements_at_a_length_not_kept():
     # point c at 0, inside [1, (p-1)/2] or at its end, or above it. 131071
     # runs four blocks of phase_blocks
     p = 131071
+    table = twiddle_table(p)
     for c in (0, (p - 1) // 4, (p - 1) // 2, (p + 1) // 2, 3 * (p // 4), p - 1):
         ts = (-1 - 2 * c) * (p + 1) // 2 % p
         for u in (1, 25, p - 1):
             params = ZcParams(p, u, ts)
-            assert np.array_equal(zc_time(params), zc_time_direct(params))
+            assert zc_time(params).tobytes() == table[zc_phases(params)].tobytes()
 
 
-def test_zc_time_direct_refuses_p_past_its_int64_limit():
-    # u*m*(m+1) < 4*p**3 with m < 2p stays in int64 at the largest prime below
-    # 2**20; 1048583 is the first prime above. Unchecked, u = ts = p - 1 read
-    # 0.52 off zc_time at 1400017 and 1.99 at 2000003, where the product wraps
-    params = ZcParams(p=1048573, u=1048572, ts=1048572)
-    assert np.array_equal(zc_time(params), zc_time_direct(params))
-    with pytest.raises(ValueError, match=r"p < 2\*\*20"):
-        zc_time_direct(ZcParams(p=1048583, u=1048582, ts=1048582))
+def test_zc_time_direct_stays_exact_past_2_to_the_20():
+    # u = ts = p - 1 is the case whose unreduced product u*m*(m+1), m < 2p,
+    # wraps int64 from about 1.32e6 on: it read 0.52 off zc_time at 1400017
+    # and 1.99 at 2000003. 1048583 is the first prime above 2**20. Reduced
+    # first, the argument is the defining integer, formed here in Python
+    # ints at a few bins, and every sample stays within two of the table's
+    # derived bounds of zc_time, as both are within one of the root
+    eps = np.finfo(np.float64).eps
+    for p in (1048583, 2000003):
+        params = ZcParams(p, p - 1, p - 1)
+        z = zc_time_direct(params)
+        ks = [0, 1, 2, p // 3, p // 2, p - 3, p - 2, p - 1]
+        arg = np.array([(p - 1) * (k + p - 1) * (k + p) % (2 * p) for k in ks], dtype=np.float64)
+        assert z[ks].tobytes() == np.exp((-1j * np.pi / p) * arg).tobytes()
+        assert np.abs(z - zc_time(params)).max() <= 2 * (3 * np.pi + 2 * np.sqrt(2)) * eps
 
 
 def _lmfh_reference(params):

@@ -23,7 +23,7 @@ from zcdft.transform import (
     zc_time,
 )
 
-from conftest import ODD_PRIMES_61, ODD_PRIMES_199, run_in_threads
+from conftest import ODD_PRIMES_61, ODD_PRIMES_199, run_in_threads, twiddle_table, zc_phases
 from test_gauss import BRUTE_13_3
 
 cases = st.builds(
@@ -142,27 +142,26 @@ def fresh_store(monkeypatch):
 
 
 def _entry_nbytes(entry):
-    """Bytes held by a store entry: factors, L2, E3, the root rows and S3."""
-    factors, (logs, exps), rows, samples = entry
-    return factors.nbytes + logs.nbytes + exps.nbytes + rows.nbytes + samples.nbytes
+    """Bytes held by a store entry: factors, L2, E3 and the root rows."""
+    factors, (logs, exps), rows = entry
+    return factors.nbytes + logs.nbytes + exps.nbytes + rows.nbytes
 
 
 def test_kept_length_shares_one_read_only_table(fresh_store):
     a = plan(ZcParams(p=839, u=25), DFT)
     b = plan(ZcParams(p=839, u=3, ts=7), IDFT)
-    factors, pair, rows, samples = fresh_store._entries[839]
+    factors, pair, rows = fresh_store._entries[839]
     logs, exps = pair
     assert a.twiddles is b.twiddles is factors
     assert a.logs is b.logs is pair
-    for array in (factors, logs, exps, rows, samples):
+    for array in (factors, logs, exps, rows):
         with pytest.raises(ValueError):
             array[0] = 1
-    assert all(array.base is None for array in (factors, logs, exps, rows, samples))
+    assert all(array.base is None for array in (factors, logs, exps, rows))
     assert rows.shape == (839,) and rows.dtype == transform._ROOT_ROW and rows.dtype.itemsize == 33
-    # 3(p - 1) entries in log order, then one pad at phase 0
-    assert exps.shape == samples.shape == (3 * 838 + 1,)
-    assert exps[-1:].tobytes() == np.ones(1, dtype=np.complex128).tobytes()
-    assert samples[-1:].tobytes() == np.full(1, transform._PHASE0).tobytes()
+    # 3(p - 1) entries in log order, then one pad at phase 0, hi[0] * lo[0]
+    assert exps.shape == (3 * 838 + 1,)
+    assert exps[-1:].tobytes() == np.ones(1, dtype=np.complex128).tobytes() == twiddle_table(839)[:1].tobytes()
     m = transform._split(839)
     assert factors.size == m + -(-839 // m)
     assert fresh_store.nbytes == _entry_nbytes(fresh_store._entries[839]) == transform._entry_bytes(839)
@@ -181,7 +180,7 @@ def test_keep_rule_holds_over_every_prime_to_70000():
     # the bound, and no longer one fits; _entry_bytes counts the built arrays
     for p in numtheory.odd_primes(70000):
         assert (transform._kept_bytes(p) <= transform._STORE_BYTES) == (p <= 40853), p
-    assert transform._STORE_BYTES == transform._entry_bytes(40853) == 5_930_277
+    assert transform._STORE_BYTES == transform._entry_bytes(40853) == 3_969_365
     for p in (139, 839, 40853):
         assert transform._entry_bytes(p) == _entry_nbytes(transform._build_entry(p))
 
@@ -199,7 +198,7 @@ def test_store_keeps_within_its_bound_and_never_a_large_p(fresh_store):
             assert fresh_store.nbytes == before
             assert pl.logs is None
         else:
-            factors, logs, rows, _ = fresh_store._entries[p]
+            factors, logs, rows = fresh_store._entries[p]
             assert pl.twiddles is factors
             assert pl.logs is logs
             assert pl.iu == rows.item(1)[0] == 1
@@ -318,10 +317,11 @@ def test_phase0_bins_read_the_padding_bit_for_bit(fresh_store):
     # 2u*fs = 1 mod p (it is (p-1)/2 in both directions), both directions;
     # uint64 views compare every bit, signed zeros included. Both gathers
     # use take(mode="clip"), which reads any index past the pad as the pad,
-    # so a wrong index could hide there: the integer indices are checked too
-    phase0 = np.array([transform._PHASE0]).view(np.uint64)
+    # so a wrong index could hide there: the integer indices are checked too.
+    # zc_time has no scale, so its phase-0 samples are E3's pad itself
     for p in ODD_PRIMES_61 + PRACH_LENGTHS:
-        _, (logs, exps), _, table = fresh_store.entry(p)
+        _, (logs, exps), _ = fresh_store.entry(p)
+        phase0 = exps[-1:].view(np.uint64)
         half, m = (p + 1) // 2, np.arange(p)
         for u in range(1, p):
             iu, fs = mod_inverse(u, p), mod_inverse(2 * u, p)
@@ -332,7 +332,7 @@ def test_phase0_bins_read_the_padding_bit_for_bit(fresh_store):
                 assert (samples[[-ts, p - 1 - ts]] == phase0).all(), (p, u, ts)
                 index = logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p]
                 at0 = (m + ts) * (m + ts + 1) % p == 0
-                assert _only_phase0_reaches_the_pad(table, logs[u * half % p], index, at0), (p, u, ts)
+                assert _only_phase0_reaches_the_pad(exps, logs[u * half % p], index, at0), (p, u, ts)
                 for direction in (DFT, IDFT):
                     pl = plan(params, direction)
                     assert pl.logs is not None
@@ -428,8 +428,13 @@ def test_twiddle_table_error_within_derived_bound(p):
     # 16 EPS_LD covers that and the second-order terms of the bound
     theta = 2 * (4 * np.arctan(np.longdouble(1))) * np.arange(p, dtype=np.longdouble) / p
     ref = np.cos(theta) - 1j * np.sin(theta)
-    err = np.abs(table - ref).max()
-    assert err <= (3 * np.pi + 2 * np.sqrt(2)) * EPS + 16 * EPS_LD
+    bound = (3 * np.pi + 2 * np.sqrt(2)) * EPS + 16 * EPS_LD
+    assert np.abs(table - ref).max() <= bound
+    # zc_time's samples are table entries, gathered through the log tables
+    # at p <= 839, kept, and through the factors at 65537 and 1000003
+    params = ZcParams(p=p, u=p - 1, ts=(p - 1) // 2)
+    assert (transform._STORE.entry(p) is not None) == (p <= 839)
+    assert np.abs(zc_time(params) - ref[zc_phases(params)]).max() <= bound
 
 
 @pytest.mark.skipif(EPS_LD == EPS, reason="np.longdouble is float64 here: no more precise reference")
@@ -648,13 +653,6 @@ def _kept_plans():
             yield plan(ZcParams(p=p, u=u, ts=ts), direction)
 
 
-def _twiddle_table(p):
-    """exp(-i*2*pi*j/p) for j < p as hi[a] * lo[b], the products every gather forms."""
-    m = transform._split(p)
-    factors = transform._twiddle_factors(p)
-    return np.multiply.outer(factors[m:], factors[:m]).ravel()[:p]
-
-
 def test_kept_execute_equals_table_gather():
     # the log-domain gather reads E3, products of the factors: bit-identical
     # to gathering the whole table at the closed-form phases and scaling,
@@ -664,7 +662,7 @@ def test_kept_execute_equals_table_gather():
         assert pl.logs is not None
         p = pl.params.p
         if p not in tables:
-            tables[p] = _twiddle_table(p)
+            tables[p] = twiddle_table(p)
         table = tables[p]
         for q in (pl, dataclasses.replace(pl, fs=(pl.fs + 1) % p)):
             assert np.array_equal(execute(q), table[phase_indices(q)] * q.const_factor)
@@ -701,7 +699,7 @@ HALF_BLOCK_LENGTHS = {
 @pytest.mark.parametrize("p", list(HALF_BLOCK_LENGTHS))
 def test_factored_execute_equals_table_gather(p):
     assert [hi - lo for lo, hi in numtheory._block_bounds((p + 1) // 2)] == HALF_BLOCK_LENGTHS[p]
-    table = _twiddle_table(p)
+    table = twiddle_table(p)
     for pl in _mirror_plans(p):
         assert pl.logs is None
         assert np.array_equal(execute(pl), table[phase_indices(pl)] * pl.const_factor)
@@ -710,9 +708,8 @@ def test_factored_execute_equals_table_gather(p):
 def test_lengths_not_kept_hold_only_block_sized_temporaries():
     # a warm execute and zc_time past the store's bound hold the 16p-byte
     # output and buffers of one block, at most 2*_BLOCK bins: tmp (8 bytes a
-    # bin), phase_blocks's block and D (16), and either the gather's complex
-    # scratch (16) or _chirp_exp's temporaries (8 + 8 + 16), at most 56
-    # bytes a bin, under 64
+    # bin), phase_blocks's block and D (16) and the gather's complex scratch
+    # (16), at most 40 bytes a bin, under 64
     for p in (65537, 1000003):
         params = ZcParams(p, 25, 7)
         assert plan(params, DFT).logs is None
