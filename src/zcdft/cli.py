@@ -81,7 +81,7 @@ def cmd_transform(parser, args) -> int:
     else:
         if params.p > oracle.PMAX:
             parser.error(f"--method naive takes p <= {oracle.PMAX}, the O(p^2) oracle's limit")
-        x = zc_time(params)
+        x = oracle.zc_time_direct(params)
         out = oracle.naive_dft(x) if direction == transform.DFT else oracle.naive_idft(x)
     if direction == transform.IDFT and args.normalize:
         out = out / params.p
@@ -281,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--json",
         action="store_true",
-        help="print one JSON list of the families (name, passed, max_error, detail, "
-        "seconds) instead of the [PASS]/[FAIL] lines",
+        help="print one JSON list of the families instead of the [PASS]/[FAIL] lines: "
+        "name, passed, max_error (the worst error in units of its bound), detail (the "
+        "case that reached it) and seconds",
     )
 
     sp = sub.add_parser(

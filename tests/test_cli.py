@@ -83,8 +83,10 @@ def test_dft_fast_bin0(capsys):
 
 
 @pytest.mark.parametrize("method", ["reference", "naive"])
-def test_dft_methods_agree_with_fast(capsys, method):
+def test_dft_methods_agree_with_fast(capsys, monkeypatch, method):
     _, fast = run_cli(capsys, "dft", "--p", "13", "--u", "3")
+    # both references build their samples without the table of roots
+    monkeypatch.setattr(cli, "zc_time", None)
     _, other = run_cli(capsys, "dft", "--p", "13", "--u", "3", "--method", method)
     delta = np.abs(parse_csv_sequence(fast) - parse_csv_sequence(other)).max()
     assert delta <= 1e-9 * np.sqrt(13)
@@ -157,8 +159,12 @@ def test_verify_json_lists_every_family_with_its_time(capsys):
         assert r["passed"] is True and r["seconds"] > 0
     code, out = run_cli(capsys, "verify", "--pmax", "13", "--inject-fault", "--json")
     assert code == 1
-    failed = [r["name"] for r in json.loads(out) if not r["passed"]]
-    assert failed == ["fast-dft-vs-naive"]
+    results = json.loads(out)
+    assert [r["name"] for r in results if not r["passed"]] == ["fast-dft-vs-naive"]
+    faulted = results[names.index("fast-dft-vs-naive")]
+    assert list(faulted) == ["name", "passed", "max_error", "detail", "seconds"]
+    # the fault is on the grid's first case
+    assert faulted["detail"].startswith("p=3 u=1 ts=0 dft")
 
 
 def test_verify_rejects_grid_without_both_branches(capsys):
