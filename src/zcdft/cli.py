@@ -295,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         "times the closed-form phase indices, and gather_ns the scaled gather "
         "of all p bins at given phases that the counted path runs: at every p "
         "a blocked gather from the table's two sqrt(p)-length factors. "
-        "execute instead reads a kept length's entries through its "
-        "discrete-log tables, and for any other length gathers (p+1)/2 bins "
-        "and copies the other (p-1)/2 from their mirrors. plan_ns is a "
+        "execute and zc_time instead run one other gather (transform._gather), "
+        "so fast_ns is not phase_ns + gather_ns. plan_ns is a "
         "median over reps, so it times a kept entry whenever p fits the "
         "per-length store. exp_evaluations counts the p table lookups of the "
         "gather, not calls to exp. table_bytes is what the plan holds of the "
@@ -313,11 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
         f"calls. All three are measured only up to p = {_NAIVE_PMAX} and are "
         "null above it. fast_faults is the minor page faults per warm execute "
         "call over reps calls, at every p; both fault keys are null where the "
-        "resource module is missing. zc_time_ns is the median of a zc_time call, which gathers "
-        "its samples from the transform's table of roots, through a kept "
-        "length's discrete logs and any other length's factors, and fft_ns that "
-        "of np.fft.fft on the same samples, the baseline the transform is "
-        "measured against.",
+        "resource module is missing. zc_time_ns is the median of a zc_time call, "
+        "execute's gather with no scale, and fft_ns that of np.fft.fft on the "
+        "same samples, the baseline the transform is measured against.",
     )
     sp.set_defaults(handler=cmd_bench)
     sp.add_argument(

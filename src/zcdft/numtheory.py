@@ -8,9 +8,9 @@ T(k) = k(k+1)/2, of a bin range block by block, as the paper accumulates
 them: _block_phases seeds the first block from the closed form, and every
 later block is the one before plus a per-call vector and a per-block
 scalar, reduced by two conditional subtractions. Every reader takes them
-a block at a time from one reused buffer: transform's factored gather,
-which execute and zc_time run at a length the transform's store does not
-keep, and transform.phase_indices, which copies them into its own array.
+a block at a time from one reused buffer: transform._gather, the gather of
+execute and zc_time, at a length the transform's store does not keep, and
+transform.phase_indices, which copies them into its own array.
 primitive_root and power_table give the discrete logs that transform
 reads a kept length's twiddle table through.
 """

@@ -3,11 +3,9 @@
 A prime-length ZC sequence is a chirp whose phase is a quadratic in the
 sample index. The same waveform can be produced by accumulating the integer
 frequency points of a linear hopping pattern. transform.zc_time takes the
-closed form (numtheory.phase_blocks, or a kept length's discrete logs)
-and lmfh_symbol the accumulation (accumulate_phases), the two routes that
-transform's spectra share; tests cross-check them. zc_time lives in
-transform because its samples are entries of the transform's table of
-roots, gathered as the spectra are.
+closed form through the spectra's own gather from the table of roots
+(transform._gather), and lmfh_symbol the accumulation (accumulate_phases),
+as the counted spectra do; tests cross-check them.
 """
 
 from __future__ import annotations

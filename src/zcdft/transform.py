@@ -10,25 +10,22 @@ the one before plus D[j] = -iu*L*j mod p and one scalar per block, every
 sum below 3p and reduced by two conditional subtractions. The quasi phase
 offset is folded into one complex constant, sqrt(p)*exp(i*2*pi*QPo/p), so
 the phases stay integer and the table of roots has p entries. Every plan
-holds that table as two sqrt(p)-length factors (_twiddle_factors). execute
-reads it through discrete-log tables for a length the store keeps
-(_LengthStore), else by _gather's mirrored half; the counted path gathers
-all p bins at its phases (_gather_phases). Both run one blocked gather
-(_gather_blocks), and a kept entry holds the same product hi[a] * lo[b],
-so the spectra are bit-identical. A kept length's entry
-also holds every root's inverse, Legendre sign, 4*QPo and constant as one
-structured row per root (_root_scalars), which plan reads with one .item(u)
-instead of deriving them; both branches of plan take 4*QPo and the constant
-from gauss. The bins at phase 0 read their value from the gather itself
-(_log_tables).
+holds that table as two sqrt(p)-length factors (_twiddle_factors), and a
+length the store keeps (_LengthStore) also holds it in discrete-log order
+(_log_tables). One routine, _gather, reads it for execute and zc_time:
+through the logs at a kept length, else as a mirrored half gathered from
+the factors in blocks (_gather_blocks); its docstring derives both. The
+counted path gathers all p bins at its phases through the same block loop
+(_gather_phases). A kept entry holds the same products hi[a] * lo[b], so
+every route gives the same bits. A kept entry also holds every root's
+inverse, Legendre sign, 4*QPo and constant as one structured row per root
+(_root_scalars), which plan reads with one .item(u) instead of deriving
+them; both branches of plan take 4*QPo and the constant from gauss.
 
-zc_time, the time-domain sequence, lives here, next to the table it reads.
-By the paper's third result the sequence and its spectra are one lmFH
-gather from one table of roots, and differ only in slope, start and scale:
-zc_time is execute's gather with iu = -u mod p, fs = 0, a start at ts and
-no scale, from E3 through the discrete logs at a kept length, else by
-_gather. Both routes give the same bits, and every sample is a table
-entry, within the table's derived bound (_twiddle_factors).
+By the paper's third result the time-domain sequence is an lmFH symbol
+too, so zc_time lives here: the spectra's gather with its own slope and
+start and no scale. Every sample is a table entry, within the table's
+derived bound (_twiddle_factors).
 """
 
 from __future__ import annotations
@@ -99,15 +96,13 @@ def plan(params: ZcParams, direction: str) -> TransformPlan:
         shift = half + ts
     else:
         require_direction(direction)  # raises
-    entry = _STORE.entry(p)
-    if entry is None:
-        twiddles, logs = _twiddle_factors(p), None
+    twiddles, logs, rows = _tables(p)
+    if rows is None:
         iu = mod_inverse(u, p)
         ell = legendre(2 * u, p)
         qpo4 = _qpo_times4(p, u, ell)
         const = const_from_qpo(p, qpo4)
     else:
-        twiddles, logs, rows = entry
         iu, ell, qpo4, const = rows.item(u)
     fs = (half * iu + shift) % p
     # one dict update, not the frozen __init__'s object.__setattr__ per field
@@ -166,7 +161,7 @@ def _log_tables(p: int, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     hi[0] * lo[0] bit for bit. pw, writable, is what _root_scalars inverts
     through.
 
-    execute and zc_time gather E3[lr:] at L2[x] + L2[y], lr = L(r), r != 0,
+    _gather reads E3[lr:] at L2[x] + L2[y], lr = L(r), r != 0,
     with take(mode="clip"), which reads any index at or past the end as the
     last entry: the pad, at 3(p - 1) - lr. An index that holds the sentinel,
     once or twice, is at least 3(p - 1), so it reads the pad: the phase-0
@@ -237,10 +232,8 @@ def _build_entry(p: int) -> tuple:
     (_entry_bytes): E3 is 3(p - 1) entries in log order and one pad
     (_log_tables). rows holds one _ROOT_ROW per root: iu (int64), ell
     (int8), 4*QPo (int64) and the constant (complex128). (L2, E3) is one
-    tuple, every plan's logs. Every plan and zc_time of a kept p reads its
-    E3, and every plan its row, while a length not kept would build all of
-    them for one call, so plan and zc_time take their other routes there
-    instead.
+    tuple, every plan's logs. A length not kept would build all of them for
+    one call, so _tables gives its factors alone.
     """
     factors = _twiddle_factors(p)
     logs, exps, pw = _log_tables(p, factors)
@@ -302,6 +295,12 @@ class _LengthStore:
 _STORE = _LengthStore(_STORE_BYTES)
 
 
+def _tables(p: int) -> tuple:
+    """p's kept entry (factors, (L2, E3), rows), else (factors, None, None), built for this call."""
+    entry = _STORE.entry(p)
+    return (_twiddle_factors(p), None, None) if entry is None else entry
+
+
 def phase_indices(pl: TransformPlan) -> np.ndarray:
     """int64 phase indices phase_k = (k*fs - iu*T(k)) mod p, k = 0..p-1.
 
@@ -316,36 +315,22 @@ def phase_indices(pl: TransformPlan) -> np.ndarray:
 
 
 def execute(pl: TransformPlan, counters: OpCounters | None = None) -> np.ndarray:
-    """out[k] = const_factor * table[phase_k], through the logs or in blocks.
+    """out[k] = const_factor * table[phase_k], k < p, by one _gather.
 
-    With r = -iu*(p+1)/2 and s = 1 - 2*u*fs mod p, phase_k = r*k*(k + s)
-    mod p. A kept plan (logs set) adds discrete logs instead of multiplying
-    (the primitive-root reindexing of Rader's prime-length DFT, Proc. IEEE
-    56(6), 1968): for k != 0, -s,
-        table[phase_k] = E3[L(r) + L(k) + L(k + s)],
-    one add of two slices of L2, one gather from E3 and the scale. E3 holds
-    _gather's products, so the output is _gather's bit for bit. At k = 0
-    and k = -s (one bin when s = 0) phase_k = 0 and the gather reads E3's
-    pad, 1 + 0j (_log_tables). const_factor * (1 + 0j) is const_factor bit
-    for bit, since neither of its components is zero (gauss._qpo_times4).
-    r and s come from the plan's fields, so dataclasses.replace works.
-
-    A factored plan (logs None) runs _gather from k = 0. With counters, at
-    every p, _gather_phases gathers the counted accumulation's phases: the
-    same output.
+    phase_k = r*k*(k + s) mod p with r = -iu*(p+1)/2 and s = 1 - 2*u*fs mod
+    p, gathered from k = 0 and scaled by const_factor. r and s come from the
+    plan's fields, so dataclasses.replace works. At the phase-0 bins,
+    const_factor * (1 + 0j) is const_factor bit for bit, since neither of
+    its components is zero (gauss._qpo_times4). With counters, at every p,
+    _gather_phases gathers the counted accumulation's phases: the same
+    output.
     """
     if counters is not None:
         return _gather_phases(pl, accumulate_phases(pl.params.p, pl.iu, pl.fs, counters))
     p = pl.params.p
+    r = -pl.iu * (p + 1) // 2 % p
     s = (1 - 2 * pl.params.u * pl.fs) % p
-    if pl.logs is None:
-        return _gather(p, pl.twiddles, pl.iu, pl.fs, s, 0, pl.const_factor)
-    logs, exps = pl.logs
-    lr = logs[(-pl.iu * (p + 1) // 2) % p]
-    # method and operator: np.take and np.add pay __array_function__ dispatch
-    out = exps[lr:].take(logs[:p] + logs[s : s + p], mode="clip")
-    out *= pl.const_factor
-    return out
+    return _gather(p, pl.twiddles, pl.logs, r, s, 0, pl.const_factor)
 
 
 def _gather_phases(pl: TransformPlan, phases: np.ndarray) -> np.ndarray:
@@ -394,21 +379,51 @@ def _gather_blocks(
             block *= scale
 
 
-def _mirrored(p: int, t: int, form) -> np.ndarray:
-    """complex out[k], k < p, equal to out[(t - k) mod p]: form(half, first) fills half = out[first : first + h].
+def _gather(
+    p: int, twiddles: np.ndarray, logs: tuple | None, r: int, s: int, start: int, scale: complex | None
+) -> np.ndarray:
+    """scale * table[r*j*(j + s) mod p] for j = start + k, k < p, or no multiply if scale is None.
 
-    h = (p+1)/2; the other two ranges are reversed copies of their mirrors.
-    As 2 is invertible mod p, k -> t - k has the one fixed point c =
-    t*h mod p, and it pairs every other bin c + d with c - d, 0 < d <=
-    (p-1)/2. So c, c + 1, ..., c + (p-1)/2 hold one bin of each pair, and
-    so do c - (p-1)/2, ..., c. first = c if c <= (p-1)/2, else c - (p-1)/2
-    >= 1; either way the range ends at or before p - 1 and never wraps.
+    The one lmFH gather: execute and zc_time differ only in r != 0, s,
+    start < p and scale. Through a kept length's logs (L2, E3), with L the
+    discrete log to base g (the primitive-root reindexing of Rader's
+    prime-length DFT, Proc. IEEE 56(6), 1968), a product of phases is a sum
+    of logs: for j != 0, -s,
+        table[r*j*(j + s)] = E3[L(r) + L(j) + L(j + s)],
+    one add of two slices of L2, which holds L twice over, and one gather
+    from E3, which holds the factors' products. At j = 0 and j = -s (one
+    bin when s = 0) the phase is 0 and the gather reads E3's pad, 1 + 0j
+    (_log_tables).
+
+    Any other length forms only h = (p+1)/2 bins. With t = -s - 2*start,
+    bin t - k is at j' = -(j + s), and r*j'*(j' + s) = r*(-(j + s))*(-j),
+    the same phase, so out[k] == out[(t - k) mod p] bit for bit. As 2 is
+    invertible mod p, k -> t - k has the one fixed point c = t*h mod p and
+    pairs every other bin c + d with c - d, 0 < d <= (p-1)/2, so c, ..., c
+    + (p-1)/2 hold one bin of each pair, and so do c - (p-1)/2, ..., c.
+    first = c if c < h, else c - (p-1)/2 >= 1; either way [first, first +
+    h) ends at or before p - 1. numtheory.phase_blocks gives its phases,
+    with (iu, fs) = (-2r, r*(s - 1)) mod p as r*j*(j + s) = j*fs - iu*T(j),
+    and _gather_blocks gathers each block before the next starts. The other
+    two ranges are reversed copies of their mirrors.
     """
+    if logs is not None:
+        l2, e3 = logs
+        b = (start + s) % p
+        # method and operator: np.take and np.add pay __array_function__ dispatch
+        out = e3[l2[r] :].take(l2[start : start + p] + l2[b : b + p], mode="clip")
+        if scale is not None:
+            out *= scale
+        return out
     h = (p + 1) // 2
+    t = (-s - 2 * start) % p
     c = t * h % p
     first = c if c < h else c - h + 1
     out = np.empty(p, dtype=np.complex128)
-    form(out[first : first + h], first)
+    tmp = np.empty(min(h, 2 * _BLOCK), dtype=np.int64)
+    lo = start + first
+    blocks = phase_blocks(p, -2 * r % p, r * (s - 1) % p, lo, h, tmp)
+    _gather_blocks(p, twiddles, scale, out[first : first + h], lo, blocks, tmp)
     # out[a + i] = out[top - i], top = (t - a) mod p: source and target
     # are disjoint slices, so the copy needs no temporary
     for a, b in ((first + h, p), (0, first)):
@@ -417,53 +432,16 @@ def _mirrored(p: int, t: int, form) -> np.ndarray:
     return out
 
 
-def _gather(
-    p: int, twiddles: np.ndarray, iu: int, fs: int, s: int, start: int, scale: complex | None
-) -> np.ndarray:
-    """scale * table[phase_(start + k)] for k < p, or no multiply if scale is None, mirrored.
-
-    phase_j = (j*fs - iu*T(j)) mod p, which is r*j*(j + s) mod p for the
-    s the caller passes (see execute and zc_time). Only the h = (p+1)/2
-    bins [first, first + h) are formed and gathered (_mirrored), block by
-    block: numtheory.phase_blocks gives each block's phases from j = start
-    + first on, seeded or advanced from the block before by additions, and
-    _gather_blocks gathers them before the next block starts. With j =
-    start + k and t = -s - 2*start, bin t - k is at j' = -(j + s), and
-        phase_j' = r*(-(j + s))*(-j) = phase_j,
-    and equal phases give equal outputs bit for bit, so out[k] ==
-    out[(t - k) mod p] and the other (p-1)/2 bins are copies.
-    """
-
-    def form(half: np.ndarray, first: int) -> None:
-        tmp = np.empty(min(half.size, 2 * _BLOCK), dtype=np.int64)
-        lo = start + first
-        _gather_blocks(p, twiddles, scale, half, lo, phase_blocks(p, iu, fs, lo, half.size, tmp), tmp)
-
-    return _mirrored(p, (-s - 2 * start) % p, form)
-
-
 def zc_time(params: ZcParams) -> np.ndarray:
     """Time-domain ZC sequence Z(k) = exp(-i*pi*u*(k+ts)(k+ts+1)/p), k = 0..p-1.
 
-    With m = k + ts and T(m) = m(m+1)/2, Z(k) = table[u*T(m) mod p]: the
-    transform's table of roots at execute's phase with iu = -u mod p, fs =
-    0, a start at ts and no scale, r*m*(m + 1) mod p with r = u*(p+1)/2,
-    so s = 1. A length the store keeps gathers E3 through its discrete
-    logs, as execute does: for m != 0, -1 mod p,
-        Z(k) = E3[L(r) + L(m) + L(m + 1)],
-    one add of two slices of L2, from ts on, and one gather. At m = 0 and
-    m = -1 (k = -ts mod p and k = p - 1 - ts) the phase is 0 and the
-    gather reads E3's pad, 1 + 0j, hi[0] * lo[0] bit for bit (_log_tables).
-    Any other length runs _gather from start ts (m may pass p, as T(m + p)
-    = T(m) mod p for odd p). Both routes give the same bits. Each sample is
-    a table entry, so it is within (3*pi + 2*sqrt(2))*eps of the root
-    (_twiddle_factors), and the samples are exactly periodic in the index:
-    a cyclic shift is a bit-exact rotation.
+    With m = k + ts and T(m) = m(m+1)/2, Z(k) = table[u*T(m) mod p], which
+    is table[r*m*(m + 1) mod p] with r = u*(p+1)/2: _gather with s = 1 from
+    ts and no scale, the spectra's gather (the paper's third result). Each
+    sample is a table entry, so it is within (3*pi + 2*sqrt(2))*eps of the
+    root (_twiddle_factors), and the samples are exactly periodic in the
+    index: a cyclic shift is a bit-exact rotation.
     """
     p, u, ts = params.p, params.u, params.ts
-    entry = _STORE.entry(p)
-    if entry is None:
-        return _gather(p, _twiddle_factors(p), -u % p, 0, 1, ts, None)
-    logs, exps = entry[1]
-    lr = logs[u * (p + 1) // 2 % p]
-    return exps[lr:].take(logs[ts : ts + p] + logs[ts + 1 : ts + 1 + p], mode="clip")
+    twiddles, logs, _ = _tables(p)
+    return _gather(p, twiddles, logs, u * (p + 1) // 2 % p, 1, ts, None)

@@ -9,12 +9,13 @@ Each check covers one property family over a grid of primes controlled by
 pmax. It judges nothing itself: it yields its comparisons as (case, error,
 bound), a float error against its tolerance or an exact comparison as a
 mismatch (False or True) against bound 0, and run_check alone gives the
-verdict. A family passes iff error <= bound for every comparison, so a NaN
-error fails. Its max_error is the largest error / bound, an exact
+verdict. A family passes iff it makes at least one comparison and error <=
+bound for every one, so a NaN error fails, and so does a family that
+compares nothing. Its max_error is the largest error / bound, an exact
 comparison counting its mismatch as 0 or 1, and NaN if any error is NaN.
-Its detail is the case that reached max_error, or the first NaN case. A
-deliberate fault can be injected into the fast DFT comparison to prove the
-harness is not vacuous.
+Its detail is the case that reached max_error, the first NaN case, or
+"no comparisons". A deliberate fault can be injected into the fast DFT
+comparison to prove the harness is not vacuous.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def run_check(check: Check, cfg: VerifyConfig) -> CheckResult:
         passed = passed and bool(error <= bound)
         if not detail or ratio > worst or math.isnan(ratio) > math.isnan(worst):
             worst, detail = ratio, case
+    if not detail:
+        passed, detail = False, "no comparisons"
     name = check.__name__.removeprefix("check_").replace("_", "-")
     return CheckResult(name, passed, worst, detail, time.perf_counter() - start)
 
@@ -229,7 +232,8 @@ def check_fast_idft_vs_naive(cfg: VerifyConfig) -> Iterator[Comparison]:
 
 
 def check_fast_vs_long_double(cfg: VerifyConfig) -> Iterator[Comparison]:
-    spots = cfg.spot_primes(139)
+    # 139, or below --pmax 139 the grid's largest prime, so every grid runs it
+    spots = cfg.spot_primes(max(cfg.primes(139)))
     for p, cases in cfg.transform_cases():
         for u, ts in cases if p in spots else []:
             for direction in (DFT, IDFT):

@@ -5,7 +5,8 @@ The invariants are stated once, in zcdft.verify.ALL_CHECKS. This module and
 and print the same [PASS]/[FAIL] line per family (visible with pytest -s or
 in failure output). The speed margin over the naive DFT is a timing, not an
 invariant, so it stays a test of its own. run_check's verdict rule is
-tested on two synthetic families and on a spectrum with one NaN bin.
+tested on three synthetic families and on a spectrum with one NaN bin, and
+every family must compare something on the smallest grid.
 
 Run as: pytest tests/test_acceptance.py -v -s
 """
@@ -53,11 +54,25 @@ def check_one_mismatch(cfg):
     yield "p=11 exact match", False, 0
 
 
+def check_nothing(cfg):
+    yield from ()
+
+
 def test_run_check_judges_every_comparison():
     at = run_check(check_at_the_bound, VerifyConfig())
     assert (at.name, at.passed, at.max_error, at.detail) == ("at-the-bound", True, 1.0, "p=7 at")
     miss = run_check(check_one_mismatch, VerifyConfig())
     assert (miss.passed, miss.max_error, miss.detail) == (False, 1.0, "p=7 mismatch")
+    # a family that compares nothing proves nothing
+    empty = run_check(check_nothing, VerifyConfig())
+    assert (empty.name, empty.passed, empty.detail) == ("nothing", False, "no comparisons")
+
+
+def test_every_family_compares_on_the_smallest_grid():
+    # pmax 5 is the smallest grid zcdft verify accepts
+    cfg = VerifyConfig(pmax=5)
+    empty = [check.__name__ for check in ALL_CHECKS if next(check(cfg), None) is None]
+    assert empty == []
 
 
 def test_a_nan_bin_fails_every_family_that_reads_it(monkeypatch):
